@@ -5,7 +5,7 @@ export PYTHONPATH
 FUZZ_MINUTES ?= 5
 FAULT_SEEDS ?= 0:64
 
-.PHONY: test test-fast test-degrade test-superblock test-uring test-uring-async test-cluster test-chaos faults fuzz bench perf trace
+.PHONY: test test-fast test-degrade test-superblock test-uring test-uring-async test-cluster test-chaos faults fuzz bench bench-sim perf trace
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -54,6 +54,12 @@ fuzz:
 
 bench:
 	$(PYTHON) -m repro.bench
+
+# Simulated-results guard: run every end-to-end benchmark workload briefly
+# (one host second each) and fail unless its simulated cycles per op and
+# p50/p99 latency equal the committed seed-0 results, exactly.
+bench-sim:
+	$(PYTHON) benchmarks/check_sim.py
 
 # Observability smoke: run a small workload matrix (microbench, ls, webserver
 # x lazypoline, zpoline) under the machine-wide tracer and sanity-check the

@@ -10,12 +10,16 @@ at the repo root so every future PR is measured against this baseline
 
 The microbench is measured three times in the same run: full tiering
 (translation cache + superblocks, the default), tier 1 only (translation
-cache, superblocks off) and the uncached reference interpreter.  Two
-floors are enforced same-run: tier 1 must be >= 3x uncached (the PR-2
-translation-cache claim) and the superblock tier must be >= 5x tier 1
-(the tier-2 claim).  Simulated results (cycle counts, traces) are
-identical every way; only host wall-clock changes.  These are
-host-machine-dependent numbers: regenerate the baseline when moving
+cache, superblocks off) and the uncached reference interpreter.  The
+webserver is also measured interposed, under lazypoline and zpoline,
+with superblocks on and off: those runs are bound by the VA-0 nop sled,
+which tier 2 slides instead of stepping.  Floors are enforced same-run:
+tier 1 must be >= 3x uncached (the translation-cache claim), the
+superblock tier must be >= 5x tier 1 on the microbench (the tier-2
+claim), and on each interposed webserver it must be no slower than
+tier 1 (the tier must never lose).  Simulated results (cycle counts,
+traces) are identical every way; only host wall-clock changes.  These
+are host-machine-dependent numbers: regenerate the baseline when moving
 hardware.
 
 Run via ``make perf`` or ``pytest benchmarks/test_perf_interpreter.py -m perf``.
@@ -30,6 +34,7 @@ import time
 import pytest
 
 from repro.arch.encode import Assembler
+from repro.interpose import attach
 from repro.kernel.machine import Machine
 from repro.kernel.syscalls.table import NR
 from repro.loader.image import image_from_assembler
@@ -55,6 +60,11 @@ WEB_REQUESTS = 400
 TCC_RUNS = 200
 #: Wall-clock measurements are best-of-N to shrug off host noise.
 REPEATS = 5
+#: Interposed webserver cells: tools, request count, and repeats (fewer:
+#: the superblocks-off runs take seconds each).
+INTERPOSED_TOOLS = ("lazypoline", "zpoline")
+INTERPOSED_REQUESTS = 300
+INTERPOSED_REPEATS = 3
 
 
 def _compute_loop_image(iters: int):
@@ -137,14 +147,17 @@ def _tcc() -> dict:
     return _measure(setup)
 
 
-def _webserver() -> dict:
+def _webserver(tool: str | None = None, superblocks: bool = True,
+               requests: int = WEB_REQUESTS, repeats: int = REPEATS) -> dict:
     def setup():
-        machine = Machine()
+        machine = Machine(superblocks=superblocks)
         workload = ServerWorkload(machine, SERVERS["nginx"], file_size=4096)
-        run = lambda: workload.benchmark(requests=WEB_REQUESTS, warmup=10)
+        if tool is not None:
+            attach(machine, workload.process, tool)
+        run = lambda: workload.benchmark(requests=requests, warmup=10)
         return (lambda: machine.scheduler.total_instructions), run
 
-    return _measure(setup)
+    return _measure(setup, repeats)
 
 
 def test_perf_interpreter_baseline():
@@ -156,6 +169,16 @@ def test_perf_interpreter_baseline():
         "tcc": _tcc(),
         "webserver": _webserver(),
     }
+    interposed = {}
+    for tool in INTERPOSED_TOOLS:
+        for sb, suffix in ((True, ""), (False, "_tier1")):
+            workloads[f"webserver_{tool}{suffix}"] = _webserver(
+                tool, sb, INTERPOSED_REQUESTS, INTERPOSED_REPEATS
+            )
+        interposed[f"speedup_superblocks_vs_tier1_webserver_{tool}"] = round(
+            workloads[f"webserver_{tool}"]["mips"]
+            / workloads[f"webserver_{tool}_tier1"]["mips"], 3
+        )
     speedup = (
         workloads["microbench_tier1"]["mips"]
         / workloads["microbench_uncached"]["mips"]
@@ -171,9 +194,11 @@ def test_perf_interpreter_baseline():
         "workloads": workloads,
         "speedup_microbench_vs_uncached": round(speedup, 3),
         "speedup_superblocks_vs_tier1": round(tier2_speedup, 3),
+        **interposed,
         "floors": {
             "speedup_microbench_vs_uncached": 3.0,
             "speedup_superblocks_vs_tier1": 5.0,
+            **{key: 1.0 for key in interposed},
         },
     }
     RESULT_PATH.write_text(json.dumps(result, indent=2) + "\n")
@@ -181,12 +206,14 @@ def test_perf_interpreter_baseline():
     lines = ["interpreter performance (guest MIPS)", ""]
     for name, w in workloads.items():
         lines.append(
-            f"{name:22s} {w['mips']:8.3f} MIPS "
+            f"{name:28s} {w['mips']:8.3f} MIPS "
             f"({w['instructions']} insns / {w['seconds']:.3f}s)"
         )
     lines.append("")
     lines.append(f"translation-cache speedup on microbench: {speedup:.2f}x")
     lines.append(f"superblock-tier speedup over tier 1:     {tier2_speedup:.2f}x")
+    for key, value in interposed.items():
+        lines.append(f"{key}: {value:.2f}x")
     save_report("perf_interpreter", "\n".join(lines))
 
     # The PR-2 target: >= 3x steady-state MIPS, same-run comparison.
@@ -195,3 +222,6 @@ def test_perf_interpreter_baseline():
     assert tier2_speedup >= 5.0, (
         f"superblock tier speedup only {tier2_speedup:.2f}x"
     )
+    # Interposed: superblocks-on host time <= superblocks-off.
+    for key, value in interposed.items():
+        assert value >= 1.0, f"{key}: tier 2 slower than tier 1 ({value:.2f}x)"

@@ -65,8 +65,6 @@ XSAVE_X87_OFF = XSAVE_YMM_OFF + 16 * 16
 XSAVE_TOP_OFF = XSAVE_X87_OFF + 8 * 8
 XSAVE_AREA_SIZE = 1024
 
-_COMPONENT_BITS = ((XComponent.X87, 1), (XComponent.SSE, 2), (XComponent.AVX, 4))
-
 #: Entries per address-space insn cache before a wholesale clear.  Generous:
 #: guest images are a few pages of code, so this only trips on pathological
 #: self-modifying loops, where clearing is the honest answer anyway.
@@ -684,6 +682,10 @@ class CPU:
         #: counts live on the blocks themselves to keep the hot path lean).
         self.blocks_compiled = 0
         self.blocks_invalidated = 0
+        #: Nop slides (one per dispatch, not per nop) and the nops they
+        #: retired; the scheduler counts them (see repro.cpu.superblock).
+        self.slides = 0
+        self.slid_insns = 0
         #: Bumped by :meth:`refresh_cost_table`.  Compiled blocks bake
         #: their cycle costs in, so every BlockCache snapshots this and
         #: the scheduler drops stale caches at slice granularity.
@@ -851,45 +853,44 @@ class CPU:
 
 
 # ----------------------------------------------------------------- xsave glue
+# Both directions run on every interposed syscall (the lazypoline fast path
+# brackets its hcall with xsave/xrstor), so they work on the raw component
+# bits and move each register file with one bulk conversion.
+_VEC_BYTES = 16 * 16
+_VEC_ZERO = bytes(_VEC_BYTES)
+_X87_AREA = struct.Struct("<8QB")  # the x87 slots, then the top byte
+_X87_ZERO = bytes(_X87_AREA.size)
+_AREA_TAIL = bytes(XSAVE_AREA_SIZE - XSAVE_X87_OFF - _X87_AREA.size)
+
+
+def _pack_vecs(values) -> bytes:
+    return b"".join([v.to_bytes(16, "little") for v in values])
+
+
+def _unpack_vecs(area, off: int) -> list[int]:
+    big = int.from_bytes(area[off : off + _VEC_BYTES], "little")
+    return [(big >> shift) & MASK128 for shift in range(0, 128 * 16, 128)]
+
+
 def xsave_serialize(regs, mask: XComponent) -> bytes:
     """Serialize the selected xstate components into the xsave area format."""
-    area = bytearray(XSAVE_AREA_SIZE)
-    bits = 0
-    for component, bit in _COMPONENT_BITS:
-        if mask & component:
-            bits |= bit
-    _U64.pack_into(area, XSAVE_MASK_OFF, bits)
-    if mask & XComponent.SSE:
-        for i, value in enumerate(regs.xmm):
-            area[XSAVE_XMM_OFF + 16 * i : XSAVE_XMM_OFF + 16 * (i + 1)] = (
-                value.to_bytes(16, "little")
-            )
-    if mask & XComponent.AVX:
-        for i, value in enumerate(regs.ymm_high):
-            area[XSAVE_YMM_OFF + 16 * i : XSAVE_YMM_OFF + 16 * (i + 1)] = (
-                value.to_bytes(16, "little")
-            )
-    if mask & XComponent.X87:
-        for i, value in enumerate(regs.x87):
-            _U64.pack_into(area, XSAVE_X87_OFF + 8 * i, value)
-        area[XSAVE_TOP_OFF] = regs.x87_top
-    return bytes(area)
+    bits = mask.value & 7  # X87 = 1, SSE = 2, AVX = 4: the area's mask word
+    return b"".join((
+        _U64.pack(bits),
+        _pack_vecs(regs.xmm) if bits & 2 else _VEC_ZERO,
+        _pack_vecs(regs.ymm_high) if bits & 4 else _VEC_ZERO,
+        _X87_AREA.pack(*regs.x87, regs.x87_top) if bits & 1 else _X87_ZERO,
+        _AREA_TAIL,
+    ))
 
 
 def xrstor_apply(regs, area: bytes) -> None:
     """Restore xstate components from an xsave area."""
     (bits,) = _U64.unpack_from(area, XSAVE_MASK_OFF)
     if bits & 2:
-        for i in range(16):
-            regs.xmm[i] = int.from_bytes(
-                area[XSAVE_XMM_OFF + 16 * i : XSAVE_XMM_OFF + 16 * (i + 1)], "little"
-            )
+        regs.xmm[:] = _unpack_vecs(area, XSAVE_XMM_OFF)
     if bits & 4:
-        for i in range(16):
-            regs.ymm_high[i] = int.from_bytes(
-                area[XSAVE_YMM_OFF + 16 * i : XSAVE_YMM_OFF + 16 * (i + 1)], "little"
-            )
+        regs.ymm_high[:] = _unpack_vecs(area, XSAVE_YMM_OFF)
     if bits & 1:
-        for i in range(8):
-            (regs.x87[i],) = _U64.unpack_from(area, XSAVE_X87_OFF + 8 * i)
-        regs.x87_top = area[XSAVE_TOP_OFF]
+        *x87, regs.x87_top = _X87_AREA.unpack_from(area, XSAVE_X87_OFF)
+        regs.x87[:] = x87

@@ -33,6 +33,27 @@ A superblock is a maximal straight-line run starting at a hot *head*:
   that overwrites its own upcoming instructions never executes stale
   bytes.
 
+Runs of ``nop`` bytes are never compiled: a block never *starts* at a
+``nop``.  The scheduler *slides* them instead — it retires ``k`` nops of
+a run as one dispatch, advancing ``rip`` by ``k`` and charging ``k``
+times the ``nop`` cost once (see ``Scheduler.run_task_slice``).  That is
+the interposer's sled (``call rax`` lands at offset ``rax`` of a VA-0 nop
+sled): every syscall number, and every quantum cut inside the sled, would
+otherwise be a fresh block head.  A slide is sound under the same
+conditions as a chained block — nothing inside can observe or change
+machine state — plus four of its own:
+
+* no interior boundary: a ``nop`` retires no syscall, hcall or fault;
+* page- and quantum-bounded: a run ends at its page's end, and the slide
+  at the slice budget, so the next page's fetch fault and every slice
+  boundary land where single-stepping puts them;
+* generation-checked: :meth:`BlockCache.nop_run` records each run under
+  its page's exec generation, so SMC, ``mprotect`` and ``munmap`` of the
+  page fall back to a fresh scan and exact single-step semantics;
+* batchable cost: ``k`` charges of the ``nop`` cost sum exactly to one
+  charge of ``k`` times it (:func:`repro.cpu.costs.block_batchable`);
+  otherwise the slide stays off.
+
 Validity is keyed by the same per-page generation counters that guard the
 tier-1 cache: a block records ``(page, gen)`` for the one or two pages its
 bytes span, and ``AddressSpace._bump_exec_gen`` — the single choke point
@@ -46,9 +67,10 @@ down exactly the remote blocks spanning the patched page.
 from __future__ import annotations
 
 from repro.arch.decode import decode_one
-from repro.arch.isa import MAX_INSN_LEN, Mnemonic
+from repro.arch.isa import MAX_INSN_LEN, NOP_BYTE, Mnemonic
+from repro.cpu.costs import block_batchable
 from repro.errors import InvalidOpcode, PageFault
-from repro.mem.pages import PAGE_SHIFT
+from repro.mem.pages import PAGE_SHIFT, PAGE_SIZE
 
 #: Executions of a head address (observed at taken control transfers and
 #: block exits) before the run starting there is compiled.  High enough
@@ -64,6 +86,8 @@ BLOCK_CAP = 32
 #: Shortest run worth compiling; a 1-instruction block would just be the
 #: tier-1 step with extra spill traffic.
 MIN_LEN = 2
+
+_NOP = bytes((NOP_BYTE,))
 
 _M64 = (1 << 64) - 1
 _SBIT = 1 << 63
@@ -104,25 +128,60 @@ class BlockCache:
     ``blocks`` maps head address -> :class:`SuperBlock`; ``index`` maps
     page number -> set of head addresses whose blocks span that page, so
     a generation bump flushes exactly the stale blocks without a scan;
-    ``heads`` holds the pre-compilation hotness counters.  ``cost_epoch``
-    snapshots :attr:`CPU.cost_epoch` — blocks bake their cycle costs in,
-    so a recalibrated cost model drops the whole cache (checked once per
-    slice, never per instruction).
+    ``heads`` holds the pre-compilation hotness counters; ``runs`` maps
+    an address to the nop run it lies in (see :meth:`nop_run`).
+    ``cost_epoch`` snapshots :attr:`CPU.cost_epoch` — blocks bake their
+    cycle costs in, so a recalibrated cost model drops the whole cache
+    (checked once per slice, never per instruction).  ``nop_cost`` is the
+    per-``nop`` charge a slide multiplies, or ``None`` when that cost is
+    not batchable and the slide must stay off.
     """
 
-    __slots__ = ("blocks", "index", "heads", "cost_epoch")
+    __slots__ = ("blocks", "index", "heads", "runs", "cost_epoch", "nop_cost")
 
     def __init__(self):
         self.blocks: dict[int, SuperBlock] = {}
         self.index: dict[int, set] = {}
         self.heads: dict[int, int] = {}
+        self.runs: dict[int, tuple[int, int, int]] = {}
         self.cost_epoch = -1
+        self.nop_cost = None
 
-    def reset(self, cost_epoch: int) -> None:
+    def reset(self, cost_epoch: int, cost_table) -> None:
         self.blocks.clear()
         self.index.clear()
         self.heads.clear()
+        self.runs.clear()
         self.cost_epoch = cost_epoch
+        nop = cost_table[Mnemonic.NOP.op_index]
+        self.nop_cost = nop if block_batchable((nop,)) else None
+
+    def nop_run(self, mem, addr: int):
+        """Scan and record the nop run starting at ``addr``.
+
+        Returns ``(end, page, gen)``: the run covers ``[addr, end)`` and
+        stops at the first non-``nop`` byte or at the end of ``addr``'s
+        page, whose exec generation was ``gen`` when scanned (``end ==
+        addr``: no run).  Every address of the run gets the same record,
+        so a slice that resumes mid-run slides at once.  The scheduler
+        scans only right after single-stepping a ``nop`` on the same page,
+        which leaves that page with a decoded entry in the translation
+        cache — exactly as single-stepping the whole run would, so remote
+        shootdowns of the page charge the same IPIs.  Returns ``None``
+        at a page start (the run would lie on another page).
+        """
+        off = addr & (PAGE_SIZE - 1)
+        if not off:
+            return None
+        code = mem.fetch(addr, PAGE_SIZE - off)
+        end = addr + len(code) - len(code.lstrip(_NOP))
+        pn = addr >> PAGE_SHIFT
+        rec = (end, pn, mem.exec_gen.get(pn, 0))
+        runs = self.runs
+        runs[addr] = rec
+        for a in range(addr + 1, end):
+            runs[a] = rec
+        return rec
 
 
 # --------------------------------------------------------------- classification
@@ -199,7 +258,8 @@ def _decode_run(mem, head):
     charges would differ between tiering on and off.  Stops at the first
     non-straight-line opcode, at a compiled-in terminator, at the block
     cap, or where decoding itself would fault (execution reaching that
-    point side-exits and faults identically on the tier-1 path).
+    point side-exits and faults identically on the tier-1 path).  A run
+    headed by a ``nop`` is empty: the scheduler slides nop runs instead.
     """
     insns = []
     addr = head
@@ -216,7 +276,7 @@ def _decode_run(mem, head):
         if m in _TERMINATORS:
             insns.append((addr, insn))
             break
-        if m not in _STRAIGHT:
+        if m not in _STRAIGHT or (m is Mnemonic.NOP and not insns):
             break
         insns.append((addr, insn))
         addr += insn.length
@@ -336,8 +396,6 @@ def compile_block(mem, head, cost_table, max_len=None):
     end_rip = last_addr + last_insn.length
 
     costs = [cost_table[insn.mnemonic.op_index] for _, insn in insns]
-    from repro.cpu.costs import block_batchable
-
     batch = block_batchable(costs)
 
     e = _Emitter()

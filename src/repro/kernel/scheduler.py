@@ -28,6 +28,7 @@ from __future__ import annotations
 import heapq
 import random
 
+from repro.arch.isa import Mnemonic
 from repro.arch.registers import MASK64, RAX
 from repro.cpu.superblock import HOT_THRESHOLD as _HOT
 from repro.cpu.superblock import BlockCache
@@ -35,6 +36,8 @@ from repro.errors import BreakpointTrap, GuestCrash, InvalidOpcode, PageFault
 from repro.kernel.smp import Core
 from repro.kernel.task import Task, TaskState
 from repro.kernel.waits import DeadlockError, WouldBlock
+
+_NOP = Mnemonic.NOP
 
 
 class SchedulePolicy:
@@ -178,7 +181,7 @@ class Scheduler:
         # delivery point, boundary check and quantum edge that the
         # single-step loop would hit still lands on the same instruction.
         tier = cpu.superblocks and policy is None and not hooks
-        blocks = heads = gens = None
+        blocks = heads = gens = runs = nop_cost = None
         try:
             mem = task.mem
             mem.active_pkru = task.regs.pkru
@@ -187,6 +190,8 @@ class Scheduler:
                 bcache = self._tier_state(cpu, mem)
                 blocks = bcache.blocks
                 heads = bcache.heads
+                runs = bcache.runs
+                nop_cost = bcache.nop_cost
                 gens = mem.exec_gen
             while executed < budget:
                 if not task.alive:
@@ -216,12 +221,23 @@ class Scheduler:
                         bcache = self._tier_state(cpu, mem)
                         blocks = bcache.blocks
                         heads = bcache.heads
+                        runs = bcache.runs
+                        nop_cost = bcache.nop_cost
                         gens = mem.exec_gen
                 addr = task.regs.rip
                 if tier:
                     b = blocks.get(addr)
                     if b is None:
                         if executed == 0:
+                            # A slice resuming inside a recorded nop run
+                            # slides at once (see the nop slide below).
+                            r = runs.get(addr)
+                            if (r is not None and r[0] > addr
+                                    and nop_cost is not None
+                                    and gens.get(r[1], 0) == r[2]):
+                                executed = self._slide(
+                                    task, addr, r[0], budget, nop_cost)
+                                continue
                             # Quantum cuts land mid-run, so slice entry
                             # points recur without ever being a taken
                             # branch target; count them as head
@@ -332,11 +348,27 @@ class Scheduler:
                     insn = None
                 executed += 1
                 if tier and insn is not None:
-                    # Count taken control transfers as candidate block
-                    # heads; straight-line fallthrough is covered by the
-                    # run that eventually compiles across it.
                     nrip = task.regs.rip
-                    if nrip != addr + insn.length and nrip not in blocks:
+                    if insn.mnemonic is _NOP:
+                        # Nop slide: retire the rest of the run as one
+                        # dispatch — rip += k, one charge of k nops.
+                        # Sound like a block chain (a nop can change
+                        # nothing a boundary check reads), page- and
+                        # quantum-bounded, generation-checked, and only
+                        # with a batchable nop cost; see
+                        # repro.cpu.superblock.
+                        if nop_cost is not None and executed < budget:
+                            r = runs.get(nrip)
+                            if r is None or gens.get(r[1], 0) != r[2]:
+                                r = bcache.nop_run(mem, nrip)
+                            if r is not None and r[0] > nrip:
+                                executed += self._slide(
+                                    task, nrip, r[0], budget - executed,
+                                    nop_cost)
+                    elif nrip != addr + insn.length and nrip not in blocks:
+                        # Count taken control transfers as candidate block
+                        # heads; straight-line fallthrough is covered by
+                        # the run that eventually compiles across it.
                         c = heads.get(nrip, 0) + 1
                         if c >= _HOT:
                             heads.pop(nrip, None)
@@ -354,6 +386,8 @@ class Scheduler:
                         bcache = self._tier_state(cpu, task.mem)
                         blocks = bcache.blocks
                         heads = bcache.heads
+                        runs = bcache.runs
+                        nop_cost = bcache.nop_cost
                         gens = task.mem.exec_gen
         finally:
             self._active.discard(task.tid)
@@ -484,6 +518,24 @@ class Scheduler:
             mem.smp_shootdown = self._shootdown
 
     # ------------------------------------------------------------- tier 2
+    def _slide(self, task, start: int, end: int, room: int, cost) -> int:
+        """Retire the nops from ``start`` toward ``end`` as one dispatch.
+
+        At most ``room`` of them (the slice budget left): ``rip`` advances
+        by that many and one charge of that many nop costs is made.
+        Returns the count.
+        """
+        k = end - start
+        if k > room:
+            k = room
+        task.regs.rip = start + k
+        kernel = self.kernel
+        kernel.charge(task, k * cost)
+        cpu = kernel.cpu
+        cpu.slides += 1
+        cpu.slid_insns += k
+        return k
+
     def _tier_state(self, cpu, mem):
         """Per-slice superblock bookkeeping for ``mem``'s bound cache.
 
@@ -494,7 +546,7 @@ class Scheduler:
         """
         bcache = mem.block_cache
         if bcache.cost_epoch != cpu.cost_epoch:
-            bcache.reset(cpu.cost_epoch)
+            bcache.reset(cpu.cost_epoch, cpu._cost_table)
         if mem.block_flush_hook is None:
             mem.block_flush_hook = self._block_flush
         return bcache
@@ -539,6 +591,8 @@ class Scheduler:
             "block_shootdowns": sum(
                 c.block_shootdowns for c in self.cores
             ),
+            "slides": cpu.slides,
+            "slid_insns": cpu.slid_insns,
         }
 
     def _shootdown(self, mem, pn: int) -> None:

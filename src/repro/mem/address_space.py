@@ -20,6 +20,8 @@ from repro.errors import MapError, PageFault
 from repro.mem.pages import (
     PAGE_SIZE,
     PAGE_SHIFT,
+    PERM_R,
+    PERM_W,
     PERM_X,
     Page,
     Perm,
@@ -48,7 +50,7 @@ class Region:
         return f"{self.start:#x}-{self.end:#x} {self.perm.describe()}"
 
 
-_ACCESS_BIT = {"read": Perm.R, "write": Perm.W, "exec": Perm.X}
+_ACCESS_BIT = {"read": PERM_R, "write": PERM_W, "exec": PERM_X}
 
 
 class AddressSpace:
@@ -156,6 +158,7 @@ class AddressSpace:
         for pn in range(first, first + count):
             if pn in self._pages:
                 raise MapError(f"mapping overlap at {pn << PAGE_SHIFT:#x}")
+        perm = int(perm)
         for pn in range(first, first + count):
             self._pages[pn] = Page(perm=perm)
         return addr
@@ -192,6 +195,7 @@ class AddressSpace:
             if page is None:
                 raise MapError(f"protect of unmapped page {pn << PAGE_SHIFT:#x}")
             pages.append(page)
+        perm = int(perm)
         for pn, page in zip(range(first, first + count), pages):
             if page.perm & PERM_X:
                 self._bump_exec_gen(pn)
@@ -204,7 +208,7 @@ class AddressSpace:
 
     def perm_at(self, addr: int) -> Perm:
         page = self._pages.get(addr >> PAGE_SHIFT)
-        return page.perm if page is not None else Perm.NONE
+        return Perm(page.perm) if page is not None else Perm.NONE
 
     def regions(self) -> list[Region]:
         """Merged list of mapped regions, sorted by address."""
@@ -216,7 +220,7 @@ class AddressSpace:
                 prev = result.pop()
                 result.append(Region(prev.start, start + PAGE_SIZE, prev.perm))
             else:
-                result.append(Region(start, start + PAGE_SIZE, page.perm))
+                result.append(Region(start, start + PAGE_SIZE, Perm(page.perm)))
         return result
 
     def executable_regions(self) -> list[Region]:
@@ -298,7 +302,7 @@ class AddressSpace:
         while remaining:
             pn = pos >> PAGE_SHIFT
             page = self._pages.get(pn)
-            if page is None or not page.perm & Perm.X:
+            if page is None or not page.perm & PERM_X:
                 if not out:
                     raise PageFault(pos, "exec")
                 break

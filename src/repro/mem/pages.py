@@ -27,9 +27,13 @@ class Perm(enum.IntFlag):
         )
 
 
-#: Raw execute bit as a plain int — hot paths (translation-cache generation
-#: bumps on every guest store) test ``page.perm & PERM_X`` without paying
-#: IntFlag construction overhead.
+#: Raw permission bits as plain ints.  ``Page.perm`` holds a plain int mask
+#: too: with a ``Perm`` on the left, ``page.perm & PERM_X`` would still
+#: dispatch to ``Perm.__and__`` and build a new flag on every access, even
+#: though the right operand is an int.  ``Perm`` is only the public type
+#: (``perm_at()``, ``regions()``).
+PERM_R = int(Perm.R)
+PERM_W = int(Perm.W)
 PERM_X = int(Perm.X)
 
 
@@ -45,12 +49,13 @@ def page_align_up(addr: int) -> int:
 class Page:
     """One 4 KiB page of guest memory.
 
-    ``pkey`` is the memory protection key (MPK) the page is tagged with;
-    key 0 is the default, unrestricted key.
+    ``perm`` is a plain int mask of ``Perm`` bits.  ``pkey`` is the memory
+    protection key (MPK) the page is tagged with; key 0 is the default,
+    unrestricted key.
     """
 
     data: bytearray = field(default_factory=lambda: bytearray(PAGE_SIZE))
-    perm: Perm = Perm.NONE
+    perm: int = 0
     pkey: int = 0
 
     def copy(self) -> "Page":

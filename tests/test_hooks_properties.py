@@ -7,7 +7,16 @@ from hypothesis import given, strategies as st
 from repro.arch.decode import decode_one
 from repro.arch.isa import MAX_INSN_LEN
 from repro.arch.registers import RegisterFile, XComponent
-from repro.cpu.core import XSAVE_AREA_SIZE, xrstor_apply, xsave_serialize
+from repro.cpu.core import (
+    XSAVE_AREA_SIZE,
+    XSAVE_MASK_OFF,
+    XSAVE_TOP_OFF,
+    XSAVE_X87_OFF,
+    XSAVE_XMM_OFF,
+    XSAVE_YMM_OFF,
+    xrstor_apply,
+    xsave_serialize,
+)
 from repro.cpu.hooks import reg_effects
 from repro.errors import InvalidOpcode
 
@@ -55,6 +64,37 @@ def test_xsave_area_roundtrip_full(regs):
     assert fresh.ymm_high == regs.ymm_high
     assert fresh.x87 == regs.x87
     assert fresh.x87_top == regs.x87_top
+
+
+def _reference_area(regs, bits: int) -> bytes:
+    """The xsave area written field by field at the documented offsets."""
+    area = bytearray(XSAVE_AREA_SIZE)
+    area[XSAVE_MASK_OFF:XSAVE_MASK_OFF + 8] = bits.to_bytes(8, "little")
+    for bit, off, values, width in ((2, XSAVE_XMM_OFF, regs.xmm, 16),
+                                    (4, XSAVE_YMM_OFF, regs.ymm_high, 16),
+                                    (1, XSAVE_X87_OFF, regs.x87, 8)):
+        if bits & bit:
+            for i, value in enumerate(values):
+                start = off + width * i
+                area[start:start + width] = value.to_bytes(width, "little")
+    if bits & 1:
+        area[XSAVE_TOP_OFF] = regs.x87_top
+    return bytes(area)
+
+
+@given(register_files(), st.integers(0, 7))
+def test_xsave_area_layout(regs, bits):
+    """Every component mask serializes to the documented byte layout, and
+    restoring it loads exactly the selected components."""
+    area = xsave_serialize(regs, XComponent(bits))
+    assert area == _reference_area(regs, bits)
+    fresh = RegisterFile()
+    xrstor_apply(fresh, area)
+    empty = RegisterFile()
+    assert fresh.xmm == (regs.xmm if bits & 2 else empty.xmm)
+    assert fresh.ymm_high == (regs.ymm_high if bits & 4 else empty.ymm_high)
+    assert fresh.x87 == (regs.x87 if bits & 1 else empty.x87)
+    assert fresh.x87_top == (regs.x87_top if bits & 1 else empty.x87_top)
 
 
 @given(register_files())

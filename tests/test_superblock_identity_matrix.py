@@ -17,6 +17,7 @@ import pytest
 from repro.faults.corpus import CORPUS
 from repro.faults.oracle import differences, run_guest
 from repro.interpose import attach
+from repro.interpose.zpoline import SLED_SIZE
 from repro.kernel.machine import Machine
 from repro.obs.events import BLOCK_COMPILE, BLOCK_INVALIDATE
 from repro.obs.tracer import Tracer
@@ -81,16 +82,26 @@ def test_webserver_obs_stream_identity(tool):
 
 def test_webserver_tiering_actually_engages():
     """The identity above must not hold vacuously: the server's hot paths
-    really do tier up (and emit block_compile telemetry)."""
-    tracer = Tracer()
-    machine = Machine(tracer=tracer)
-    workload = ServerWorkload(machine, SERVERS["nginx"], file_size=2048)
-    workload.benchmark(requests=60, warmup=5)
-    stats = machine.superblock_stats()
-    assert stats["compiled"] >= 1
-    assert stats["block_runs"] >= 1
-    assert tracer.block_compiles == stats["compiled"]
-    assert any(e.kind == BLOCK_COMPILE for e in tracer.events)
+    really do tier up (and emit block_compile telemetry).  Under lazypoline
+    the VA-0 sled is slid, never compiled: no block head lies inside it."""
+    for tool in (None, "lazypoline"):
+        tracer = Tracer()
+        machine = Machine(tracer=tracer)
+        workload = ServerWorkload(machine, SERVERS["nginx"], file_size=2048)
+        if tool is not None:
+            attach(machine, workload.process, tool)
+        workload.benchmark(requests=60, warmup=5)
+        stats = machine.superblock_stats()
+        assert stats["compiled"] >= 1
+        assert stats["block_runs"] >= 1
+        assert tracer.block_compiles == stats["compiled"]
+        heads = [e.data["head"] for e in tracer.events
+                 if e.kind == BLOCK_COMPILE]
+        assert heads
+        if tool is not None:
+            assert stats["slides"] >= 60
+            assert stats["slid_insns"] > 10 * stats["slides"]
+            assert not [h for h in heads if 0 <= h < SLED_SIZE]
 
 
 def test_fault_corpus_seed_replay_cycle_identity(

@@ -7,9 +7,11 @@ simulated cycle counts.  Hypothesis generates adversarial guests — random
 straight-line bodies over the full fused instruction set, conditional
 skips (multiple block heads), self-modifying stores that patch upcoming
 instructions *inside* the hot loop, signal handlers firing between
-iterations, and random scheduler quanta (including quantum=1, where
-blocks never fit the budget and the tier must stand down entirely) — and
-the differential oracle checks every observable in lockstep.
+iterations, nop runs of random length (which the scheduler slides
+instead of stepping, so random quanta cut them anywhere), and random
+scheduler quanta (including quantum=1, where blocks never fit the budget
+and the tier must stand down entirely) — and the differential oracle
+checks every observable in lockstep.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ def _patch_words() -> tuple[int, int]:
 
 # One random body instruction: (kind, reg, reg2, imm).
 _op = st.tuples(
-    st.integers(min_value=0, max_value=17),
+    st.integers(min_value=0, max_value=18),
     st.integers(min_value=0, max_value=len(POOL) - 1),
     st.integers(min_value=0, max_value=len(POOL) - 1),
     st.integers(min_value=0, max_value=0xFFFF),
@@ -109,6 +111,10 @@ def _emit_op(a: Assembler, k: int, op, skips: list[int]) -> None:
     elif kind == 17:
         a.push(rd)
         a.pop(rs)
+    elif kind == 18:
+        # a nop run of 1-40 bytes: slid, not stepped, with tiering on
+        for _ in range(1 + imm % 40):
+            a.nop()
 
 
 def build_guest(ops, iters: int, smc: bool, signal: bool):
@@ -234,7 +240,7 @@ def _lockstep(image_builder, quantum: int) -> None:
 @given(
     ops=st.lists(_op, min_size=1, max_size=10),
     iters=st.integers(min_value=18, max_value=48),
-    quantum=st.sampled_from([1, 2, 3, 5, 7, 13, 31, 64]),
+    quantum=st.integers(min_value=1, max_value=64),
 )
 def test_lockstep_straightline(ops, iters, quantum):
     _lockstep(lambda: build_guest(ops, iters, False, False), quantum)
@@ -277,6 +283,21 @@ def test_hot_loop_actually_tiers_up():
     assert stats["compiled"] >= 1
     assert stats["block_runs"] >= 16
     assert proc.exit_code == 0
+
+
+def test_nop_runs_actually_slide():
+    """The nop-run op kind really exercises the slide, with and without
+    the self-patching loop (whose 8-nop patch site slides too)."""
+    from repro.kernel.machine import Machine
+
+    for smc in (False, True):
+        machine = Machine()
+        proc = machine.load(build_guest([(18, 0, 0, 30)], 24, smc, False))
+        machine.run_process(proc)
+        stats = machine.superblock_stats()
+        assert stats["slides"] >= 24
+        assert stats["slid_insns"] > stats["slides"]
+        assert proc.exit_code == 0
 
 
 def test_smc_guest_invalidates_blocks():

@@ -16,14 +16,20 @@ import pytest
 from repro.arch.encode import Assembler
 from repro.arch.isa import CALL_RAX_BYTES, Mnemonic
 from repro.cpu.core import BareTask, CPU, NullEnvironment
+from repro.cpu.costs import CostModel
 from repro.errors import InvalidOpcode
 from repro.interpose.api import TraceInterposer
 from repro.interpose.lazypoline import Lazypoline
 from repro.kernel.machine import Machine
+from repro.kernel.signals import SIGILL, SIGSEGV, SIGTRAP
+from repro.kernel.syscalls.proc import CLONE_VM, THREAD_FLAGS
 from repro.kernel.syscalls.table import NR
+from repro.loader.image import image_from_assembler
 from repro.mem import layout
 from repro.mem.address_space import AddressSpace
 from repro.mem.pages import PAGE_SIZE, Perm
+from repro.obs.events import BLOCK_COMPILE, BLOCK_INVALIDATE, CACHE_INVALIDATE
+from repro.obs.tracer import Tracer
 
 from tests.conftest import asm, emit_exit, emit_syscall, finish, hello_image
 
@@ -463,3 +469,234 @@ def test_superblock_lazypoline_rewrite_forces_recompile():
             assert stats["compiled"] >= 1
             assert stats["invalidated"] >= 1  # the rewrite landed mid-loop
     assert results[True] == results[False]
+
+
+# ------------------------------------------------------ nop slide (tier 2)
+# The scheduler slides nop runs in one dispatch instead of stepping them.
+# A slide is bounded by its page and by the slice budget and is validated
+# by the same exec-page generations, so every case below must stay cycle-
+# and fault-identical to the single-step interpreter (superblocks=False).
+
+#: Offset of the run's entry inside page_o: 256 nops reach the page end.
+RUN_AT = 0xF00
+
+
+def _slide_image(after=None, *, hot=None, threads=False, iters=24,
+                 entry="run"):
+    """A loop calling ``run``: a nop run that fills the tail of page
+    ``page_o``, all of ``page_p`` and the head of ``page_q`` (5 nops, then
+    ret); ``edge`` is its last nop in ``page_o``.  The loop enters the run
+    at ``entry``.  ``hot(a)`` emits code run at iteration ``iters // 2``
+    (and makes the text RWX); ``after(a)`` emits code run after the loop,
+    before one more call into the run.  ``threads`` clones a CLONE_VM
+    thread that runs the same loop."""
+    a = asm()
+    a.label("_start")
+    a.mov_imm("r13", 1)
+    if threads:
+        emit_syscall(a, "mmap", 0, 8192, 3, 0x22, (1 << 64) - 1, 0)
+        a.mov("r12", "rax")
+        a.mov_imm("rdi", THREAD_FLAGS | CLONE_VM)
+        a.lea("rsi", "r12", 8192)
+        a.mov_imm("rdx", 0)
+        a.mov_imm("r10", 0)
+        a.mov_imm("r8", 0)
+        a.mov_imm("rax", NR["clone"])
+        a.syscall()
+        a.mov("r13", "rax")  # 0 in the thread
+    a.mov_imm("rbx", iters)
+    a.label("loop")
+    a.call(entry)
+    if hot is not None:
+        a.cmpi("rbx", iters // 2)
+        a.jnz("cold")
+        hot(a)
+        a.label("cold")
+    a.dec("rbx")
+    a.jnz("loop")
+    if threads:
+        a.cmpi("r13", 0)
+        a.jnz("join")
+        a.mov_imm("rcx", 1)
+        a.store("r12", 0, "rcx")
+        a.label("park")
+        a.jmp("park")
+        a.label("join")
+        a.load("rcx", "r12", 0)
+        a.cmpi("rcx", 1)
+        a.jnz("join")
+    if after is not None:
+        after(a)
+        a.call("run")
+    emit_exit(a, 0)
+    a.align(PAGE_SIZE)
+    a.db(b"\x90" * RUN_AT)
+    a.label("run")
+    a.db(b"\x90" * (PAGE_SIZE - RUN_AT - 1))
+    a.label("edge")
+    a.nop()
+    a.label("page_p")
+    a.db(b"\x90" * PAGE_SIZE)
+    a.label("page_q")
+    a.db(b"\x90" * 5)
+    a.ret()
+    a.align(PAGE_SIZE, fill=0)
+    return image_from_assembler("slide", a, entry="_start",
+                                text_perm=Perm.RWX if hot else Perm.RX), a
+
+
+def _slide_outcomes(image, *, costs=None, cores=1, smc=False):
+    """Run ``image`` with tiering off and on; both outcomes and the tiered
+    machine's superblock stats."""
+    # Slid interior nops are never decoded, so after a patch the tiered
+    # run reports fewer stale decodes; every other event must match.
+    skip = {BLOCK_COMPILE, BLOCK_INVALIDATE}
+    if smc:
+        skip.add(CACHE_INVALIDATE)
+    out = {}
+    for sb in (False, True):
+        tracer = Tracer()
+        machine = Machine(costs or CostModel(), superblocks=sb,
+                          tracer=tracer, cores=cores)
+        proc = machine.load(image)
+        machine.run(until=lambda: not proc.task.alive,
+                    max_instructions=1_000_000)
+        out[sb] = (
+            proc.exit_code,
+            proc.term_signal,
+            proc.task.regs.rip,
+            machine.clock,
+            machine.scheduler.total_instructions,
+            machine.scheduler.shootdowns,
+            [(e.ts, e.kind, e.tid, e.core, tuple(sorted(e.data.items())))
+             for e in tracer.events if e.kind not in skip],
+        )
+        stats = machine.superblock_stats()
+    assert out[False] == out[True]
+    return out[True], stats
+
+
+def test_slide_plain_run_is_identical_and_slides():
+    image, _ = _slide_image()
+    (code, sig, *_), stats = _slide_outcomes(image)
+    assert (code, sig) == (0, None)
+    # each call slides once per page of the run
+    assert stats["slides"] >= 3 * 24
+    assert stats["slid_insns"] >= 24 * (PAGE_SIZE + PAGE_SIZE - RUN_AT - 3)
+
+
+def test_slide_stops_at_page_end_before_non_executable_page():
+    """The run reaches its page end and the next page has lost X: the
+    fetch fault lands exactly on the next page's first byte."""
+    image, a = _slide_image(
+        lambda a: emit_syscall(a, "mprotect", "page_q", PAGE_SIZE, 1))
+    (code, sig, rip, *_), stats = _slide_outcomes(image)
+    assert sig == SIGSEGV and rip == a.address_of("page_q")
+    assert stats["slides"] >= 1
+
+
+def test_slide_after_mprotect_drops_x():
+    """mprotect(PROT_READ) of a page the task already slid through."""
+    image, a = _slide_image(
+        lambda a: emit_syscall(a, "mprotect", "page_p", PAGE_SIZE, 1))
+    (code, sig, rip, *_), _ = _slide_outcomes(image)
+    assert sig == SIGSEGV and rip == a.address_of("page_p")
+
+
+def test_slide_after_munmap():
+    image, a = _slide_image(
+        lambda a: emit_syscall(a, "munmap", "page_p", PAGE_SIZE))
+    (code, sig, rip, *_), _ = _slide_outcomes(image)
+    assert sig == SIGSEGV and rip == a.address_of("page_p")
+
+
+@pytest.mark.parametrize("patch,signal,past", [
+    (b"\x0f\x0b", SIGILL, 0),   # ud2
+    (b"\xcc", SIGTRAP, 1),      # int3 traps after executing
+])
+def test_slide_smc_into_hot_run(patch, signal, past):
+    """SMC writes a trapping opcode into the middle of a hot run: the
+    next pass slides exactly up to it and traps there."""
+    def hot(a):
+        a.mov_imm("r8", "page_p")
+        for i, byte in enumerate(patch):
+            a.mov_imm("r9", byte)
+            a.store8("r8", 100 + i, "r9")
+
+    image, a = _slide_image(hot=hot)
+    (code, sig, rip, *_), stats = _slide_outcomes(image, smc=True)
+    assert sig == signal and rip == a.address_of("page_p") + 100 + past
+    assert stats["slides"] >= 12
+
+
+def test_slide_fork_isolation():
+    """A forked child patches its copy of a run the parent slid through;
+    the parent keeps sliding its own, unpatched run."""
+    def after(a):
+        emit_syscall(a, "fork")
+        a.cmpi("rax", 0)
+        a.jnz("parent")
+        a.mov_imm("r8", "page_p")
+        a.mov_imm("r9", 0xCC)
+        a.store8("r8", 100, "r9")
+        a.call("run")  # the child dies of SIGTRAP here
+        a.label("parent")
+        emit_syscall(a, "wait4", (1 << 64) - 1, 0, 0, 0)
+
+    def hot(a):  # the loop's own no-op patch: RWX text, bumped page
+        a.mov_imm("r8", "page_p")
+        a.mov_imm("r9", 0x90)
+        a.store8("r8", 100, "r9")
+
+    image, _ = _slide_image(after, hot=hot)
+    (code, sig, *_), _ = _slide_outcomes(image, smc=True)
+    assert (code, sig) == (0, None)
+
+
+def test_slide_revalidates_run_at_slice_start():
+    """A thread patches the run while its sibling is cut mid-run by the
+    quantum: the sibling's next slice must not resume on its record of
+    the unpatched run, but slide only up to the ud2 and trap there."""
+    def hot(a):
+        a.mov_imm("r8", "page_p")
+        a.mov_imm("r9", 0x0F)
+        a.store8("r8", 4090, "r9")
+        a.mov_imm("r9", 0x0B)
+        a.store8("r8", 4091, "r9")
+
+    image, _ = _slide_image(hot=hot, threads=True)
+    (code, sig, *_), _ = _slide_outcomes(image, smc=True)
+    assert sig == SIGILL
+
+
+def test_slide_cross_core_shootdown_identity():
+    """Two CLONE_VM threads on two cores slide through one page; a store
+    into it on one core must shoot down the other core's decodes with the
+    same IPI charges as single-stepping.  page_p holds nothing but nops
+    and the threads enter at its edge, so only the nop stepped at
+    page_p's start, never one stepped on the page before it, may lead a
+    slide through page_p: that step keeps the page in the decode
+    cache."""
+    def hot(a):
+        a.mov_imm("r8", "page_p")
+        a.mov_imm("r9", 0x90)
+        a.store8("r8", 50, "r9")
+
+    image, _ = _slide_image(hot=hot, threads=True, iters=40, entry="edge")
+    (code, sig, _, _, _, shootdowns, _), stats = _slide_outcomes(
+        image, cores=2, smc=True)
+    assert (code, sig) == (0, None)
+    assert shootdowns >= 1
+    assert stats["slides"] >= 2 * 2 * 40
+
+
+def test_slide_disengages_for_non_batchable_nop_cost():
+    """0.1-cycle nops do not sum exactly in one charge: no slides, and
+    the run stays bit-identical to single-stepping."""
+    costs = CostModel()
+    costs.insn_costs[Mnemonic.NOP] = 0.1
+    costs.refresh_tables()
+    image, _ = _slide_image()
+    (code, sig, *_), stats = _slide_outcomes(image, costs=costs)
+    assert (code, sig) == (0, None)
+    assert stats["slides"] == 0
