@@ -5,7 +5,7 @@ export PYTHONPATH
 FUZZ_MINUTES ?= 5
 FAULT_SEEDS ?= 0:64
 
-.PHONY: test test-fast test-degrade test-superblock test-uring test-uring-async test-cluster test-chaos faults fuzz bench bench-sim perf trace
+.PHONY: test test-fast test-degrade test-superblock test-uring test-uring-async test-cluster test-chaos faults fuzz bench bench-sim bench-selftest perf trace
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -60,6 +60,12 @@ bench:
 # p50/p99 latency equal the committed seed-0 results, exactly.
 bench-sim:
 	$(PYTHON) benchmarks/check_sim.py
+
+# Self-test of the end-to-end benchmark harness (benchmarks/e2e) at tiny
+# sizes: manifest names, traced-vs-untraced identity, host-speed scaling
+# and compare verdicts, in a few seconds.
+bench-selftest:
+	$(PYTHON) -m pytest -x -q benchmarks/e2e/test_e2e.py
 
 # Observability smoke: run a small workload matrix (microbench, ls, webserver
 # x lazypoline, zpoline) under the machine-wide tracer and sanity-check the

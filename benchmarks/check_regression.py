@@ -10,9 +10,9 @@ The comparison is schema-driven by the *new* file:
   ``"mips"``, the legacy BENCH_interp schema),
 * ``lower_is_better`` — direction (default ``false``: higher is better),
 * ``floors`` — ``{key: floor}`` absolute same-run floors on top-level
-  scalars of the new file (hard limits, not subject to tolerance; the
-  legacy BENCH_interp speedup floors apply when the file carries no
-  ``floors`` of its own).
+  scalars of the new file (hard limits, not subject to tolerance).  A
+  floored key missing from the file fails, so a floored metric cannot
+  vanish silently.
 
 Usage::
 
@@ -37,24 +37,19 @@ DEFAULT_NEW = ROOT / "BENCH_interp.json"
 TOLERANCE = 0.15
 
 
-#: Legacy same-run floors for result files that predate the embedded
-#: ``floors`` dict (BENCH_interp schema 1).  Ratios are host-noise-
-#: resistant (both sides measured in the same process), so unlike the
-#: tolerance band these are hard floors.
-SPEEDUP_FLOORS = {
-    "speedup_microbench_vs_uncached": 3.0,
-    "speedup_superblocks_vs_tier1": 5.0,
-}
-
-
 def check_floors(new: dict) -> list[str]:
-    """Absolute floors on the current run, independent of any baseline."""
+    """Absolute floors on the current run, independent of any baseline.
+
+    The floors are same-run ratios (both sides measured in one process),
+    so unlike the tolerance band they are hard limits.
+    """
     failures = []
-    floors = new.get("floors") or SPEEDUP_FLOORS
-    for key, floor in floors.items():
+    for key, floor in new.get("floors", {}).items():
         value = new.get(key)
         if value is None:
-            continue  # older-schema result file
+            print(f"{key:42s} {'missing':>8s} (floor {floor:.1f})  MISSING")
+            failures.append(f"{key}: floored metric missing from the result file")
+            continue
         marker = "BELOW FLOOR" if value < floor else "ok"
         print(f"{key:42s} {value:8.2f} (floor {floor:.1f})  {marker}")
         if value < floor:

@@ -1,13 +1,26 @@
 """The per-process virtual address space.
 
 An :class:`AddressSpace` is a sparse mapping from page numbers to
-:class:`~repro.mem.pages.Page` objects with R/W/X permissions.  All guest
-accesses go through :meth:`read`, :meth:`write` and :meth:`fetch`, which
-raise :class:`~repro.errors.PageFault` on unmapped pages or permission
-violations — the kernel turns those into SIGSEGV.
+:class:`~repro.mem.pages.Page` objects with R/W/X permissions.  Guest
+accesses go through :meth:`read`, :meth:`write`, :meth:`fetch` and the
+typed accessors (``read_u64``, ``write_u32``, ``read_cstr``, ...), which
+raise :class:`~repro.errors.PageFault` on unmapped pages, permission
+violations or protection-key denials — the kernel turns those into
+SIGSEGV.  Kernel-side accesses pass ``check=None``: they bypass
+permissions and protection keys, like the kernel touching user memory
+does, and fault only on unmapped pages.
 
-Kernel-side accessors (``read_bytes``/``write_bytes`` with ``check=None``)
-bypass permissions, like the kernel touching user memory does.
+Every accessor except :meth:`fetch` first tries a one-page fast path:
+an access that lies inside one mapped page and passes its permission and
+protection-key check reads or writes ``page.data`` directly.  Anything
+else — a zero length, a page-straddling access, an unmapped page, a
+missing permission, a pkey denial or ``check="exec"`` — falls back to
+the general path (:meth:`_access` plus a per-page chunked copy).  The
+fast path never raises: every :class:`~repro.errors.PageFault` outside
+:meth:`fetch` comes from :meth:`_access`.  Both paths read live page
+fields, so nothing needs invalidating when permissions, pkeys or the
+PKRU change; a store into an executable page bumps its exec generation
+on either path.
 """
 
 from __future__ import annotations
@@ -32,6 +45,7 @@ from repro.mem.pages import (
 _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
+_OFFSET_MASK = PAGE_SIZE - 1
 
 
 @dataclass(frozen=True)
@@ -51,6 +65,13 @@ class Region:
 
 
 _ACCESS_BIT = {"read": PERM_R, "write": PERM_W, "exec": PERM_X}
+
+#: Fast-path rule per ``check``: (required permission bit, PKRU bits of the
+#: page's key that deny the access).  Reads are denied by access-disable,
+#: writes by access- or write-disable; ``check=None`` needs neither.
+#: ``"exec"`` is absent, so exec-checked accesses always take the general
+#: path.
+_FAST_RULE = {"read": (PERM_R, 1), "write": (PERM_W, 3), None: (0, 0)}
 
 
 class AddressSpace:
@@ -227,6 +248,23 @@ class AddressSpace:
         return [r for r in self.regions() if r.perm & Perm.X]
 
     # -------------------------------------------------------------- access
+    def _fast_page(self, addr: int, length: int, check: str | None) -> Page | None:
+        """The page holding ``[addr, addr+length)`` when that access lies
+        inside one mapped page and passes ``check``; ``None`` sends the
+        caller to the general path.  ``length`` must be positive."""
+        if (addr & _OFFSET_MASK) + length > PAGE_SIZE:
+            return None
+        page = self._pages.get(addr >> PAGE_SHIFT)
+        rule = _FAST_RULE.get(check)
+        if page is None or rule is None:
+            return None
+        bit, deny = rule
+        if page.perm & bit != bit:
+            return None
+        if page.pkey and self.active_pkru >> 2 * page.pkey & deny:
+            return None
+        return page
+
     def _access(self, addr: int, length: int, access: str | None) -> None:
         if length <= 0:
             return
@@ -255,29 +293,27 @@ class AddressSpace:
                             ),
                         )
 
-    def read(self, addr: int, length: int, *, check: str | None = "read") -> bytes:
-        """Read ``length`` bytes, enforcing ``check`` permission."""
+    def _read_general(self, addr: int, length: int, check: str | None) -> bytes:
         self._access(addr, length, check)
         out = bytearray()
         remaining = length
         pos = addr
         while remaining:
             pn = pos >> PAGE_SHIFT
-            off = pos & (PAGE_SIZE - 1)
+            off = pos & _OFFSET_MASK
             chunk = min(remaining, PAGE_SIZE - off)
             out += self._pages[pn].data[off : off + chunk]
             pos += chunk
             remaining -= chunk
         return bytes(out)
 
-    def write(self, addr: int, data: bytes, *, check: str | None = "write") -> None:
-        """Write ``data``, enforcing ``check`` permission."""
+    def _write_general(self, addr: int, data: bytes, check: str | None) -> None:
         self._access(addr, len(data), check)
         pos = addr
         idx = 0
         while idx < len(data):
             pn = pos >> PAGE_SHIFT
-            off = pos & (PAGE_SIZE - 1)
+            off = pos & _OFFSET_MASK
             chunk = min(len(data) - idx, PAGE_SIZE - off)
             page = self._pages[pn]
             page.data[off : off + chunk] = data[idx : idx + chunk]
@@ -288,6 +324,28 @@ class AddressSpace:
                 self._bump_exec_gen(pn)
             pos += chunk
             idx += chunk
+
+    def read(self, addr: int, length: int, *, check: str | None = "read") -> bytes:
+        """Read ``length`` bytes, enforcing ``check`` permission."""
+        if length > 0:
+            page = self._fast_page(addr, length, check)
+            if page is not None:
+                off = addr & _OFFSET_MASK
+                return bytes(page.data[off : off + length])
+        return self._read_general(addr, length, check)
+
+    def write(self, addr: int, data: bytes, *, check: str | None = "write") -> None:
+        """Write ``data``, enforcing ``check`` permission."""
+        length = len(data)
+        if length > 0:
+            page = self._fast_page(addr, length, check)
+            if page is not None:
+                off = addr & _OFFSET_MASK
+                page.data[off : off + length] = data
+                if page.perm & PERM_X:
+                    self._bump_exec_gen(addr >> PAGE_SHIFT)
+                return
+        self._write_general(addr, data, check)
 
     def fetch(self, addr: int, length: int) -> bytes:
         """Instruction fetch: like read but requires execute permission.
@@ -306,7 +364,7 @@ class AddressSpace:
                 if not out:
                     raise PageFault(pos, "exec")
                 break
-            off = pos & (PAGE_SIZE - 1)
+            off = pos & _OFFSET_MASK
             chunk = min(remaining, PAGE_SIZE - off)
             out += page.data[off : off + chunk]
             pos += chunk
@@ -315,36 +373,83 @@ class AddressSpace:
 
     # ------------------------------------------------------ typed accessors
     def read_u8(self, addr: int, *, check: str | None = "read") -> int:
-        return self.read(addr, 1, check=check)[0]
+        page = self._fast_page(addr, 1, check)
+        if page is not None:
+            return page.data[addr & _OFFSET_MASK]
+        return self._read_general(addr, 1, check)[0]
 
     def write_u8(self, addr: int, value: int, *, check: str | None = "write") -> None:
-        self.write(addr, bytes((value & 0xFF,)), check=check)
+        page = self._fast_page(addr, 1, check)
+        if page is None:
+            self._write_general(addr, bytes((value & 0xFF,)), check)
+            return
+        page.data[addr & _OFFSET_MASK] = value & 0xFF
+        if page.perm & PERM_X:
+            self._bump_exec_gen(addr >> PAGE_SHIFT)
 
     def read_u16(self, addr: int, *, check: str | None = "read") -> int:
-        return _U16.unpack(self.read(addr, 2, check=check))[0]
+        page = self._fast_page(addr, 2, check)
+        if page is not None:
+            return _U16.unpack_from(page.data, addr & _OFFSET_MASK)[0]
+        return _U16.unpack(self._read_general(addr, 2, check))[0]
 
     def read_u32(self, addr: int, *, check: str | None = "read") -> int:
-        return _U32.unpack(self.read(addr, 4, check=check))[0]
+        page = self._fast_page(addr, 4, check)
+        if page is not None:
+            return _U32.unpack_from(page.data, addr & _OFFSET_MASK)[0]
+        return _U32.unpack(self._read_general(addr, 4, check))[0]
 
     def write_u32(self, addr: int, value: int, *, check: str | None = "write") -> None:
-        self.write(addr, _U32.pack(value & 0xFFFFFFFF), check=check)
+        page = self._fast_page(addr, 4, check)
+        if page is None:
+            self._write_general(addr, _U32.pack(value & 0xFFFFFFFF), check)
+            return
+        _U32.pack_into(page.data, addr & _OFFSET_MASK, value & 0xFFFFFFFF)
+        if page.perm & PERM_X:
+            self._bump_exec_gen(addr >> PAGE_SHIFT)
 
     def read_u64(self, addr: int, *, check: str | None = "read") -> int:
-        return _U64.unpack(self.read(addr, 8, check=check))[0]
+        page = self._fast_page(addr, 8, check)
+        if page is not None:
+            return _U64.unpack_from(page.data, addr & _OFFSET_MASK)[0]
+        return _U64.unpack(self._read_general(addr, 8, check))[0]
 
     def write_u64(self, addr: int, value: int, *, check: str | None = "write") -> None:
-        self.write(addr, _U64.pack(value & (1 << 64) - 1), check=check)
+        page = self._fast_page(addr, 8, check)
+        if page is None:
+            self._write_general(addr, _U64.pack(value & (1 << 64) - 1), check)
+            return
+        _U64.pack_into(page.data, addr & _OFFSET_MASK, value & (1 << 64) - 1)
+        if page.perm & PERM_X:
+            self._bump_exec_gen(addr >> PAGE_SHIFT)
 
     def read_cstr(self, addr: int, maxlen: int = 4096, *, check: str | None = "read") -> bytes:
-        """Read a NUL-terminated byte string (at most ``maxlen`` bytes)."""
+        """Read a NUL-terminated byte string (at most ``maxlen`` bytes).
+
+        Scans one page slice at a time; a page the fast path refuses is
+        read one byte at a time, so a fault lands on the first byte the
+        string actually reaches.
+        """
         out = bytearray()
         pos = addr
         while len(out) < maxlen:
-            byte = self.read_u8(pos, check=check)
-            if byte == 0:
+            off = pos & _OFFSET_MASK
+            chunk = min(maxlen - len(out), PAGE_SIZE - off)
+            page = self._fast_page(pos, chunk, check)
+            if page is None:
+                byte = self._read_general(pos, 1, check)[0]
+                if byte == 0:
+                    break
+                out.append(byte)
+                pos += 1
+                continue
+            data = page.data
+            nul = data.find(0, off, off + chunk)
+            if nul >= 0:
+                out += data[off:nul]
                 break
-            out.append(byte)
-            pos += 1
+            out += data[off : off + chunk]
+            pos += chunk
         return bytes(out)
 
     def write_cstr(self, addr: int, data: bytes, *, check: str | None = "write") -> None:
