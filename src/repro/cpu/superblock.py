@@ -18,10 +18,14 @@ A superblock is a maximal straight-line run starting at a hot *head*:
   ``charge`` call per exit (see :func:`repro.cpu.costs.block_batchable`
   for why the batched float sum is bit-identical to per-step charging),
 * anything that can observe or change machine state mid-run — syscalls,
-  hcalls, hlt, gs/pkru traffic, vector/x87 state — terminates the block:
-  those instructions always execute on the tier-1 path, so every syscall,
-  signal-delivery point and scheduler boundary stays exactly where the
-  single-step interpreter put it,
+  hcalls, hlt, ``wrgsbase``/``wrpkru``, xsave/xrstor, vector/x87 state —
+  terminates the block: those instructions always execute on the tier-1
+  path, so every syscall, signal-delivery point and scheduler boundary
+  stays exactly where the single-step interpreter put it,
+* gs-relative loads and stores (the interposer's selector and xstate
+  pointer traffic) compile like any other memory access at
+  ``gs_base + disp``: ``gs_base`` and PKRU are constant inside a block,
+  because nothing that writes them compiles,
 * a conditional or indirect branch may terminate the block *compiled-in*:
   the generated code computes the successor rip and exits,
 * faults inside the block spill, rewind ``rip`` to the faulting
@@ -72,9 +76,11 @@ from repro.cpu.costs import block_batchable
 from repro.errors import InvalidOpcode, PageFault
 from repro.mem.pages import PAGE_SHIFT, PAGE_SIZE
 
-#: Executions of a head address (observed at taken control transfers and
-#: block exits) before the run starting there is compiled.  High enough
-#: that short-lived code and most unit-test guests never tier up, so the
+#: Executions of a head address (observed at taken control transfers,
+#: fallthrough past an instruction no block compiles across, slice starts
+#: and block exits) before the run starting there is compiled.  The same
+#: count gates each ``(head, leftover)`` tail variant.  High enough that
+#: short-lived code and most unit-test guests never tier up, so the
 #: legacy path keeps covering them byte-for-byte.
 HOT_THRESHOLD = 16
 
@@ -128,7 +134,9 @@ class BlockCache:
     ``blocks`` maps head address -> :class:`SuperBlock`; ``index`` maps
     page number -> set of head addresses whose blocks span that page, so
     a generation bump flushes exactly the stale blocks without a scan;
-    ``heads`` holds the pre-compilation hotness counters; ``runs`` maps
+    ``heads`` holds the pre-compilation hotness counters, keyed by head
+    address or, for a tail variant, by its ``(head, leftover)`` key (the
+    same key it is cached under in ``blocks``); ``runs`` maps
     an address to the nop run it lies in (see :meth:`nop_run`).
     ``cost_epoch`` snapshots :attr:`CPU.cost_epoch` — blocks bake their
     cycle costs in, so a recalibrated cost model drops the whole cache
@@ -185,10 +193,15 @@ class BlockCache:
 
 
 # --------------------------------------------------------------- classification
-# Straight-line instructions the compiler knows how to fuse.  Everything
-# else — syscalls, hcalls, hlt, traps, gs/pkru, vector, x87, xsave — ends
-# the block *before* it, so it executes on the tier-1 path with the full
-# scheduler boundary protocol around it.
+# Straight-line instructions the compiler knows how to fuse, gs-relative
+# loads and stores included: ``gs_base`` is constant inside a block
+# because ``wrgsbase`` is not compiled.  Everything else ends the block
+# *before* it, so it executes on the tier-1 path with the full scheduler
+# boundary protocol around it: syscalls, hcalls, hlt and traps (boundary
+# points), ``wrgsbase``/``wrpkru``/``gswrpkru`` (would change ``gs_base``
+# or PKRU mid-block), ``gsjmp``/``gscopy8`` (sigreturn-trampoline glue),
+# xsave/xrstor (cost depends on the task's xstate components), vector
+# and x87.
 _STRAIGHT = frozenset(
     (
         Mnemonic.NOP,
@@ -198,6 +211,10 @@ _STRAIGHT = frozenset(
         Mnemonic.STORE,
         Mnemonic.LOAD8,
         Mnemonic.STORE8,
+        Mnemonic.GSLOAD,
+        Mnemonic.GSSTORE,
+        Mnemonic.GSLOAD8,
+        Mnemonic.GSSTORE8,
         Mnemonic.LEA,
         Mnemonic.ADD,
         Mnemonic.SUB,
@@ -237,6 +254,30 @@ _TERMINATORS = frozenset(
         Mnemonic.JLE,
     )
 )
+
+#: Instructions that write guest memory: each may hit an executable page,
+#: so one that is not the block's last side-exits on a ``code_epoch`` bump.
+_STORES = frozenset(
+    (Mnemonic.STORE, Mnemonic.STORE8, Mnemonic.GSSTORE, Mnemonic.GSSTORE8,
+     Mnemonic.PUSH)
+)
+
+#: Instructions that touch guest memory and so may fault: each gets an
+#: ``_F{k}`` fault record (rewind rip, charge what retired, re-raise).
+_MEM_OPS = _STORES | frozenset(
+    (Mnemonic.LOAD, Mnemonic.LOAD8, Mnemonic.GSLOAD, Mnemonic.GSLOAD8,
+     Mnemonic.POP, Mnemonic.RET, Mnemonic.CALL_REG, Mnemonic.CALL_REL)
+)
+
+#: gs-relative memory ops: a block holding one hoists ``gs_base``.
+_GS_OPS = frozenset(
+    (Mnemonic.GSLOAD, Mnemonic.GSSTORE, Mnemonic.GSLOAD8, Mnemonic.GSSTORE8)
+)
+
+#: ``ENDS_RUN[op_index]``: no block compiles *across* this instruction
+#: (it is tier-1-only or a terminator), so the scheduler counts the run
+#: after it as a head candidate even when execution falls through to it.
+ENDS_RUN = tuple(m not in _STRAIGHT for m in Mnemonic)
 
 _JCC_COND = {
     Mnemonic.JZ: "zf",
@@ -373,11 +414,11 @@ def compile_block(mem, head, cost_table, max_len=None):
     generation keys still let SMC invalidate and later retry it.
 
     ``max_len`` truncates the run to at most that many instructions: the
-    scheduler compiles such *tail* variants when a hot block is longer
-    than the remaining slice budget, so the quantum remainder runs as one
-    compiled call instead of single-stepping.  A truncated run simply
-    ends in a fallthrough exit at the cut point — exactly as a run cut by
-    :data:`BLOCK_CAP` would.
+    scheduler compiles such a *tail* variant once a compiled block keeps
+    meeting the same remaining slice budget shorter than itself, so that
+    quantum remainder runs as one compiled call instead of single-stepping.
+    A truncated run simply ends in a fallthrough exit at the cut point —
+    exactly as a run cut by :data:`BLOCK_CAP` would.
     """
     insns = _decode_run(mem, head)
     if max_len is not None:
@@ -401,6 +442,7 @@ def compile_block(mem, head, cost_table, max_len=None):
     e = _Emitter()
     can_fault = False
     has_store = False
+    uses_gs = False
 
     # Pre-pass: register/flag footprint, so prologue and spills agree.
     # ``written`` drives the spill set (read-only registers never spill);
@@ -421,6 +463,10 @@ def compile_block(mem, head, cost_table, max_len=None):
             e.touch(ops[1])
         elif m in (Mnemonic.STORE, Mnemonic.STORE8):
             e.touch(ops[0], ops[2])
+        elif m in (Mnemonic.GSLOAD, Mnemonic.GSLOAD8):
+            e.writes(ops[0])
+        elif m in (Mnemonic.GSSTORE, Mnemonic.GSSTORE8):
+            e.touch(ops[1])
         elif m in (Mnemonic.CMP,):
             e.touch(ops[0], ops[1])
             e.flags_set = True
@@ -456,15 +502,15 @@ def compile_block(mem, head, cost_table, max_len=None):
             e.flags_read = True
         if e.flags_set and first_set is None:
             first_set = i
-        if m in (Mnemonic.LOAD, Mnemonic.LOAD8, Mnemonic.STORE, Mnemonic.STORE8,
-                 Mnemonic.PUSH, Mnemonic.POP, Mnemonic.RET, Mnemonic.CALL_REG,
-                 Mnemonic.CALL_REL):
+        if m in _MEM_OPS:
             e.uses_mem = True
             can_fault = True
             if first_fault is None:
                 first_fault = i
-        if m in (Mnemonic.STORE, Mnemonic.STORE8, Mnemonic.PUSH):
+        if m in _STORES:
             has_store = True
+        if m in _GS_OPS:
+            uses_gs = True
 
     # Entry flags must be in locals if a Jcc reads them un-set, or if a
     # fault/side-exit spill can run before the first setter materialises
@@ -484,9 +530,7 @@ def compile_block(mem, head, cost_table, max_len=None):
         is_term = k == n - 1 and m in _TERMINATORS
         if not batch:
             e.emit(f"charge(task, {costs[k]!r})")
-        if m in (Mnemonic.LOAD, Mnemonic.LOAD8, Mnemonic.STORE, Mnemonic.STORE8,
-                 Mnemonic.PUSH, Mnemonic.POP, Mnemonic.RET, Mnemonic.CALL_REG,
-                 Mnemonic.CALL_REL):
+        if m in _MEM_OPS:
             e.materialize()  # the fault path spills architectural flags
             fk = f"_F{k}"
             # A faulting terminator (ret/call) spills and charges its full
@@ -519,6 +563,18 @@ def compile_block(mem, head, cost_table, max_len=None):
                 _side_exit(e, exit_cyc, next_addr, k + 1)
         elif m is Mnemonic.STORE8:
             e.emit(f"mem.write_u8((r{ops[0]} + {ops[1]}) & {_M64}, r{ops[2]} & 0xFF)")
+            if k != n - 1:
+                _side_exit(e, exit_cyc, next_addr, k + 1)
+        elif m is Mnemonic.GSLOAD:
+            e.emit(f"r{ops[0]} = mem.read_u64((gs + {ops[1]}) & {_M64})")
+        elif m is Mnemonic.GSLOAD8:
+            e.emit(f"r{ops[0]} = mem.read_u8((gs + {ops[1]}) & {_M64})")
+        elif m is Mnemonic.GSSTORE:
+            e.emit(f"mem.write_u64((gs + {ops[0]}) & {_M64}, r{ops[1]})")
+            if k != n - 1:
+                _side_exit(e, exit_cyc, next_addr, k + 1)
+        elif m is Mnemonic.GSSTORE8:
+            e.emit(f"mem.write_u8((gs + {ops[0]}) & {_M64}, r{ops[1]} & 0xFF)")
             if k != n - 1:
                 _side_exit(e, exit_cyc, next_addr, k + 1)
         elif m is Mnemonic.PUSH:
@@ -624,8 +680,10 @@ def compile_block(mem, head, cost_table, max_len=None):
     src.append("    regs = task.regs")
     if e.regs:
         src.append("    g = regs.gpr")
-    if e.uses_mem or has_store:
+    if e.uses_mem:
         src.append("    mem = task.mem")
+    if uses_gs:
+        src.append("    gs = regs.gs_base")
     for r in sorted(e.regs):
         src.append(f"    r{r} = g[{r}]")
     if e.load_flags:

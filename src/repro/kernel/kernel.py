@@ -139,6 +139,9 @@ class Kernel:
         #: alive -> not-alive transition (:meth:`terminate_task`) so the
         #: scheduler never rescans the full task table per round.
         self._live: dict[int, Task] = {}
+        #: Tuple snapshot of ``_live`` handed out by :meth:`live_tasks`;
+        #: ``None`` after a task was created or terminated.
+        self._live_snapshot: tuple[Task, ...] | None = None
         self._next_tid = 1000
         self.fs = SimFS()
         self.net = Network(self)
@@ -245,16 +248,22 @@ class Kernel:
         task.fdtable.fds[2] = StdStream("stderr")
         self.tasks[tid] = task
         self._live[tid] = task
+        self._live_snapshot = None
         if self.scheduler is not None:
             self.scheduler.on_task_created(task)
         return task
 
-    def live_tasks(self) -> list[Task]:
-        live = self._live
-        stale = [tid for tid, t in live.items() if not t.alive]
-        for tid in stale:  # self-heal if a task died outside terminate_task
-            del live[tid]
-        return list(live.values())
+    def live_tasks(self) -> tuple[Task, ...]:
+        """The live tasks in creation order, as an immutable snapshot.
+
+        The same tuple is returned until a task is created or terminated,
+        so a scheduler round costs no rebuild.  Tasks leave the live set
+        only through :meth:`terminate_task`.
+        """
+        snap = self._live_snapshot
+        if snap is None:
+            snap = self._live_snapshot = tuple(self._live.values())
+        return snap
 
     def terminate_task(self, task: Task, *, code: int = 0, signal: int | None = None) -> None:
         if not task.alive:
@@ -263,6 +272,7 @@ class Kernel:
         task.term_signal = signal
         task.state = TaskState.ZOMBIE
         self._live.pop(task.tid, None)
+        self._live_snapshot = None
         if task.clear_child_tid:
             try:
                 task.mem.write_u32(task.clear_child_tid, 0, check=None)

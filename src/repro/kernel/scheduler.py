@@ -30,8 +30,8 @@ import random
 
 from repro.arch.isa import Mnemonic
 from repro.arch.registers import MASK64, RAX
+from repro.cpu.superblock import ENDS_RUN, BlockCache
 from repro.cpu.superblock import HOT_THRESHOLD as _HOT
-from repro.cpu.superblock import BlockCache
 from repro.errors import BreakpointTrap, GuestCrash, InvalidOpcode, PageFault
 from repro.kernel.smp import Core
 from repro.kernel.task import Task, TaskState
@@ -187,16 +187,19 @@ class Scheduler:
             mem.active_pkru = task.regs.pkru
             epoch = self._nest_epoch
             if tier:
-                bcache = self._tier_state(cpu, mem)
+                bcache = mem.block_cache
+                if (bcache.cost_epoch != cpu.cost_epoch
+                        or mem.block_flush_hook is None):
+                    self._tier_state(cpu, mem)
                 blocks = bcache.blocks
                 heads = bcache.heads
                 runs = bcache.runs
                 nop_cost = bcache.nop_cost
                 gens = mem.exec_gen
             while executed < budget:
-                if not task.alive:
-                    break
                 if task.state is not runnable:
+                    if not task.alive:
+                        break
                     self._maybe_unblock(task)
                     if task.state is not runnable:
                         break
@@ -312,35 +315,39 @@ class Scheduler:
                             # without the per-instruction boundary
                             # protocol (sound for the same reason the
                             # chain above is: no syscalls/hcalls inside).
-                            rem = budget - executed
-                            if rem >= 1:
-                                key = (addr, rem)
-                                tb = blocks.get(key)
-                                if tb is not None and (
-                                        gens.get(tb.p0, 0) != tb.g0
-                                        or gens.get(tb.p1, 0) != tb.g1):
-                                    del blocks[key]
-                                    if tb.fn is not None:
-                                        cpu.note_block_invalidate(
-                                            addr, task.tid)
-                                    tb = None
-                                if tb is None:
+                            # A variant compiles only once its (head,
+                            # leftover) pair is hot; until then the
+                            # remainder single-steps.
+                            key = (addr, budget - executed)
+                            tb = blocks.get(key)
+                            if tb is not None and (
+                                    gens.get(tb.p0, 0) != tb.g0
+                                    or gens.get(tb.p1, 0) != tb.g1):
+                                del blocks[key]
+                                if tb.fn is not None:
+                                    cpu.note_block_invalidate(
+                                        addr, task.tid)
+                                tb = None
+                            if tb is None:
+                                c = heads.get(key, 0) + 1
+                                if c >= _HOT:
+                                    heads.pop(key, None)
                                     tb = cpu.compile_superblock(
-                                        mem, addr, task.tid, max_len=rem)
-                                tfn = tb.fn
-                                if tfn is not None:
-                                    try:
-                                        n = tfn(task, kernel.charge)
-                                    except (PageFault, InvalidOpcode,
-                                            BreakpointTrap) as exc:
-                                        executed += task.sb_fault
-                                        tb.runs += 1
-                                        handle_fault(
-                                            task, exc, task.regs.rip)
-                                    else:
-                                        executed += n
-                                        tb.runs += 1
-                                    continue
+                                        mem, addr, task.tid, max_len=key[1])
+                                else:
+                                    heads[key] = c
+                            if tb is not None and tb.fn is not None:
+                                try:
+                                    n = tb.fn(task, kernel.charge)
+                                except (PageFault, InvalidOpcode,
+                                        BreakpointTrap) as exc:
+                                    executed += task.sb_fault
+                                    tb.runs += 1
+                                    handle_fault(task, exc, task.regs.rip)
+                                else:
+                                    executed += n
+                                    tb.runs += 1
+                                continue
                 try:
                     insn = step(task)
                 except (PageFault, InvalidOpcode, BreakpointTrap) as exc:
@@ -365,10 +372,14 @@ class Scheduler:
                                 executed += self._slide(
                                     task, nrip, r[0], budget - executed,
                                     nop_cost)
-                    elif nrip != addr + insn.length and nrip not in blocks:
-                        # Count taken control transfers as candidate block
-                        # heads; straight-line fallthrough is covered by
-                        # the run that eventually compiles across it.
+                    elif ((nrip != addr + insn.length
+                           or ENDS_RUN[insn.mnemonic.op_index])
+                          and nrip not in blocks):
+                        # Count taken control transfers, and fallthrough
+                        # past an instruction no block compiles across
+                        # (xsave, hcall, ...), as candidate block heads;
+                        # any other straight-line fallthrough is covered
+                        # by the run that eventually compiles across it.
                         c = heads.get(nrip, 0) + 1
                         if c >= _HOT:
                             heads.pop(nrip, None)
@@ -425,8 +436,9 @@ class Scheduler:
         while True:
             if until is not None and until():
                 return
-            # live_tasks() is maintained on state transitions — no rescan of
-            # the full task table (which keeps zombies for wait4) per round.
+            # live_tasks() is a snapshot rebuilt only after a task is created
+            # or terminated, never a scan of the task table (which keeps
+            # zombies for wait4); tasks created mid-round wait for the next.
             round_tasks = kernel.live_tasks()
             if not round_tasks:
                 return
@@ -537,12 +549,13 @@ class Scheduler:
         return k
 
     def _tier_state(self, cpu, mem):
-        """Per-slice superblock bookkeeping for ``mem``'s bound cache.
+        """Superblock bookkeeping for ``mem``'s bound cache.
 
         Drops the cache wholesale if the CPU's cost tables were rebuilt
         since it was filled (blocks bake costs in), and arms the flush
         hook so eager invalidations surface as ``block_invalidate``
-        events.  Runs at slice granularity — never per instruction.
+        events.  A slice calls it on entry only when one of the two is
+        due, and again after a nested run or an execve rebinds ``mem``.
         """
         bcache = mem.block_cache
         if bcache.cost_epoch != cpu.cost_epoch:

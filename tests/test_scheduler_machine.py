@@ -164,3 +164,62 @@ def test_clock_identical_regardless_of_quantum():
         return m.clock
 
     assert total(4) == total(64) == total(256)
+
+
+def test_live_tasks_snapshot_changes_only_on_create_and_terminate(machine):
+    proc = machine.load(_spin_image(10_000))
+    kernel = machine.kernel
+    snap = kernel.live_tasks()
+    assert snap == (proc.task,)
+    machine.run(max_instructions=200)
+    assert kernel.live_tasks() is snap  # a running round rebuilds nothing
+    child = kernel.new_task(proc.task.mem, comm="extra")
+    grown = kernel.live_tasks()
+    assert grown == (proc.task, child) and child not in snap
+    assert kernel.live_tasks() is grown
+    kernel.terminate_task(child)
+    assert kernel.live_tasks() == (proc.task,)
+
+
+def test_task_created_mid_round_waits_for_next_round():
+    """A fork child is not offered a slice in the round its parent
+    created it in: every slice belongs to a task of its round's
+    snapshot."""
+    from repro.kernel.scheduler import SchedulePolicy
+
+    class Recorder(SchedulePolicy):
+        def __init__(self):
+            self.log = []
+
+        def schedule_order(self, tasks):
+            self.log.append(("round", tuple(t.tid for t in tasks)))
+            return tasks
+
+        def record_slice(self, task, executed):
+            self.log.append(("slice", task.tid))
+
+    a = asm()
+    a.label("_start")
+    emit_syscall(a, "fork")
+    a.mov_imm("rbx", 50)
+    a.label("loop")
+    a.dec("rbx")
+    a.jnz("loop")
+    emit_exit(a, 0)
+    policy = Recorder()
+    m = Machine(policy=policy)
+    proc = m.load(finish(a))
+    m.run()
+    assert not proc.alive
+    rounds = [tids for kind, tids in policy.log if kind == "round"]
+    child = next(t for t in m.kernel.tasks if t != proc.task.tid)
+    assert child not in rounds[0]
+    current = None
+    sliced = set()
+    for kind, value in policy.log:
+        if kind == "round":
+            current = value
+        else:
+            assert value in current
+            sliced.add(value)
+    assert child in sliced

@@ -1,0 +1,286 @@
+"""Tier 2 on the interposer's glue: gs-relative memory ops and tail gating.
+
+Lazypoline's fast path wraps every interposed syscall in gs-relative
+selector and xstate-pointer traffic.  Tier 2 compiles those loads and
+stores like any other memory access, so each case below pins one way the
+compiled form could drift from single-stepping: a gs store that patches
+code, a gs load that faults, and the hotness gate on tail variants.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.arch.encode import Assembler
+from repro.arch.isa import Mnemonic
+from repro.cpu.core import BareTask, CPU, NullEnvironment
+from repro.cpu.superblock import HOT_THRESHOLD, _decode_run
+from repro.errors import PageFault
+from repro.kernel.machine import Machine
+from repro.kernel.signals import SIGSEGV
+from repro.kernel.syscalls.table import NR
+from repro.loader.image import image_from_assembler
+from repro.mem.address_space import AddressSpace
+from repro.mem.pages import PAGE_SIZE, Perm
+from repro.obs.events import BLOCK_COMPILE, BLOCK_INVALIDATE, CACHE_INVALIDATE
+from repro.obs.tracer import Tracer
+
+from tests.conftest import asm, emit_exit, emit_syscall
+
+pytestmark = pytest.mark.superblock
+
+CODE = 0x1000
+STACK = 0x8000
+#: Never mapped: a gs base here makes every gs access fault.
+UNMAPPED = 0x50000
+
+
+def _bare(code: bytes, perm: Perm = Perm.RX):
+    mem = AddressSpace()
+    mem.map(CODE, PAGE_SIZE, perm)
+    mem.write(CODE, code, check=None)
+    mem.map(STACK, PAGE_SIZE, Perm.RW)
+    env = NullEnvironment()
+    cpu = CPU(env)
+    task = BareTask(mem)
+    task.regs.rip = CODE
+    task.regs.write_name("rsp", STACK + PAGE_SIZE)
+    return cpu, task, env
+
+
+def _outcomes(image, **opts):
+    """Run ``image`` with tiering off and on; assert every observable
+    matches and return the tiered machine and process."""
+    skip = {BLOCK_COMPILE, BLOCK_INVALIDATE, CACHE_INVALIDATE}
+    out = {}
+    for sb in (False, True):
+        tracer = Tracer()
+        machine = Machine(superblocks=sb, tracer=tracer, **opts)
+        proc = machine.load(image)
+        machine.run(until=lambda: not proc.task.alive,
+                    max_instructions=1_000_000)
+        regs = proc.task.regs
+        out[sb] = (
+            proc.exit_code,
+            proc.term_signal,
+            regs.rip,
+            tuple(regs.gpr),
+            machine.clock,
+            machine.scheduler.total_instructions,
+            [(e.ts, e.kind, e.tid, tuple(sorted(e.data.items())))
+             for e in tracer.events if e.kind not in skip],
+        )
+    assert out[False] == out[True]
+    return machine, proc
+
+
+def _compiled_heads(mem, mnemonic):
+    """Heads of the live compiled blocks whose first ``n`` instructions
+    include ``mnemonic``."""
+    return [
+        head for head, b in mem.block_cache.blocks.items()
+        if b.fn is not None and any(
+            i.mnemonic is mnemonic
+            for _, i in _decode_run(mem, b.head)[:b.n])
+    ]
+
+
+# ------------------------------------------------------------- gs stores
+def test_gs_store_into_executable_page_side_exits():
+    """A compiled gs store that overwrites the block's own upcoming code
+    exits right after it instead of running the stale instructions."""
+    a = Assembler(base=CODE)
+    a.mov_imm("rcx", 0x9090909090909090)
+    a.gsstore(0, "rcx")
+    a.label("patch")
+    for _ in range(8):
+        a.inc("rbx")
+    a.hlt()
+    cpu, task, _ = _bare(a.assemble(), Perm.RWX)
+    patch = a.address_of("patch")
+    task.regs.gs_base = patch
+    block = cpu.compile_superblock(task.mem, CODE)
+    assert block.fn is not None and block.n == 10
+
+    charged = []
+    retired = block.fn(task, lambda _task, cycles: charged.append(cycles))
+
+    assert retired == 2
+    assert task.regs.rip == patch
+    assert task.regs.read_name("rbx") == 0
+    assert task.mem.read(patch, 8) == b"\x90" * 8
+    assert CODE not in task.mem.block_cache.blocks
+    costs = cpu._cost_table
+    assert sum(charged) == (costs[Mnemonic.MOV_IMM64.op_index]
+                            + costs[Mnemonic.GSSTORE.op_index])
+
+
+def _gs_smc_image():
+    """A hot loop whose gs store rewrites its own next 8 bytes every
+    pass, alternating all-nops and ``inc rax`` padded with nops."""
+    inc = Assembler().inc("rax").assemble()
+    nops = b"\x90" * 8
+    p1 = int.from_bytes(nops, "little")
+    p2 = int.from_bytes((inc + nops)[:8], "little")
+    a = asm()
+    a.label("_start")
+    emit_syscall(a, "mprotect", a.base, PAGE_SIZE, 7)
+    a.mov_imm("r12", "patch")
+    a.wrgsbase("r12")
+    a.mov_imm("r13", p1)
+    a.mov_imm("r15", p1 ^ p2)
+    a.mov_imm("rax", 0)
+    a.mov_imm("rbp", 40)
+    a.label("loop")
+    a.inc("rbx")
+    a.gsstore(0, "r13")
+    a.xor("r13", "r15")
+    a.label("patch")
+    for _ in range(8):
+        a.nop()
+    a.dec("rbp")
+    a.jnz("loop")
+    a.mov("rdi", "rax")
+    a.mov_imm("rax", NR["exit_group"])
+    a.syscall()
+    return image_from_assembler("gs-smc", a, entry="_start",
+                                text_perm=Perm.RWX)
+
+
+def test_gs_store_smc_loop_matches_single_step():
+    machine, proc = _outcomes(_gs_smc_image())
+    assert proc.exit_code == 20  # every other pass ran the patched inc
+    stats = machine.superblock_stats()
+    assert stats["compiled"] >= 1 and stats["invalidated"] >= 1
+
+
+# -------------------------------------------------------------- gs loads
+def _gs_load_code():
+    a = Assembler(base=CODE)
+    a.inc("rbx")
+    a.inc("rbx")
+    a.label("load")
+    a.gsload("rax", 8)
+    a.inc("rbx")
+    a.hlt()
+    return a.assemble(), a.address_of("load")
+
+
+def test_gs_load_fault_in_block_charges_like_single_step():
+    """A faulting gs load inside a block rewinds rip to the load and
+    charges exactly the instructions single-stepping retires."""
+    code, load = _gs_load_code()
+
+    cpu, task, env = _bare(code)
+    task.regs.gs_base = UNMAPPED
+    with pytest.raises(PageFault) as stepped:
+        while True:
+            addr = task.regs.rip
+            cpu.step(task)
+    assert addr == load
+
+    cpu2, task2, _ = _bare(code)
+    task2.regs.gs_base = UNMAPPED
+    block = cpu2.compile_superblock(task2.mem, CODE)
+    assert block.fn is not None and block.n == 4
+    charged = []
+    with pytest.raises(PageFault) as compiled:
+        block.fn(task2, lambda _task, cycles: charged.append(cycles))
+
+    assert task2.sb_fault == 3
+    assert task2.regs.rip == load
+    assert sum(charged) == env.cycles
+    assert compiled.value.address == stepped.value.address == UNMAPPED + 8
+    assert task2.regs.read_name("rbx") == task.regs.read_name("rbx") == 2
+
+
+def test_gs_load_fault_in_hot_loop_matches_single_step():
+    """The gs page is unmapped under a hot loop: the next gs load faults
+    inside the compiled loop block, with the same SIGSEGV, rip and cycles
+    as single-stepping."""
+    a = asm()
+    a.label("_start")
+    emit_syscall(a, "mmap", 0, PAGE_SIZE, 3, 0x22, (1 << 64) - 1, 0)
+    a.mov("r12", "rax")
+    a.wrgsbase("r12")
+    a.mov_imm("rbp", 60)
+    a.label("loop")
+    a.inc("rbx")
+    a.inc("rbx")
+    a.gsload("rdx", 16)
+    a.add("r8", "rdx")
+    a.dec("rbp")
+    a.cmpi("rbp", 10)
+    a.jnz("next")
+    a.mov("rdi", "r12")
+    a.mov_imm("rsi", PAGE_SIZE)
+    a.mov_imm("rax", NR["munmap"])
+    a.syscall()
+    a.label("next")
+    a.cmpi("rbp", 0)
+    a.jnz("loop")
+    emit_exit(a, 0)
+    image = image_from_assembler("gs-fault", a, entry="_start")
+
+    machine, proc = _outcomes(image)
+    assert proc.term_signal == SIGSEGV
+    assert proc.task.regs.rip == a.address_of("loop") + 2 * len(
+        Assembler().inc("rbx").assemble())
+    mem = proc.task.mem
+    head = a.address_of("loop")
+    assert head in _compiled_heads(mem, Mnemonic.GSLOAD)
+    assert mem.block_cache.blocks[head].runs >= 16
+
+
+# ----------------------------------------------------------- tail variants
+def _loop_image(body: int, iters: int = 1_000_000):
+    """``iters`` passes of a loop of ``body`` incs plus dec/jnz."""
+    a = asm()
+    a.label("_start")
+    a.mov_imm("rbp", iters)
+    a.label("loop")
+    for _ in range(body):
+        a.inc("rbx")
+    a.dec("rbp")
+    a.jnz("loop")
+    emit_exit(a, 0)
+    return image_from_assembler("tail", a, entry="_start"), a
+
+
+def test_tail_variant_compiles_only_when_hot():
+    """A (head, leftover) tail variant is compiled on its HOT_THRESHOLD-th
+    sighting, not before; until then the leftover single-steps."""
+    image, a = _loop_image(10)
+    # One-instruction slices compile the loop block but only ever meet
+    # leftovers of 1, so no (head, 3) variant exists yet.
+    machine = Machine(quantum=1)
+    proc = machine.load(image)
+    machine.run(max_instructions=2_000)
+    task = proc.task
+    head = a.address_of("loop")
+    blocks = task.mem.block_cache.blocks
+    assert blocks[head].fn is not None and blocks[head].n == 12
+    base = machine.superblock_stats()["compiled"]
+    sched = machine.scheduler
+    for _ in range(HOT_THRESHOLD - 1):
+        task.regs.rip = head
+        assert sched.run_task_slice(task, quantum=3) == 3
+        assert (head, 3) not in blocks
+        assert machine.superblock_stats()["compiled"] == base
+    task.regs.rip = head
+    assert sched.run_task_slice(task, quantum=3) == 3
+    assert machine.superblock_stats()["compiled"] == base + 1
+    tail = blocks[(head, 3)]
+    assert (tail.n, tail.runs) == (3, 1)
+
+
+@pytest.mark.parametrize("quantum", [5, 7, 13])
+def test_tail_variants_keep_cycles_identical(quantum):
+    """Quanta that keep cutting the loop block: tail variants compile and
+    every observable matches single-stepping."""
+    image, _ = _loop_image(10, iters=400)
+    machine, proc = _outcomes(image, quantum=quantum)
+    assert proc.exit_code == 0
+    tails = [k for k, b in proc.task.mem.block_cache.blocks.items()
+             if type(k) is tuple and b.fn is not None]
+    assert tails

@@ -8,7 +8,10 @@ straight-line bodies over the full fused instruction set, conditional
 skips (multiple block heads), self-modifying stores that patch upcoming
 instructions *inside* the hot loop, signal handlers firing between
 iterations, nop runs of random length (which the scheduler slides
-instead of stepping, so random quanta cut them anywhere), and random
+instead of stepping, so random quanta cut them anywhere), gs-relative
+loads and stores against the scratch page (``gs_base`` points there),
+tier-1-only instructions mid-body (``rdgsbase``, an ``xsave``/``xrstor``
+pair) that split the body into blocks entered by fallthrough, and random
 scheduler quanta (including quantum=1, where blocks never fit the budget
 and the tier must stand down entirely) — and the differential oracle
 checks every observable in lockstep.
@@ -35,6 +38,10 @@ POOL = ("rax", "rbx", "rdx", "r8")
 
 SIGUSR1 = 10
 
+#: Offset of the xsave area in the scratch page (clear of the gs/store
+#: slots below 0x200 and the signal slots at 0x200-0x210).
+XSAVE_AT = 0x400
+
 
 def _nop_byte() -> int:
     a = Assembler()
@@ -57,7 +64,7 @@ def _patch_words() -> tuple[int, int]:
 
 # One random body instruction: (kind, reg, reg2, imm).
 _op = st.tuples(
-    st.integers(min_value=0, max_value=18),
+    st.integers(min_value=0, max_value=21),
     st.integers(min_value=0, max_value=len(POOL) - 1),
     st.integers(min_value=0, max_value=len(POOL) - 1),
     st.integers(min_value=0, max_value=0xFFFF),
@@ -115,6 +122,21 @@ def _emit_op(a: Assembler, k: int, op, skips: list[int]) -> None:
         # a nop run of 1-40 bytes: slid, not stepped, with tiering on
         for _ in range(1 + imm % 40):
             a.nop()
+    elif kind == 19:
+        # gs_base is the scratch page
+        a.gsstore(imm & 0x1F8, rd)
+        a.gsload(rs, imm & 0x1F8)
+    elif kind == 20:
+        a.gsstore8(imm & 0x1FF, rd)
+        a.gsload8(rs, (imm >> 1) & 0x1FF)
+    elif kind == 21:
+        # a tier-1-only instruction: the block ends before it, and the
+        # run after it is a fallthrough head
+        if imm & 1:
+            a.rdgsbase(rd)
+        else:
+            a.xsave("rsi", XSAVE_AT)
+            a.xrstor("rsi", XSAVE_AT)
 
 
 def build_guest(ops, iters: int, smc: bool, signal: bool):
@@ -133,6 +155,12 @@ def build_guest(ops, iters: int, smc: bool, signal: bool):
     a.mov_imm("rax", NR["mmap"])
     a.syscall()
     a.mov("rsi", "rax")
+    a.wrgsbase("rsi")
+    # distinct nonzero bytes where the body loads, so a wrong access
+    # width or address shows in the loaded value
+    for off in range(0, 0x200, 8):
+        a.mov_imm("rbx", (0x0123456789ABCDEF * (off + 1)) & ((1 << 64) - 1))
+        a.store("rsi", off, "rbx")
     if smc:
         # the loop patches its own code: make the code page writable
         a.mov_imm("rdi", layout.CODE_BASE)
@@ -283,6 +311,35 @@ def test_hot_loop_actually_tiers_up():
     assert stats["compiled"] >= 1
     assert stats["block_runs"] >= 16
     assert proc.exit_code == 0
+
+
+def test_gs_ops_actually_compile():
+    """A block holding gs loads and stores compiles and runs, and so does
+    the fallthrough run after a tier-1-only instruction."""
+    from repro.cpu.superblock import _decode_run
+    from repro.kernel.machine import Machine
+
+    ops = [(19, 0, 1, 0x40), (20, 1, 2, 0x81), (21, 2, 0, 0), (0, 0, 1, 0)]
+    machine = Machine()
+    proc = machine.load(build_guest(ops, 48, False, False))
+    machine.run_process(proc)
+    assert proc.exit_code == 0
+    mem = proc.task.mem
+    compiled = {}
+    for head, b in mem.block_cache.blocks.items():
+        if b.fn is not None and type(head) is int:
+            compiled[head] = (
+                [i.mnemonic.name for _, i in _decode_run(mem, head)[:b.n]],
+                b.runs,
+            )
+    gs_blocks = [m for m, runs in compiled.values()
+                 if {"GSSTORE", "GSLOAD", "GSSTORE8", "GSLOAD8"} <= set(m)
+                 and runs >= 16]
+    assert gs_blocks, compiled
+    # the run after xrstor (the loop tail) starts its own hot block
+    after_xrstor = [m for m, runs in compiled.values()
+                    if m[0] == "ADD" and runs >= 16]
+    assert after_xrstor, compiled
 
 
 def test_nop_runs_actually_slide():
