@@ -26,7 +26,7 @@ import pathlib
 import pytest
 
 from repro.workloads.ringbench import RING_BATCHES, RING_TOOLS, ring_trajectory
-from repro.workloads.webserver import SERVERS, run_scaled
+from repro.workloads.runner import run_workload
 
 from benchmarks.conftest import save_report
 
@@ -80,9 +80,9 @@ def _webserver_ratio() -> dict:
     for tool in (None, "lazypoline"):
         rps = {}
         for batched, leg in _WEB_LEGS.items():
-            row = run_scaled(
-                SERVERS["nginx"], cores=1, tool=tool, batched=batched,
-                requests=120, warmup=20, file_size=4096,
+            row = run_workload(
+                "webserver", server="nginx", cores=1, tool=tool,
+                batched=batched, requests=120, warmup=20, file_size=4096,
             )
             rps[leg] = round(row["requests_per_sec"], 3)
         key = tool or "none"

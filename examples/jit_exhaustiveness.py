@@ -10,9 +10,9 @@ Run:  python examples/jit_exhaustiveness.py
 """
 
 from repro import Machine
-from repro.bench.runner import install_mechanism
 from repro.interpose.api import TraceInterposer
 from repro.workloads import tcc
+from repro.workloads.runner import attach_mechanism
 
 
 def trace_under(mechanism: str) -> list[str]:
@@ -20,7 +20,7 @@ def trace_under(mechanism: str) -> list[str]:
     tcc.setup_fs(machine)
     process = machine.load(tcc.build_tcc_image())
     tracer = TraceInterposer()
-    install_mechanism(mechanism, machine, process, tracer)
+    attach_mechanism(machine, process, mechanism, interposer=tracer)
     machine.run_process(process)
     assert process.stdout == b"ok\n", "the JIT workload itself must succeed"
     return tracer.names

@@ -9,7 +9,8 @@ Run:  python examples/webserver_bench.py
 """
 
 from repro import Machine
-from repro.bench.runner import install_mechanism
+from repro.interpose.api import passthrough_interposer
+from repro.workloads.runner import attach_mechanism
 from repro.workloads.webserver import NGINX, ServerWorkload
 
 MECHANISMS = ("baseline", "zpoline", "lazypoline_noxstate", "lazypoline", "sud")
@@ -18,7 +19,8 @@ MECHANISMS = ("baseline", "zpoline", "lazypoline_noxstate", "lazypoline", "sud")
 def measure(mechanism: str, size: int) -> float:
     machine = Machine()
     workload = ServerWorkload(machine, NGINX, file_size=size)
-    install_mechanism(mechanism, machine, workload.process)
+    attach_mechanism(machine, workload.process, mechanism,
+                     interposer=passthrough_interposer)
     return workload.benchmark(requests=150, warmup=15)
 
 

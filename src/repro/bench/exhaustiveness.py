@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.bench.runner import format_table, install_mechanism
+from repro.bench.runner import format_table
 from repro.interpose.api import TraceInterposer
 from repro.kernel.machine import Machine
 from repro.workloads import tcc
+from repro.workloads.runner import attach_mechanism
 
 MECHANISMS = ("sud", "zpoline", "lazypoline")
 
@@ -44,7 +45,8 @@ def run() -> ExhaustivenessResult:
         tcc.setup_fs(machine)
         process = machine.load(tcc.build_tcc_image())
         tracer = TraceInterposer()
-        tool = install_mechanism(mechanism, machine, process, tracer)
+        tool = attach_mechanism(machine, process, mechanism,
+                                interposer=tracer)
         code = machine.run_process(process)
         if code != 0 or process.stdout != b"ok\n":
             raise RuntimeError(f"tcc workload failed under {mechanism}")

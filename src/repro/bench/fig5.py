@@ -18,8 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.bench.runner import format_table, install_mechanism
+from repro.bench.runner import format_table
+from repro.interpose.api import passthrough_interposer
 from repro.kernel.machine import Machine
+from repro.workloads.runner import attach_mechanism
 from repro.workloads.webserver import SERVERS, ServerWorkload
 
 MECHANISMS = ("baseline", "zpoline", "lazypoline_noxstate", "lazypoline", "sud")
@@ -52,7 +54,8 @@ def _measure_single(server: str, size: int, mechanism: str, *,
                     requests: int, warmup: int) -> float:
     machine = Machine()
     workload = ServerWorkload(machine, SERVERS[server], file_size=size)
-    install_mechanism(mechanism, machine, workload.process)
+    attach_mechanism(machine, workload.process, mechanism,
+                     interposer=passthrough_interposer)
     return workload.benchmark(requests=requests, warmup=warmup)
 
 

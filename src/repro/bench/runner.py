@@ -1,27 +1,8 @@
-"""Shared benchmark plumbing: tool installers and report formatting."""
+"""Shared benchmark plumbing: report formatting and band checks."""
 
 from __future__ import annotations
 
 from typing import Callable
-
-from repro.interpose.api import Interposer, passthrough_interposer
-from repro.workloads.runner import attach_mechanism
-
-
-def install_mechanism(
-    name: str, machine, process, interposer: Interposer | None = None
-):
-    """Install one named interposition mechanism on a loaded process.
-
-    A thin veneer over the unified setup path
-    (:func:`repro.workloads.runner.attach_mechanism`), which understands
-    the plain registry names plus the benchmark-only pseudo-mechanisms
-    (``baseline``, ``sud_enabled_allow``, the ``lazypoline_*`` ablations).
-    """
-    return attach_mechanism(
-        machine, process, name,
-        interposer=interposer or passthrough_interposer,
-    )
 
 
 def format_table(headers: list[str], rows: list[list[str]], title: str = "") -> str:

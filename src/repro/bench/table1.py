@@ -19,13 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.bench.runner import format_table, install_mechanism
+from repro.bench.runner import format_table
 from repro.interpose.api import TraceInterposer
 from repro.interpose.seccomp_bpf_tool import SeccompBpfTool
 from repro.kernel.machine import Machine
 from repro.kernel.syscalls.table import NR
 from repro.workloads import tcc
 from repro.workloads.microbench import measure_cycles_per_syscall
+from repro.workloads.runner import attach_mechanism
 
 MECHANISMS = ("ptrace", "seccomp_bpf", "seccomp_user", "sud", "zpoline", "lazypoline")
 
@@ -89,7 +90,7 @@ def probe_expressiveness(mechanism: str) -> str:
     a.db(b"probe!")
     machine = Machine()
     process = machine.load(image_from_assembler("probe", a, entry="_start"))
-    install_mechanism(mechanism, machine, process, peek)
+    attach_mechanism(machine, process, mechanism, interposer=peek)
     machine.run_process(process)
     return "Full" if captured == [b"probe!"] else "Limited"
 
@@ -116,7 +117,7 @@ def probe_exhaustiveness(mechanism: str) -> bool:
 
         return to_signed(process.task.regs.read_name("r13")) == -38
     tracer = TraceInterposer()
-    install_mechanism(mechanism, machine, process, tracer)
+    attach_mechanism(machine, process, mechanism, interposer=tracer)
     machine.run_process(process)
     return "getpid" in tracer.names
 

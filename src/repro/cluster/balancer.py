@@ -40,9 +40,10 @@ migrates; ``round_robin`` sprays sessions across the fleet and pays a
 migration on nearly every request; ``least_conn`` feeds the penalty back
 into its own accounting — a miss occupies the shard for
 ``miss_penalty`` service intervals instead of one, so miss-heavy shards
-shed load.  The per-request penalty schedule (:meth:`miss_schedule`)
-becomes user-space cycle surcharges on the shards, which is how the
-policies come to differ in throughput and latency, not just in counts.
+shed load.  The cluster turns each miss or migration in
+:attr:`LoadBalancer.session_events` into a user-space cycle surcharge on
+the serving shard, which is how the policies come to differ in
+throughput and latency, not just in counts.
 """
 
 from __future__ import annotations
@@ -235,17 +236,6 @@ class LoadBalancer:
             sid = session_of(i, sessions) if sessions else None
             routed.append((i, self.assign(f"req-{i}", session=sid)))
         return routed
-
-    def miss_schedule(self, miss_cycles: int) -> list[list[int]]:
-        """Per-shard surcharge lists aligned with each shard's request
-        order: ``miss_cycles`` for every cold miss or migration, 0 for
-        hits — what the cluster threads into ``request_extra_cycles``."""
-        extra: list[list[int]] = [[] for _ in range(self.shards)]
-        for shard, event in zip(self.assignments, self.session_events):
-            extra[shard].append(
-                miss_cycles if event in ("miss", "migrate") else 0
-            )
-        return extra
 
     def session_stats(self) -> dict:
         """Aggregate hit/miss/migration counts over all assignments."""

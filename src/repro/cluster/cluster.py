@@ -19,21 +19,28 @@ request — so policies now diverge in throughput and latency, not just in
 per-shard counts.  ``sessions=0`` (default) reproduces the sessionless
 report byte-for-byte.
 
-Fleet fault tolerance (PR 10) rides the same machinery.  ``chaos=``
-takes a :class:`~repro.cluster.chaos.ChaosPlan` (seeded per-shard crash/
-hang/degraded/hostile faults, delivered through the shard configs so
-fork-Pool and inline runs inject identically); ``deadline_cycles=`` arms
-a per-request deadline.  When either is active, ``serve`` becomes a
-retry loop: round 0 serves the planned schedule, then failed requests
-(unserved on a crashed/hung shard, or served past their deadline) are
-re-planned over live shards by the health-checked balancer
-(:class:`~repro.cluster.health.HealthModel`: up → suspect → down,
-per-shard circuit breakers with deterministic cooldown ticks) under a
-capped-exponential-backoff :class:`~repro.cluster.health.RetryPolicy` —
-all seeded and replayable.  The merged report gains an ``availability``
-section (success rate, retries, failovers, p99 including failures).
-**With the fault layer inactive the report is byte-identical to the
-fault-free cluster** — the plain path below is untouched.
+Fleet fault tolerance rides the same serve loop.  ``chaos=`` takes a
+:class:`~repro.cluster.chaos.ChaosPlan` (seeded per-shard crash/hang/
+degraded/hostile faults, delivered through the shard configs so fork-Pool
+and inline runs inject identically); ``deadline_cycles=`` arms a
+per-request deadline.  ``serve`` is one retry loop: round 0 serves the
+planned schedule, then failed requests (unserved on a crashed/hung shard,
+or served past their deadline) are re-planned over live shards by the
+health-checked balancer (:class:`~repro.cluster.health.HealthModel`: up →
+suspect → down, per-shard circuit breakers with deterministic cooldown
+ticks) under a capped-exponential-backoff
+:class:`~repro.cluster.health.RetryPolicy` — all seeded and replayable.
+Without faults nothing fails, and round 0 is the whole serve.  Every
+shard config, round 0 or retry, comes from one builder
+(:meth:`Cluster._shard_config`).
+
+A non-empty plan or an armed deadline selects the faulted report: it
+gains ``chaos`` and ``availability`` sections (success rate, retries,
+failovers, p99 including failures), and its measured window is the
+int-truncated cycle clock summed over rounds.  Otherwise the window is
+the slowest shard's float ``measured_seconds`` and the report is
+byte-identical to the fault-free cluster — an empty plan or a
+``RetryPolicy`` alone changes nothing.
 
 Determinism is the design constraint, not an afterthought:
 
@@ -52,8 +59,9 @@ Aggregation: cluster rps is total measured requests over the *slowest*
 shard's measured window (shards run concurrently in simulated time; the
 cluster is done when the last one is), latency percentiles are computed
 over the merged per-request sample set, and per-shard obs summaries are
-merged by summing the tracer's aggregate counters (raw event streams
-never cross the process boundary).
+merged by summing every key (raw event streams never cross the process
+boundary); the named totals are read off the merged event counts
+through the tracer's one counter table.
 """
 
 from __future__ import annotations
@@ -65,39 +73,47 @@ from repro.cluster.balancer import POLICIES, LoadBalancer
 from repro.cluster.chaos import ChaosPlan
 from repro.cluster.health import DOWN, HealthModel, RetryPolicy
 from repro.cluster.shard import run_shard
+from repro.cpu.costs import CostModel
 from repro.faults.rng import SplitMix64
+from repro.obs.tracer import COUNTERS, counter
 from repro.workloads.wrk import latency_percentiles
 
 
-def _merge_obs(per_shard: list[dict]) -> dict:
-    """Sum the aggregate counters; keep health per shard (modes don't add).
+#: The merged report's totals, in report order; :data:`COUNTERS` names
+#: derive from the merged event counts, the rest are summed fields.
+_OBS_TOTALS = ("ring_enters", "ring_entries", "ring_parks", "ring_completes",
+               "ring_timeouts", "slowpath_total", "rewritten_sites",
+               "dropped_events")
 
-    Tolerant of partial entries: a shard that died at boot reports
-    ``obs`` of ``None`` (its ``health_per_shard`` slot stays ``None``),
-    and missing counter keys default to 0 — summaries from older or
-    truncated shard rows still merge.
+
+def _merge_obs(entries: list[dict], round0: list[dict]) -> dict:
+    """Sum the obs summaries of ``entries``; keep round-0 health per shard
+    (modes don't add).
+
+    Every summary key is summed (dicts key by key), so keys no cluster
+    code names merge too.  A shard that died at boot reports ``obs`` of
+    ``None``; it adds nothing and its ``health_per_shard`` slot stays
+    ``None``.
     """
-    counts: dict[str, int] = {}
-    interposition: dict[str, int] = {}
-    totals = {"ring_enters": 0, "ring_entries": 0, "ring_parks": 0,
-              "ring_completes": 0, "ring_timeouts": 0, "slowpath_total": 0,
-              "rewritten_sites": 0, "dropped_events": 0}
-    for shard in per_shard:
-        obs = shard.get("obs")
-        if obs is None:
-            continue
-        for kind, n in obs.get("counts", {}).items():
-            counts[kind] = counts.get(kind, 0) + n
-        for name, n in obs.get("interposition_counts", {}).items():
-            interposition[name] = interposition.get(name, 0) + n
-        for key in totals:
-            totals[key] += obs.get(key, 0)
+    summed: dict = {}
+    for entry in entries:
+        for key, value in (entry.get("obs") or {}).items():
+            if key == "health":
+                continue
+            if isinstance(value, dict):
+                into = summed.setdefault(key, {})
+                for name, n in value.items():
+                    into[name] = into.get(name, 0) + n
+            else:
+                summed[key] = summed.get(key, 0) + value
+    counts = summed.get("counts", {})
     return {
         "counts": counts,
-        "interposition_counts": interposition,
-        **totals,
+        "interposition_counts": summed.get("interposition_counts", {}),
+        **{name: counter(counts, name) if name in COUNTERS
+           else summed.get(name, 0) for name in _OBS_TOTALS},
         "health_per_shard": [
-            s["obs"]["health"] if s.get("obs") else None for s in per_shard
+            s["obs"]["health"] if s.get("obs") else None for s in round0
         ],
     }
 
@@ -164,15 +180,8 @@ class Cluster:
         self.retry = retry
         self.health_opts = health_opts
         self.tracer = tracer
-        #: the health model behind the most recent faulted serve
+        #: the health model behind the most recent serve
         self.last_health: HealthModel | None = None
-
-    def _fault_active(self) -> bool:
-        """Whether serve() must take the retry-loop path.  A present but
-        empty plan (and a configured RetryPolicy alone) keeps the plain
-        path — and its byte-identical report."""
-        return bool(self.chaos is not None and len(self.chaos)) or \
-            self.deadline_cycles is not None
 
     # ------------------------------------------------------------------ plan
     def shard_configs(
@@ -183,12 +192,8 @@ class Cluster:
         connections: int | None = None,
         client_cycles_per_request: int = 0,
     ) -> list[dict]:
-        """Plan the run: balance ``requests`` and build one picklable
-        config per shard (shard ``i`` gets seed ``smp_seed + i``).
-
-        A scheduled :class:`~repro.cluster.chaos.ShardFault` rides its
-        shard's config as ``config["chaos"]`` — the only delivery path,
-        so fork-Pool and inline runs inject identically."""
+        """Plan round 0: balance ``requests`` and build one picklable
+        config per shard (shard ``i`` gets seed ``smp_seed + i``)."""
         balancer = LoadBalancer(self.shards, self.policy)
         counts = balancer.plan(requests, sessions=self.sessions)
         self.last_balancer = balancer
@@ -198,39 +203,57 @@ class Cluster:
                 f"{self.policy!r} starves a shard (counts={counts}); "
                 f"send more traffic"
             )
-        miss_extra = (
-            balancer.miss_schedule(self.session_miss_cycles)
-            if self.sessions
+        assigned: list[list[int]] = [[] for _ in range(self.shards)]
+        for rid, shard in enumerate(balancer.assignments):
+            assigned[shard].append(rid)
+        client = {"warmup": warmup, "connections": connections,
+                  "client_cycles_per_request": client_cycles_per_request}
+        events = dict(enumerate(balancer.session_events))
+        return [self._shard_config(shard, ids, 0, events, client)
+                for shard, ids in enumerate(assigned)]
+
+    def _shard_config(self, shard: int, ids: list[int], round_: int,
+                      events: dict, client: dict) -> dict:
+        """Shard ``shard``'s config for serving ``ids`` in round ``round_``.
+
+        Every round boots a fresh machine seeded ``smp_seed + shards *
+        round_ + shard``.  With sessions on, a request whose session
+        event in ``events`` is a miss or migration pays
+        ``session_miss_cycles``.  Round 0 carries the shard's scheduled
+        fault as ``config["chaos"]`` — the only delivery path, so
+        fork-Pool and inline runs inject identically.  Retry rounds
+        re-apply only persistent (degraded/hostile) faults: one-shot
+        crash/hang faults do not repeat, which is what a half-open probe
+        restart means.
+        """
+        config = {
+            "shard": shard,
+            "smp_seed": self.smp_seed + self.shards * round_ + shard,
+            "workload": "webserver",
+            "server": self.server,
+            "tool": self.tool,
+            "cores": self.cores,
+            "batched": self.batched,
+            "file_size": self.file_size,
+            "requests": len(ids),
+            **client,
+        }
+        if self.sessions:
+            config["request_extra_cycles"] = [
+                self.session_miss_cycles
+                if events[rid] in ("miss", "migrate") else 0
+                for rid in ids
+            ]
+        if self.tool_opts is not None:
+            config["tool_opts"] = self.tool_opts
+        if self.machine_opts is not None:
+            config["machine_opts"] = self.machine_opts
+        fault = self.chaos.fault_for(shard) if self.chaos is not None \
             else None
-        )
-        configs = []
-        for index, count in enumerate(counts):
-            config = {
-                "shard": index,
-                "smp_seed": self.smp_seed + index,
-                "workload": "webserver",
-                "server": self.server,
-                "tool": self.tool,
-                "cores": self.cores,
-                "batched": self.batched,
-                "file_size": self.file_size,
-                "requests": count,
-                "warmup": warmup,
-                "connections": connections,
-                "client_cycles_per_request": client_cycles_per_request,
-            }
-            if miss_extra is not None:
-                config["request_extra_cycles"] = miss_extra[index]
-            if self.tool_opts is not None:
-                config["tool_opts"] = self.tool_opts
-            if self.machine_opts is not None:
-                config["machine_opts"] = self.machine_opts
-            if self.chaos is not None:
-                fault = self.chaos.fault_for(index)
-                if fault is not None:
-                    config["chaos"] = fault.to_config()
-            configs.append(config)
-        return configs
+        if fault is not None and (
+                round_ == 0 or fault.kind in ("degraded", "hostile")):
+            config["chaos"] = fault.to_config()
+        return config
 
     # ------------------------------------------------------------------ boot
     def _run_shards(self, configs: list[dict]) -> list[dict]:
@@ -260,115 +283,43 @@ class Cluster:
 
         ``warmup`` and ``connections`` are per shard (each shard runs its
         own wrk client); ``requests`` is the cluster-wide total the
-        balancer splits.  With the fault layer active (a non-empty chaos
-        plan or a per-request deadline) this becomes the health-checked
-        failover/retry loop; otherwise it is the original single-round
-        serve, report byte-identical to the fault-free cluster.
+        balancer splits.  Round 0 serves the planned schedule; failed
+        requests retry on live shards until they succeed, the
+        :class:`RetryPolicy` runs out of attempts or no shard is
+        routable.  A non-empty chaos plan or a per-request deadline
+        selects the faulted report (see the module docstring).
         """
-        if self._fault_active():
-            return self._serve_faulted(
-                requests,
-                warmup=warmup,
-                connections=connections,
-                client_cycles_per_request=client_cycles_per_request,
-            )
-        configs = self.shard_configs(
-            requests,
-            warmup=warmup,
-            connections=connections,
-            client_cycles_per_request=client_cycles_per_request,
-        )
-        per_shard = sorted(self._run_shards(configs), key=lambda s: s["shard"])
-        rows = [s["result"] for s in per_shard]
-
-        # The fleet finishes when its slowest shard does.
-        measured_seconds = max(r["measured_seconds"] for r in rows)
-        total_requests = sum(r["requests"] for r in rows)
-        samples: list[int] = []
-        for row in rows:
-            samples.extend(row["latency_samples_cycles"])
-        pct = latency_percentiles(samples)
-
-        session_keys = {}
-        if self.sessions:
-            # Only present when the session model is on, so sessionless
-            # reports stay byte-identical to the pre-session cluster.
-            session_keys = {
-                "sessions": self.sessions,
-                "session_miss_cycles": self.session_miss_cycles,
-                "session_stats": self.last_balancer.session_stats(),
-            }
-        return {
-            "workload": "cluster-webserver",
-            "shards": self.shards,
-            "policy": self.policy,
-            "tool": self.tool,
-            "batched": self.batched,
-            "cores": self.cores,
-            "smp_seed": self.smp_seed,
-            "server": self.server,
-            "file_size": self.file_size,
-            "requests_total": total_requests,
-            "requests_per_shard": [r["requests"] for r in rows],
-            "warmup_per_shard": warmup,
-            "requests_per_sec": (
-                total_requests / measured_seconds if measured_seconds else 0.0
-            ),
-            "measured_seconds": measured_seconds,
-            "latency_p50_cycles": pct["p50"],
-            "latency_p95_cycles": pct["p95"],
-            "latency_p99_cycles": pct["p99"],
-            "guest_mips_per_shard": [r["guest_mips"] for r in rows],
-            "guest_mips_total": sum(r["guest_mips"] for r in rows),
-            **session_keys,
-            "obs": _merge_obs(per_shard),
-            "results": rows,
-        }
-
-    # ------------------------------------------------------ faulted serving
-    def _serve_faulted(
-        self,
-        requests: int,
-        *,
-        warmup: int,
-        connections: int | None,
-        client_cycles_per_request: int,
-    ) -> dict:
-        """The chaos path: round 0 + health-checked failover/retry rounds."""
-        from repro.cpu.costs import CostModel
-
         freq = CostModel().frequency_hz
+        faulted = bool(self.chaos) or self.deadline_cycles is not None
         deadline = self.deadline_cycles
         retry = self.retry if self.retry is not None else RetryPolicy()
         jitter_rng = SplitMix64(self.smp_seed ^ 0xC11A05F417)
         health = self.last_health = HealthModel(
             self.shards, tracer=self.tracer, **(self.health_opts or {})
         )
-
-        configs = self.shard_configs(
-            requests,
-            warmup=warmup,
-            connections=connections,
-            client_cycles_per_request=client_cycles_per_request,
-        )
-        balancer = self.last_balancer
-        assigned: list[list[int]] = [[] for _ in range(self.shards)]
-        for rid, shard in enumerate(balancer.assignments):
-            assigned[shard].append(rid)
-
-        per_shard = sorted(self._run_shards(configs), key=lambda s: s["shard"])
+        client = {"warmup": warmup, "connections": connections,
+                  "client_cycles_per_request": client_cycles_per_request}
 
         # per-request outcome state, across rounds
         success: dict[int, int] = {}  # rid -> client-perceived latency
         penalty: dict[int, int] = {}  # rid -> accumulated backoff cycles
         duplicate_serves = 0
         timeout_count = 0
+        all_entries: list[dict] = []
+        clock = 0  # cumulative measured-window cycles, backoffs included
 
-        def evaluate(entries: list[dict], id_lists: dict[int, list[int]],
-                     round_: int, ts: int) -> list[tuple[int, int]]:
-            """Fold one round's shard rows into outcomes + heartbeats;
-            returns the failed ``(rid, from_shard)`` pairs."""
-            nonlocal duplicate_serves, timeout_count
+        def run_round(configs: list[dict], id_lists: dict[int, list[int]],
+                      round_: int) -> tuple[list[dict], list[tuple[int, int]]]:
+            """Run one round's shards and fold their rows into outcomes
+            and heartbeats; returns the rows and the failed
+            ``(rid, from_shard)`` pairs."""
+            nonlocal clock, duplicate_serves, timeout_count
+            entries = sorted(self._run_shards(configs),
+                             key=lambda s: s["shard"])
+            all_entries.extend(entries)
+            rows = [e["result"] for e in entries if e["result"] is not None]
+            if rows:
+                clock += int(max(r["measured_seconds"] for r in rows) * freq)
             failed: list[tuple[int, int]] = []
             for entry in entries:
                 shard = entry["shard"]
@@ -401,26 +352,19 @@ class Cluster:
                     shard,
                     {"status": status, "assigned": len(ids),
                      "served": served, "timeouts": timeouts},
-                    round_=round_, ts=ts,
+                    round_=round_, ts=clock,
                 )
-            return failed
+            return entries, failed
 
-        def window_cycles(entries: list[dict]) -> int:
-            rows = [e["result"] for e in entries if e["result"] is not None]
-            if not rows:
-                return 0
-            return int(max(r["measured_seconds"] for r in rows) * freq)
+        configs = self.shard_configs(requests, **client)
+        balancer = self.last_balancer
+        assigned: dict[int, list[int]] = {s: [] for s in range(self.shards)}
+        for rid, shard in enumerate(balancer.assignments):
+            assigned[shard].append(rid)
+        per_shard, failed = run_round(configs, assigned, 0)
 
-        clock = window_cycles(per_shard)
-        failed = evaluate(per_shard, {s: assigned[s] for s in
-                                      range(self.shards)}, 0, clock)
-
-        all_entries = list(per_shard)
-        backoffs: list[int] = []
         retry_rounds: list[dict] = []
         failover_count = 0
-        total_retried = 0
-        rounds_run = 1
 
         for attempt in range(1, retry.max_attempts):
             if not failed:
@@ -430,7 +374,6 @@ class Cluster:
             if not routable:
                 break
             backoff = retry.backoff(attempt, jitter_rng)
-            backoffs.append(backoff)
             clock += backoff
             failed.sort()
             origin = dict(failed)
@@ -438,9 +381,12 @@ class Cluster:
             for rid in ids:
                 penalty[rid] = penalty.get(rid, 0) + backoff
             balancer.set_down(set(range(self.shards)) - routable)
-            routed, events = self._route(ids)
+            start = len(balancer.session_events)
+            routed = balancer.replan(ids, sessions=self.sessions)
+            # surcharges follow this first routing's session events, also
+            # for requests a probe quota then moves elsewhere
+            event_of = dict(zip(ids, balancer.session_events[start:]))
             routed = self._trim_probes(routed, health, routable)
-            event_of = dict(zip(ids, events))
             per_target: dict[int, list[int]] = {}
             for rid, target in routed:
                 per_target.setdefault(target, []).append(rid)
@@ -454,21 +400,13 @@ class Cluster:
                 for (src, dst), n in sorted(pairs.items()):
                     self.tracer.failover(clock, src, dst, n, round_=attempt)
                 self.tracer.retry(clock, attempt, len(routed), backoff)
-            total_retried += len(routed)
 
-            retry_configs = []
-            for target in sorted(per_target):
-                retry_configs.append(self._retry_config(
-                    target, per_target[target], attempt,
-                    warmup=warmup, connections=connections,
-                    client_cycles_per_request=client_cycles_per_request,
-                    event_of=event_of,
-                ))
-            entries = sorted(self._run_shards(retry_configs),
-                             key=lambda s: s["shard"])
-            all_entries.extend(entries)
-            clock += window_cycles(entries)
-            failed = evaluate(entries, per_target, attempt, clock)
+            configs = [
+                self._shard_config(target, per_target[target], attempt,
+                                   event_of, client)
+                for target in sorted(per_target)
+            ]
+            _, failed = run_round(configs, per_target, attempt)
             retry_rounds.append({
                 "round": attempt,
                 "backoff_cycles": backoff,
@@ -477,55 +415,19 @@ class Cluster:
                               for s in sorted(per_target)},
                 "failed_after": len(failed),
             })
-            rounds_run += 1
 
         # ----------------------------------------------------------- report
         rows = [s["result"] for s in per_shard]
-        live_rows = [r for r in rows if r is not None]
         completed = len(success)
         final_failed = sorted(rid for rid, _ in failed)
         ok_samples = sorted(success.values())
         pct = latency_percentiles(ok_samples)
-        fail_latency = deadline if deadline is not None else \
-            max((f.deadline_cycles for f in (self.chaos or ())),
-                default=4_000_000)
-        pct_incl = latency_percentiles(
-            ok_samples + [fail_latency] * len(final_failed)
-        )
-        measured_seconds = clock / freq if freq else 0.0
-        obs = _merge_obs(all_entries)
-        obs["health_per_shard"] = [
-            s["obs"]["health"] if s.get("obs") else None for s in per_shard
-        ]
-
-        session_keys = {}
-        if self.sessions:
-            session_keys = {
-                "sessions": self.sessions,
-                "session_miss_cycles": self.session_miss_cycles,
-                "session_stats": balancer.session_stats(),
-            }
-        availability = {
-            "requests": requests,
-            "completed": completed,
-            "failed": len(final_failed),
-            "failed_ids": final_failed,
-            "duplicate_serves": duplicate_serves,
-            "success_rate": round(completed / requests, 6) if requests
-            else 1.0,
-            "rounds": rounds_run,
-            "retries": total_retried,
-            "failovers": failover_count,
-            "timeouts": timeout_count,
-            "ring_timeouts": obs["ring_timeouts"],
-            "backoff_cycles": backoffs,
-            "retry_rounds": retry_rounds,
-            "shards_down": [s for s in range(self.shards)
-                            if health.states[s] == DOWN],
-            "health": health.snapshot(),
-            "latency_p99_cycles_incl_failures": pct_incl["p99"],
-        }
-        return {
+        if faulted:
+            measured_seconds = clock / freq if freq else 0.0
+        else:  # the fleet finishes when its slowest shard does
+            measured_seconds = max(r["measured_seconds"] for r in rows)
+        obs = _merge_obs(all_entries, per_shard)
+        report = {
             "workload": "cluster-webserver",
             "shards": self.shards,
             "policy": self.policy,
@@ -548,11 +450,21 @@ class Cluster:
             "guest_mips_per_shard": [
                 r["guest_mips"] if r else 0.0 for r in rows
             ],
-            "guest_mips_total": sum(
-                r["guest_mips"] for r in live_rows
-            ),
-            **session_keys,
-            "chaos": {
+            "guest_mips_total": sum(r["guest_mips"] for r in rows if r),
+        }
+        if self.sessions:
+            # Only present when the session model is on, so sessionless
+            # reports stay byte-identical to the pre-session cluster.
+            report["sessions"] = self.sessions
+            report["session_miss_cycles"] = self.session_miss_cycles
+            report["session_stats"] = balancer.session_stats()
+        if faulted:
+            fail_latency = deadline if deadline is not None else \
+                max((f.deadline_cycles for f in self.chaos), default=4_000_000)
+            pct_incl = latency_percentiles(
+                ok_samples + [fail_latency] * len(final_failed)
+            )
+            report["chaos"] = {
                 "plan": [f.to_config() | {"shard": f.shard}
                          for f in (self.chaos or ())],
                 "deadline_cycles": deadline,
@@ -561,21 +473,32 @@ class Cluster:
                     "backoff_base_cycles": retry.backoff_base_cycles,
                     "backoff_cap_cycles": retry.backoff_cap_cycles,
                 },
-            },
-            "availability": availability,
-            "obs": obs,
-            "results": rows,
-        }
+            }
+            report["availability"] = {
+                "requests": requests,
+                "completed": completed,
+                "failed": len(final_failed),
+                "failed_ids": final_failed,
+                "duplicate_serves": duplicate_serves,
+                "success_rate": round(completed / requests, 6) if requests
+                else 1.0,
+                "rounds": 1 + len(retry_rounds),
+                "retries": sum(r["requests"] for r in retry_rounds),
+                "failovers": failover_count,
+                "timeouts": timeout_count,
+                "ring_timeouts": obs["ring_timeouts"],
+                "backoff_cycles": [r["backoff_cycles"] for r in retry_rounds],
+                "retry_rounds": retry_rounds,
+                "shards_down": [s for s in range(self.shards)
+                                if health.states[s] == DOWN],
+                "health": health.snapshot(),
+                "latency_p99_cycles_incl_failures": pct_incl["p99"],
+            }
+        report["obs"] = obs
+        report["results"] = rows
+        return report
 
-    # ------------------------------------------------------- faulted helpers
-    def _route(self, ids: list[int]) -> tuple[list[tuple[int, int]], list]:
-        """Replan ``ids`` on the live balancer; returns the routed pairs
-        and the aligned session events."""
-        balancer = self.last_balancer
-        start = len(balancer.session_events)
-        routed = balancer.replan(ids, sessions=self.sessions)
-        return routed, balancer.session_events[start:]
-
+    # ------------------------------------------------------- retry helpers
     def _trim_probes(self, routed: list[tuple[int, int]],
                      health: HealthModel,
                      routable: set[int]) -> list[tuple[int, int]]:
@@ -608,41 +531,3 @@ class Cluster:
                     if rid in overflow:
                         kept.append((rid, target))
         return sorted(kept)
-
-    def _retry_config(self, shard: int, ids: list[int], round_: int, *,
-                      warmup: int, connections: int | None,
-                      client_cycles_per_request: int,
-                      event_of: dict) -> dict:
-        """One retry-round shard config: fresh machine, round-distinct
-        seed, persistent (degraded/hostile) chaos re-applied — one-shot
-        faults (crash/hang) do not repeat, which is what a half-open
-        probe restart means."""
-        config = {
-            "shard": shard,
-            "smp_seed": self.smp_seed + self.shards * round_ + shard,
-            "workload": "webserver",
-            "server": self.server,
-            "tool": self.tool,
-            "cores": self.cores,
-            "batched": self.batched,
-            "file_size": self.file_size,
-            "requests": len(ids),
-            "warmup": warmup,
-            "connections": connections,
-            "client_cycles_per_request": client_cycles_per_request,
-        }
-        if self.sessions:
-            config["request_extra_cycles"] = [
-                self.session_miss_cycles
-                if event_of.get(rid) in ("miss", "migrate") else 0
-                for rid in ids
-            ]
-        if self.tool_opts is not None:
-            config["tool_opts"] = self.tool_opts
-        if self.machine_opts is not None:
-            config["machine_opts"] = self.machine_opts
-        if self.chaos is not None:
-            fault = self.chaos.fault_for(shard)
-            if fault is not None and fault.kind in ("degraded", "hostile"):
-                config["chaos"] = fault.to_config()
-        return config

@@ -6,11 +6,11 @@ Everything it returns is JSON-serializable: the full
 :func:`repro.workloads.runner.run_workload` result row plus an
 :func:`obs_summary` of the shard's tracer.  Raw event streams stay
 shard-local on purpose — at fleet scale they are the expensive part, and
-the cheap aggregate counters the :class:`~repro.obs.tracer.Tracer`
-maintains at emit time are what the cluster front-end actually merges.
+the tracer's per-kind event ``counts`` are what the cluster front-end
+actually merges (every named counter derives from them).
 
 Chaos injection rides the same config dict (``config["chaos"]``, written
-by :meth:`repro.cluster.cluster.Cluster.shard_configs` from a
+by the cluster's one shard-config builder from a
 :class:`~repro.cluster.chaos.ChaosPlan`), so fork-Pool and inline runs
 inject identically:
 
@@ -33,20 +33,18 @@ from repro.workloads.runner import run_workload
 
 
 def obs_summary(tracer: Tracer) -> dict:
-    """The serializable slice of a tracer: aggregate counters + health.
+    """The serializable slice of a tracer: event counts + health.
 
-    Everything here is maintained at emit time (never an event walk) and
-    is plain ints/strings, so it crosses the process boundary unchanged.
+    ``counts`` carries every named counter (see
+    :data:`repro.obs.tracer.COUNTERS`); the other fields are the ones no
+    event count holds.  Everything here is maintained at emit time (never
+    an event walk) and is plain ints/strings, so it crosses the process
+    boundary unchanged.
     """
     return {
         "counts": dict(tracer.counts),
         "interposition_counts": dict(tracer.interposition_counts),
-        "ring_enters": tracer.ring_enters,
-        "ring_entries": tracer.ring_entries,
-        "ring_parks": tracer.ring_parks,
-        "ring_completes": tracer.ring_completes,
         "ring_timeouts": tracer.ring_timeouts,
-        "slowpath_total": tracer.slowpath_total,
         "rewritten_sites": len(tracer.rewritten_sites),
         "dropped_events": tracer.dropped,
         "health": tracer.health(),

@@ -19,7 +19,6 @@ from repro.interpose.api import (
     Interposer,
     SyscallContext,
     passthrough_interposer,
-    removed_install,
 )
 from repro.kernel.syscalls.table import NR
 from repro.libc.wrappers import wrapper_symbol
@@ -36,11 +35,6 @@ class PreloadTool:
         self.process = process
         self.interposer = interposer
         self.patched: dict[str, int] = {}  # wrapper name -> address
-
-    @classmethod
-    def install(cls, machine, process, interposer=None, **kw) -> "PreloadTool":
-        """Removed — raises :class:`~repro.errors.AttachError`."""
-        removed_install(cls)
 
     @classmethod
     def _install(

@@ -20,7 +20,6 @@ from repro.interpose.api import (
     Interposer,
     SyscallContext,
     passthrough_interposer,
-    removed_install,
 )
 from repro.kernel.ptrace import PtraceTracer, TraceeControl, attach, detach
 
@@ -55,11 +54,6 @@ class PtraceTool(PtraceTracer):
         self.interposer = interposer
         self.on_enter = on_enter
         self._pending: dict[int, tuple[int, tuple[int, ...]]] = {}
-
-    @classmethod
-    def install(cls, machine, process, interposer=None, **kw) -> "PtraceTool":
-        """Removed — raises :class:`~repro.errors.AttachError`."""
-        removed_install(cls)
 
     @classmethod
     def _install(

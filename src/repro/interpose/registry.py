@@ -1,8 +1,9 @@
 """The unified tool-attach API: one entry point for every mechanism.
 
 ``attach(machine, process, tool="lazypoline", interposer=..., **opts)``
-replaces the per-class ``*Tool.install`` constructors (now deprecated
-shims).  Tools are looked up in a registry keyed by ``tool_name``; entries
+is the only public way to put a tool on a process (each tool class keeps
+a private ``_install`` classmethod that the registry calls).  Tools are
+looked up in a registry keyed by ``tool_name``; entries
 are imported lazily so importing :mod:`repro.interpose` stays cheap and no
 tool module is loaded until it is actually attached.
 

@@ -9,7 +9,6 @@ interposer callback here; that's the point of Table I's seccomp-bpf row.
 
 from __future__ import annotations
 
-from repro.interpose.api import removed_install
 from repro.kernel.seccomp.bpf import BpfProgram
 from repro.kernel.seccomp.filter import FilterBuilder
 
@@ -24,11 +23,6 @@ class SeccompBpfTool:
         self.programs = programs
 
     @classmethod
-    def install(cls, machine, process, program=None) -> "SeccompBpfTool":
-        """Removed — raises :class:`~repro.errors.AttachError`."""
-        removed_install(cls)
-
-    @classmethod
     def _install(
         cls, machine, process, program: BpfProgram | None = None
     ) -> "SeccompBpfTool":
@@ -36,16 +30,6 @@ class SeccompBpfTool:
         prog = program or FilterBuilder.allow_all()
         process.task.seccomp_filters.append(prog)
         return cls(process, [prog])
-
-    @classmethod
-    def install_denylist(cls, machine, process, sysnos, *,
-                         errno_value: int = 1) -> "SeccompBpfTool":
-        """Removed — raises :class:`~repro.errors.AttachError`."""
-        removed_install(
-            cls, "install_denylist",
-            hint="repro.interpose.attach(machine, process, "
-                 "tool='seccomp_bpf', denylist=[...], errno_value=...)",
-        )
 
     @classmethod
     def _install_denylist(

@@ -24,7 +24,6 @@ from repro.interpose.api import (
     Interposer,
     SyscallContext,
     passthrough_interposer,
-    removed_install,
 )
 from repro.kernel.signals import (
     FRAME_SIGINFO,
@@ -69,11 +68,6 @@ class SignalPathTool:
         self.sigsys_count = 0
 
     # ------------------------------------------------------------------ install
-    @classmethod
-    def install(cls, machine, process, interposer=None, **kw):
-        """Removed — raises :class:`~repro.errors.AttachError`."""
-        removed_install(cls)
-
     @classmethod
     def _install(cls, machine, process, interposer: Interposer | None = None, **kw):
         tool = cls(machine, process, interposer or passthrough_interposer, **kw)

@@ -172,10 +172,6 @@ class Kernel:
         #: waiting forever (the fleet hang-recovery path; PR 10).
         self.ring_park_timeout: int | None = None
 
-        #: optional global syscall trace: (tid, sysno, args, ret)
-        self.trace_syscalls = False
-        self.syscall_log: list[tuple[int, int, tuple[int, ...], int | None]] = []
-
         #: observability tracer (:class:`repro.obs.Tracer`), attached via
         #: ``Machine.attach_tracer``; every emit site is ``if tracer``-guarded.
         self.tracer = None
@@ -459,8 +455,6 @@ class Kernel:
         if self.fault_injector is not None:
             injected = self.fault_injector.intercept(self, task, sysno, args)
             if injected is not None:
-                if self.trace_syscalls:
-                    self.syscall_log.append((task.tid, sysno, args, injected))
                 if tracer is not None:
                     tracer.syscall(self.clock, task.tid, sysno, args, injected,
                                    self.clock - start, injected=True)
@@ -472,8 +466,6 @@ class Kernel:
         else:
             self.charge(task, entry.service_cost)
             ret = entry.fn(self, task, args)
-        if self.trace_syscalls:
-            self.syscall_log.append((task.tid, sysno, args, ret))
         if tracer is not None:
             tracer.syscall(self.clock, task.tid, sysno, args, ret,
                            self.clock - start)

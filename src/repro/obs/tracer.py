@@ -10,9 +10,13 @@ per *slice/syscall/rare event* — never per instruction — and simulated
 cycle accounting is identical with tracing on or off (observability is free
 in simulated time; only host wall-clock pays).
 
-The tracer maintains cheap aggregate counters alongside the event list, so
-summary views (per-syscall tables, slow/fast ratios, per-site
-rewrite-coverage counters) never need an event walk.
+Summary views (per-syscall tables, slow/fast ratios, per-site
+rewrite-coverage counters) never need an event walk.  :attr:`Tracer.counts`
+tallies every emitted event by kind, even when ``max_events`` drops the
+event itself, and it is the one source of the named counters: each
+:data:`COUNTERS` entry (``ring_entries``, ``slowpath_total``, ...) is a
+read-only property summing the counts of its event kinds.  The cluster
+merges shard summaries through the same table.
 """
 
 from __future__ import annotations
@@ -22,6 +26,28 @@ from repro.kernel.syscalls.table import syscall_name
 from repro.obs import events as K
 from repro.obs.events import Event
 from repro.obs.metrics import SyscallAggregate
+
+#: Named counters, each the sum of the ``counts`` of its event kinds.
+COUNTERS: dict[str, tuple[str, ...]] = {
+    "slowpath_total": (K.SIGSYS_TRAP,),
+    "cache_invalidations": (K.CACHE_INVALIDATE,),
+    "block_compiles": (K.BLOCK_COMPILE,),
+    "block_invalidations": (K.BLOCK_INVALIDATE,),
+    "ring_enters": (K.RING_ENTER,),
+    # every completed SQE, drained inline or parked first
+    "ring_entries": (K.RING_ENTRY, K.RING_COMPLETE),
+    "ring_parks": (K.RING_PARK,),
+    "ring_completes": (K.RING_COMPLETE,),
+    "shard_downs": (K.SHARD_DOWN,),
+    "failovers": (K.FAILOVER,),
+    "retries": (K.RETRY,),
+    "breaker_transitions": (K.BREAKER,),
+}
+
+
+def counter(counts: dict[str, int], name: str) -> int:
+    """The :data:`COUNTERS` total ``name`` over a ``counts`` dict."""
+    return sum(counts.get(kind, 0) for kind in COUNTERS[name])
 
 
 class Tracer:
@@ -40,25 +66,9 @@ class Tracer:
         self.site_traps: dict[int, int] = {}
         #: ... and the sites actually rewritten: site -> origin
         self.rewritten_sites: dict[int, str] = {}
-        self.slowpath_total = 0
-        self.cache_invalidations = 0
-        self.block_compiles = 0
-        self.block_invalidations = 0
-        #: ring_enter crossings and total SQEs drained through them
-        self.ring_enters = 0
-        self.ring_entries = 0
-        #: async drain: SQEs parked on kernel-side waiters, and parked
-        #: SQEs whose CQE later posted (``ring_entries`` includes these,
-        #: so it always counts every completed SQE either way)
-        self.ring_parks = 0
-        self.ring_completes = 0
-        #: parked SQEs whose bounded park expired (CQE = -ETIMEDOUT)
+        #: parked SQEs whose bounded park expired (CQE = -ETIMEDOUT); the
+        #: one hand-kept counter, since no event kind carries it
         self.ring_timeouts = 0
-        #: fleet fault-tolerance aggregates (cluster-level emit sites)
-        self.shard_downs = 0
-        self.failovers = 0
-        self.retries = 0
-        self.breaker_transitions = 0
         #: degradation-mode transitions: (ts, tid, mechanism, old, new, reason)
         self.degradations: list[tuple] = []
         #: sites pinned to the slow path after repeated rewrite failures
@@ -143,7 +153,6 @@ class Tracer:
         )
 
     def sigsys_trap(self, ts: int, tid: int, site: int, mechanism: str) -> None:
-        self.slowpath_total += 1
         self.site_traps[site] = self.site_traps.get(site, 0) + 1
         self._emit(ts, K.SIGSYS_TRAP, tid,
                    {"site": site, "mechanism": mechanism})
@@ -176,17 +185,14 @@ class Tracer:
 
     # --------------------------------------------------------------- CPU core
     def cache_invalidate(self, ts: int, tid: int, addr: int) -> None:
-        self.cache_invalidations += 1
         self._emit(ts, K.CACHE_INVALIDATE, tid, {"addr": addr})
 
     def block_compile(self, ts: int, tid: int, head: int, n: int) -> None:
         """Tier 2 compiled the ``n``-instruction run starting at ``head``."""
-        self.block_compiles += 1
         self._emit(ts, K.BLOCK_COMPILE, tid, {"head": head, "n": n})
 
     def block_invalidate(self, ts: int, tid: int, head: int, reason: str) -> None:
         """A compiled superblock was discarded (smc/shootdown/stale)."""
-        self.block_invalidations += 1
         self._emit(ts, K.BLOCK_INVALIDATE, tid, {"head": head, "reason": reason})
 
     # ------------------------------------------------------------- ring drain
@@ -196,7 +202,6 @@ class Tracer:
     ) -> None:
         """One ``ring_enter`` crossing finished draining (``parked`` SQEs
         were captured on kernel-side waiters by an async drain)."""
-        self.ring_enters += 1
         data = {"submitted": submitted, "completed": completed,
                 "cycles": cycles}
         if parked:
@@ -208,7 +213,6 @@ class Tracer:
         ret: int, user_data: int, cycles: int
     ) -> None:
         """One SQE completed during a ring drain (per-entry attribution)."""
-        self.ring_entries += 1
         data = {"index": index, "name": name, "sysno": sysno, "ret": ret,
                 "user_data": user_data, "cycles": cycles}
         if is_error(ret):
@@ -220,7 +224,6 @@ class Tracer:
         user_data: int, deps: list
     ) -> None:
         """An async drain parked one SQE on a kernel-side waiter."""
-        self.ring_parks += 1
         data = {"index": index, "name": name, "sysno": sysno,
                 "user_data": user_data}
         if deps:
@@ -236,8 +239,6 @@ class Tracer:
         Counts toward ``ring_entries`` too, so that total covers every
         completed SQE whether it drained synchronously or parked first.
         """
-        self.ring_completes += 1
-        self.ring_entries += 1
         if ret == -ETIMEDOUT:
             self.ring_timeouts += 1
         data = {"index": index, "name": name, "sysno": sysno, "ret": ret,
@@ -276,14 +277,12 @@ class Tracer:
     def shard_down(self, ts: int, shard: int, reason: str, *,
                    round_: int = 0) -> None:
         """The health model marked a shard ``down``."""
-        self.shard_downs += 1
         self._emit(ts, K.SHARD_DOWN, -1,
                    {"shard": shard, "reason": reason, "round": round_})
 
     def failover(self, ts: int, shard_from: int, shard_to: int,
                  requests: int, *, round_: int = 0) -> None:
         """Failed requests were re-planned onto a live shard."""
-        self.failovers += 1
         self._emit(ts, K.FAILOVER, -1,
                    {"from": shard_from, "to": shard_to,
                     "requests": requests, "round": round_})
@@ -291,7 +290,6 @@ class Tracer:
     def retry(self, ts: int, round_: int, requests: int,
               backoff_cycles: int) -> None:
         """A backoff round re-issued failed/timed-out requests."""
-        self.retries += 1
         self._emit(ts, K.RETRY, -1,
                    {"round": round_, "requests": requests,
                     "backoff_cycles": backoff_cycles})
@@ -299,7 +297,6 @@ class Tracer:
     def breaker(self, ts: int, shard: int, old: str, new: str, *,
                 round_: int = 0) -> None:
         """A per-shard circuit breaker changed state."""
-        self.breaker_transitions += 1
         self._emit(ts, K.BREAKER, -1,
                    {"shard": shard, "old": old, "new": new, "round": round_})
 
@@ -350,3 +347,13 @@ class Tracer:
             }
             for site in sorted(sites)
         }
+
+
+def _counter_property(name: str) -> property:
+    return property(lambda self: counter(self.counts, name),
+                    doc=f"Sum of the counts of {', '.join(COUNTERS[name])}.")
+
+
+for _name in COUNTERS:
+    setattr(Tracer, _name, _counter_property(_name))
+del _name

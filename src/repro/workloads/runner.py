@@ -1,11 +1,9 @@
 """The unified workload runner: one entry point for every workload.
 
 Before this module each workload grew its own runner with its own private
-setup helpers — ``webserver.run_scaled``, ``ringbench.measure_ring`` and
-``microbench.measure_cycles_per_syscall`` each built a Machine, loaded a
-guest and attached a tool in slightly different ways (``_run_once``,
-``_install``, ``bench.runner.install_mechanism``).  :func:`run_workload`
-replaces all of them with a single protocol::
+setup helpers, each building a Machine, loading a guest and attaching a
+tool in slightly different ways.  :func:`run_workload` replaces all of
+them with a single protocol::
 
     run_workload(name, *, tool=None, cores=1, batched=False, tracer=None,
                  smp_seed=0, interposer=None, tool_opts=None,
@@ -16,26 +14,16 @@ cluster shard worker (:mod:`repro.cluster`) and the benchmarks call the
 same entry point, so there is exactly one place where ``degrade_policy``
 (via ``tool_opts``), ``superblocks``/``translation_cache``/``costs`` (via
 ``machine_opts``) and the ring options (``batched=``) are threaded through.
+Benchmarks that drive a guest by hand attach tools through the same
+:func:`attach_mechanism` path.
 
-Migration map (old entry points remain as thin wrappers):
-
-===============================================  ===========================
-old entry point                                  unified call
-===============================================  ===========================
-``webserver.run_scaled(spec, cores=N, ...)``     ``run_workload("webserver",
-                                                 server=spec.name, cores=N,
-                                                 ...)``
-``webserver.scaling_curve(spec, ...)``           one ``run_workload`` per
-                                                 core count
-``ringbench.measure_ring(tool, batch, ...)``     two ``run_workload("ringbench",
-                                                 tool=tool, batch=B,
-                                                 enters=E)`` runs, differenced
-``microbench.measure_cycles_per_syscall(mech)``  two ``run_workload("microbench",
-                                                 tool=mech, iterations=I)``
-                                                 runs, differenced
-``bench.runner.install_mechanism(name, ...)``    ``attach_mechanism(machine,
-                                                 process, name, ...)``
-===============================================  ===========================
+Two measurement helpers stay on top of it, because each hides the
+two-run differencing that cancels guest startup cost:
+``ringbench.measure_ring(tool, batch, ...)`` differences two
+``run_workload("ringbench", tool=tool, batch=B, enters=E)`` runs, and
+``microbench.measure_cycles_per_syscall(mech)`` two
+``run_workload("microbench", tool=mech, iterations=I)`` runs.  A scaling
+point is one ``run_workload("webserver", server=name, cores=N, ...)``.
 
 Results are plain JSON-serializable dicts so they can cross the cluster's
 process boundary unchanged; every number in them is *simulated* (cycles,

@@ -562,46 +562,14 @@ class ServerWorkload:
         return client.throughput(self.machine.costs.frequency_hz)
 
 
-def run_scaled(
-    spec: ServerSpec,
-    *,
-    cores: int,
-    tool: str | None = None,
-    requests: int = 200,
-    warmup: int = 20,
-    file_size: int = 8192,
-    connections: int | None = None,
-    smp_seed: int = 0,
-    batched: bool = False,
-) -> dict:
-    """One point of the SMP scaling curve: serve on ``cores`` cores.
-
-    A thin wrapper over the unified runner —
-    ``run_workload("webserver", server=spec.name, cores=cores, ...)`` —
-    kept for the existing benchmark callers.  The row additionally carries
-    the measured window, latency percentiles and raw latency samples (see
-    :class:`repro.workloads.runner.WebserverWorkload`).
-    """
-    from repro.workloads.runner import run_workload
-
-    return run_workload(
-        "webserver",
-        server=spec.name if isinstance(spec, ServerSpec) else spec,
-        tool=tool,
-        cores=cores,
-        batched=batched,
-        smp_seed=smp_seed,
-        requests=requests,
-        warmup=warmup,
-        file_size=file_size,
-        connections=connections,
-    )
-
-
 def scaling_curve(
     spec: ServerSpec,
     core_counts=(1, 2, 4),
     **kwargs,
 ) -> list[dict]:
-    """The webserver SMP scaling curve (one :func:`run_scaled` row each)."""
-    return [run_scaled(spec, cores=n, **kwargs) for n in core_counts]
+    """The webserver SMP scaling curve: one ``run_workload("webserver")``
+    row per core count."""
+    from repro.workloads.runner import run_workload
+
+    return [run_workload("webserver", server=spec.name, cores=n, **kwargs)
+            for n in core_counts]

@@ -9,8 +9,10 @@ from __future__ import annotations
 import pytest
 
 from repro.bench import ablation, exhaustiveness, fig4, fig5, table1, table2, table3
-from repro.bench.runner import format_table, install_mechanism, within_band
+from repro.bench.runner import format_table, within_band
+from repro.interpose.api import passthrough_interposer
 from repro.kernel.machine import Machine
+from repro.workloads.runner import attach_mechanism
 
 from tests.conftest import hello_image
 
@@ -35,9 +37,11 @@ def test_within_band():
      "seccomp_user", "seccomp_bpf", "ptrace"],
 )
 def test_install_mechanism_all_names(mechanism):
+    """Every bench mechanism name installs through attach_mechanism."""
     machine = Machine()
     process = machine.load(hello_image())
-    install_mechanism(mechanism, machine, process)
+    attach_mechanism(machine, process, mechanism,
+                     interposer=passthrough_interposer)
     assert machine.run_process(process) == 0
 
 
@@ -45,7 +49,8 @@ def test_install_mechanism_rejects_unknown():
     machine = Machine()
     process = machine.load(hello_image())
     with pytest.raises(ValueError):
-        install_mechanism("frobnicate", machine, process)
+        attach_mechanism(machine, process, "frobnicate",
+                         interposer=passthrough_interposer)
 
 
 def test_table2_quick_run_and_report():

@@ -15,7 +15,19 @@ import json
 
 import pytest
 
-from repro.cluster import POLICIES, Cluster, LoadBalancer, fnv1a, run_shard
+from repro.cluster import (
+    POLICIES,
+    ChaosPlan,
+    Cluster,
+    LoadBalancer,
+    ShardFault,
+    fnv1a,
+    run_shard,
+)
+from repro.cluster import cluster as cluster_mod
+from repro.cluster import shard as shard_mod
+from repro.obs import events as K
+from repro.obs.tracer import COUNTERS, Tracer, counter
 from repro.workloads.runner import run_workload
 
 pytestmark = pytest.mark.cluster
@@ -155,21 +167,54 @@ def test_report_aggregates_are_consistent():
     assert rep["latency_p99_cycles"] >= rep["latency_p50_cycles"]
 
 
-def test_obs_merge_sums_shard_counters():
-    rep = small_cluster(tool="lazypoline", batched=True).serve(
-        requests=REQUESTS, warmup=WARMUP
-    )
-    per_shard = [run_shard(c) for c in
-                 Cluster(shards=2, tool="lazypoline",
-                         batched=True).shard_configs(REQUESTS,
-                                                     warmup=WARMUP)]
-    expect_ring = sum(s["obs"]["ring_enters"] for s in per_shard)
-    assert rep["obs"]["ring_enters"] == expect_ring > 0
-    assert len(rep["obs"]["health_per_shard"]) == 2
-    for kind, total in rep["obs"]["counts"].items():
-        assert total == sum(
-            s["obs"]["counts"].get(kind, 0) for s in per_shard
+def test_obs_merge_sums_shard_counters(monkeypatch):
+    """The merged obs sums every count key of every shard row of every
+    round — keys no cluster code names included — and each named
+    counter, on a tracer or merged, is its ``COUNTERS`` expression."""
+    tracers = []
+
+    def recording_tracer(**kwargs):
+        tracers.append(Tracer(**kwargs))
+        return tracers[-1]
+
+    def tagged_shard(config):
+        row = run_shard(config)
+        row["obs"]["counts"]["bench.x"] = 1
+        return row
+
+    monkeypatch.setattr(shard_mod, "Tracer", recording_tracer)
+    # serve looks run_shard up at call time, so the wrapper sees every shard
+    monkeypatch.setattr(cluster_mod, "run_shard", tagged_shard)
+    fleet = Tracer()
+    rep = Cluster(
+        shards=2, tool="lazypoline", batched="async", processes=False,
+        tracer=fleet,
+        chaos=ChaosPlan([ShardFault(shard=1, kind="crash", at_request=2)]),
+    ).serve(requests=24, warmup=4, connections=4,
+            client_cycles_per_request=120_000)
+    obs = rep["obs"]
+    assert obs["counts"].pop("bench.x") == len(tracers) > 2  # retries too
+    kinds = set().union(*(t.counts for t in tracers))
+    assert obs["counts"] == {
+        kind: sum(t.counts.get(kind, 0) for t in tracers) for kind in kinds
+    }
+    for t in (*tracers, fleet):
+        for name, event_kinds in COUNTERS.items():
+            assert getattr(t, name) == sum(
+                t.counts.get(kind, 0) for kind in event_kinds
+            )
+    for name in ("ring_enters", "ring_entries", "ring_parks",
+                 "ring_completes", "slowpath_total"):
+        assert obs[name] == counter(obs["counts"], name) == sum(
+            getattr(t, name) for t in tracers
         )
+    assert obs["ring_parks"] > 0 and obs["slowpath_total"] > 0
+    assert obs["ring_entries"] == (obs["counts"][K.RING_ENTRY]
+                                   + obs["counts"][K.RING_COMPLETE])
+    assert fleet.shard_downs == 1 and fleet.failovers >= 1
+    assert len(obs["health_per_shard"]) == 2
+    with pytest.raises(AttributeError):
+        fleet.ring_entries = 0
 
 
 def test_batched_ring_leg_crosses_once_per_request():

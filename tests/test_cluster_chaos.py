@@ -21,6 +21,7 @@ Four layers of coverage:
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -86,6 +87,52 @@ def test_chaos_off_reports_are_byte_identical(shards, processes):
                           retry=RetryPolicy(max_attempts=7))
     assert dumps(plain) == dumps(empty)
     assert dumps(plain) == dumps(retry_only)
+
+
+#: sha256 of ``dumps(report)`` for eight inline clusters (``warmup=4``),
+#: recorded before the chaos-off serve became round 0 of the retry loop.
+#: Cases 1-3 take the plain report shape, cases 4-8 the faulted one.
+PINNED_REPORTS = [
+    ({"shards": 2}, {"requests": 24},
+     "8fff75b7376753603d7d000228108c87cabbd4907b9264670bf28578bd77afe5"),
+    ({"shards": 3, "policy": "consistent_hash", "sessions": 8},
+     {"requests": 36},
+     "69ba8ebc0be5727a378e999726f2bf4027ab4f09d8ee7defbfd3bf968c8cc546"),
+    ({"shards": 2, "chaos": ChaosPlan([]), "retry": RetryPolicy()},
+     {"requests": 24},
+     "8fff75b7376753603d7d000228108c87cabbd4907b9264670bf28578bd77afe5"),
+    ({"shards": 4, "chaos": ChaosPlan(
+        [ShardFault(shard=1, kind="crash", at_request=2)])},
+     {"requests": 48},
+     "5340a9506b8d8b8a6ed1e1070290df0b7147c091e04ba6ca0c1480b165306630"),
+    ({"shards": 4, "tool": "lazypoline", "batched": "async",
+      "policy": "consistent_hash", "sessions": 16,
+      "session_miss_cycles": 80_000, "chaos": ChaosPlan(
+          [ShardFault(shard=2, kind="crash", at_request=3)])},
+     {"requests": 48, "connections": 4, "client_cycles_per_request": 120_000},
+     "d3d9099b2dfcbd0f2eb223e3ed974f4719a72839e1623f919946c77b47a79386"),
+    ({"shards": 2, "deadline_cycles": 250_000, "chaos": ChaosPlan(
+        [ShardFault(shard=0, kind="degraded", slow_cycles=300_000)])},
+     {"requests": 24},
+     "b0129d451e3d07ed4dbac8d63e49b67005daa211b95d3ac737f325e47c62f95f"),
+    ({"shards": 2, "deadline_cycles": 10_000_000}, {"requests": 24},
+     "ee6bf32c7a7e9d092191eb37cd246b37b7108380cd5369d6d343ff21cd56641a"),
+    ({"shards": 2, "batched": "async", "chaos": ChaosPlan(
+        [ShardFault(shard=1, kind="hang", at_request=2,
+                    deadline_cycles=3_000_000)])},
+     {"requests": 24},
+     "de37f3f46a5d5b3acdc080fb94cb6b3e1ee2f402e200a93082d073597344fde1"),
+]
+
+
+@pytest.mark.parametrize("cluster_kwargs,serve_kwargs,digest", PINNED_REPORTS,
+                         ids=[f"case{i}" for i in
+                              range(1, len(PINNED_REPORTS) + 1)])
+def test_reports_match_pinned_digests(cluster_kwargs, serve_kwargs, digest):
+    """Every report byte, chaos off and on, matches the pinned digest."""
+    report = Cluster(processes=False, **cluster_kwargs).serve(
+        warmup=4, **serve_kwargs)
+    assert hashlib.sha256(dumps(report).encode()).hexdigest() == digest
 
 
 # --------------------------------------------------------- crash failover

@@ -98,13 +98,22 @@ def test_sessionless_plan_unchanged_by_session_plumbing():
 
 
 def test_miss_schedule_aligns_with_per_shard_order():
-    lb = LoadBalancer(2, "round_robin")
-    counts = lb.plan(30, sessions=4)
-    extra = lb.miss_schedule(1000)
-    assert [len(x) for x in extra] == counts
+    """Each round-0 shard config's miss surcharge schedule covers exactly
+    its own requests' misses and migrations, in that shard's assignment
+    order."""
+    cluster = Cluster(shards=2, sessions=4, session_miss_cycles=1000)
+    configs = cluster.shard_configs(30)
+    lb = cluster.last_balancer
+    extra = [c["request_extra_cycles"] for c in configs]
+    assert [len(x) for x in extra] == [c["requests"] for c in configs]
+    for shard, cycles in enumerate(extra):
+        events = [e for s, e in zip(lb.assignments, lb.session_events)
+                  if s == shard]
+        assert cycles == [1000 if e in ("miss", "migrate") else 0
+                          for e in events]
     flagged = sum(1 for x in extra for cycles in x if cycles)
     stats = lb.session_stats()
-    assert flagged == stats["misses"] + stats["migrations"]
+    assert flagged == stats["misses"] + stats["migrations"] > 0
 
 
 # ------------------------------------------------------- report determinism

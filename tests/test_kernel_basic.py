@@ -8,6 +8,8 @@ from repro.arch.registers import RCX, R11
 from repro.kernel.machine import Machine
 from repro.kernel.syscalls.table import NR
 from repro.kernel import errno
+from repro.obs import events as K
+from repro.obs.tracer import Tracer
 
 from tests.conftest import asm, emit_exit, emit_syscall, finish, hello_image, run_program
 
@@ -199,9 +201,11 @@ def test_uname(machine):
 
 
 def test_syscall_log_when_tracing_enabled(machine):
-    machine.kernel.trace_syscalls = True
+    """An attached tracer logs every dispatched syscall as an event."""
+    tracer = Tracer()
+    machine.attach_tracer(tracer)
     run_program(machine, hello_image())
-    names = [nr for _tid, nr, _args, _ret in machine.kernel.syscall_log]
+    names = [e.data["sysno"] for e in tracer.events if e.kind == K.SYSCALL]
     assert NR["write"] in names
     assert NR["exit_group"] in names
 

@@ -1,6 +1,8 @@
-"""The unified attach API and its deprecated per-class shims."""
+"""The unified attach API: one entry point for every registered tool."""
 
 from __future__ import annotations
+
+import warnings
 
 import pytest
 
@@ -26,7 +28,9 @@ def test_registry_lists_every_tool():
 def test_attach_works_for_every_tool(tool):
     machine = Machine()
     process = machine.load(hello_image())
-    instance = attach(machine, process, tool)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # attach itself never warns
+        instance = attach(machine, process, tool)
     assert instance is not None
     assert type(instance).tool_name == tool
     code = machine.run_process(process)
@@ -103,7 +107,7 @@ def test_register_tool_extension_point():
         registry._REGISTRY.pop("faketool", None)
 
 
-# -------------------------------------------------------------- removed shims
+# ---------------------------------------------- attach replaces install
 def test_attach_replaces_lazypoline_install():
     machine = Machine()
     process = machine.load(hello_image())
@@ -130,8 +134,6 @@ def test_attach_replaces_seccomp_bpf_denylist():
 
 
 def test_attach_does_not_warn():
-    import warnings
-
     machine = Machine()
     process = machine.load(hello_image())
     with warnings.catch_warnings():

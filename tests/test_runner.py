@@ -2,9 +2,8 @@
 
 Covers the :func:`run_workload` protocol itself (registry, option
 validation, the :class:`Workload` protocol), the shared
-:func:`attach_mechanism` path, and that the legacy entry points
-(``run_scaled``, ``measure_ring``, ``measure_cycles_per_syscall``) are
-now thin wrappers producing the same numbers.
+:func:`attach_mechanism` path, and the ringbench/microbench workloads
+that ``measure_ring`` and ``measure_cycles_per_syscall`` difference.
 """
 
 from __future__ import annotations
@@ -105,16 +104,7 @@ def test_attach_mechanism_registry_tools():
     assert tool is not None
 
 
-# ----------------------------------------------------------- legacy wrappers
-def test_run_scaled_is_a_thin_wrapper():
-    from repro.workloads.webserver import SERVERS, run_scaled
-
-    old = run_scaled(SERVERS["nginx"], cores=1, requests=40, warmup=4)
-    new = run_workload("webserver", server="nginx", cores=1,
-                       requests=40, warmup=4)
-    assert old == new
-
-
+# ------------------------------------------------------ differenced workloads
 def test_measure_ring_through_runner():
     row = run_workload("ringbench", tool="lazypoline", enters=8, batch=4)
     assert row["ring_enters"] == 8

@@ -304,10 +304,12 @@ def test_events_carry_core_ids():
 @pytest.mark.smp
 def test_webserver_scales_across_cores():
     """Acceptance: guest-MIPS at cores=4 ≥ 2x the 1-core figure."""
-    from repro.workloads.webserver import NGINX, run_scaled
+    from repro.workloads.runner import run_workload
 
-    one = run_scaled(NGINX, cores=1, requests=120, warmup=12)
-    four = run_scaled(NGINX, cores=4, requests=120, warmup=12)
+    one = run_workload("webserver", server="nginx", cores=1, requests=120,
+                       warmup=12)
+    four = run_workload("webserver", server="nginx", cores=4, requests=120,
+                        warmup=12)
     assert four["guest_mips"] >= 2.0 * one["guest_mips"]
     assert four["requests_per_sec"] >= 2.0 * one["requests_per_sec"]
     # the prefork workers really ran on all four cores

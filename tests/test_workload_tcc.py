@@ -6,6 +6,8 @@ from repro.arch.decode import decode_one
 from repro.arch.isa import Mnemonic
 from repro.kernel.syscalls.table import NR
 from repro.mem.pages import Perm
+from repro.obs import events as K
+from repro.obs.tracer import Tracer
 from repro.workloads import tcc
 
 
@@ -64,9 +66,11 @@ def test_static_image_contains_no_getpid_site(machine):
 def test_source_file_is_actually_read(machine):
     tcc.setup_fs(machine)
     proc = machine.load(tcc.build_tcc_image())
-    machine.kernel.trace_syscalls = True
+    tracer = Tracer()
+    machine.attach_tracer(tracer)
     machine.run_process(proc)
     reads = [
-        entry for entry in machine.kernel.syscall_log if entry[1] == NR["read"]
+        e.data for e in tracer.events
+        if e.kind == K.SYSCALL and e.data["sysno"] == NR["read"]
     ]
-    assert reads and reads[0][3] == len(tcc.SOURCE_TEXT)
+    assert reads and reads[0]["ret"] == len(tcc.SOURCE_TEXT)
