@@ -2,7 +2,8 @@
 
 ``decode_one`` decodes exactly one instruction from a byte buffer.  It is the
 single source of truth for instruction semantics shared by the CPU, the
-linear-sweep disassembler, and the binary rewriters.
+linear-sweep disassembler, and the binary rewriters.  ``decode_cached`` is
+the CPU's front end to it: a process-wide memo keyed on the fetched bytes.
 
 Operand tuple layouts by mnemonic:
 
@@ -48,6 +49,32 @@ _S32 = struct.Struct("<i")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _U16 = struct.Struct("<H")
+
+
+#: Entries in the decode memo before a wholesale clear (as for the CPU's
+#: per-address-space translation caches).
+_DECODE_CAPACITY = 65536
+_decoded: dict[bytes, Instruction] = {}
+
+
+def decode_cached(window: bytes, addr: int = 0) -> Instruction:
+    """``decode_one(window, 0, addr)``, memoised on the window's bytes.
+
+    Sound because a decode depends on nothing but the bytes (``addr`` only
+    labels errors) and an :class:`Instruction` is immutable, so one memo
+    serves every address space in the process: a fresh guest of an
+    already-run image decodes nothing.  Staleness is not this memo's
+    concern — the key *is* the content, and callers still validate their
+    own per-address caches against page generations.  A window that fails
+    to decode raises before insertion, so it is never memoised.
+    """
+    insn = _decoded.get(window)
+    if insn is None:
+        insn = decode_one(window, 0, addr)
+        if len(_decoded) >= _DECODE_CAPACITY:
+            _decoded.clear()
+        _decoded[window] = insn
+    return insn
 
 
 def _s8(b: int) -> int:

@@ -43,7 +43,7 @@ syscall, five-byte arbitrary jump, byte-searchable code) are preserved.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class Mnemonic(str, enum.Enum):
@@ -141,21 +141,16 @@ class Instruction:
     size in bytes, which the CPU uses to advance ``rip`` and the rewriters
     use to check in-place-patchability.
 
-    ``handler`` and ``cost`` memoise the per-mnemonic execution handler and
-    cycle cost.  They are bound by the CPU when the instruction enters a
-    translation cache (see ``repro.cpu.core``), so the steady-state step is
-    fetch-check-generation -> charge -> call with no per-step table lookups.
-    A ``cost`` of None marks instructions (xsave/xrstor) whose cost depends
-    on per-task state and must be computed at execution time.  Both fields
-    are excluded from equality/repr: two decodes of the same bytes compare
-    equal whether or not they have been bound.
+    An instruction is a pure value of its bytes: frozen, with no execution
+    state attached.  That is what lets :func:`repro.arch.decode.decode_cached`
+    hand one object to every address space and every CPU in the process;
+    each CPU keeps its own handler and cycle cost in its translation-cache
+    entries (see ``repro.cpu.core``), never on the instruction.
     """
 
     mnemonic: Mnemonic
     operands: tuple
     length: int
-    handler: object = field(default=None, compare=False, repr=False)
-    cost: object = field(default=None, compare=False, repr=False)
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         ops = ", ".join(str(o) for o in self.operands)

@@ -29,6 +29,13 @@ else.  Removing execute permission or unmapping also bumps, which forces the
 next step through a real ``fetch`` and re-raises the page fault the uncached
 interpreter would have raised.  Failed decodes are never cached.
 
+A miss still fetches through the address space (so faults and generations
+are exactly the uncached interpreter's) but decodes the fetched bytes with
+:func:`~repro.arch.decode.decode_cached`, the process-wide content-keyed
+memo, so a fresh guest of an image already run in this process decodes
+nothing.  The uncached reference path calls ``decode_one`` directly, which
+keeps the plain decoder the reference the lockstep harnesses compare to.
+
 Execution itself dispatches through :data:`DISPATCH`, a dense list of
 per-mnemonic handler functions indexed by ``Mnemonic.op_index``; each cache
 entry carries its ``(handler, cost)`` pair so the steady-state step is
@@ -41,7 +48,7 @@ from __future__ import annotations
 import struct
 from typing import Protocol
 
-from repro.arch.decode import decode_one
+from repro.arch.decode import decode_cached, decode_one
 from repro.arch.isa import MAX_INSN_LEN, N_MNEMONICS, Instruction, Mnemonic
 from repro.arch.registers import (
     MASK64,
@@ -811,13 +818,10 @@ class CPU:
         failed decodes are never cached.
         """
         self.cache_misses += 1
-        window = mem.fetch(addr, MAX_INSN_LEN)
-        insn = decode_one(window, 0, addr)
+        insn = decode_cached(mem.fetch(addr, MAX_INSN_LEN), addr)
         op = insn.mnemonic.op_index
         handler = DISPATCH[op]
         cost = self._cost_table[op]
-        object.__setattr__(insn, "handler", handler)
-        object.__setattr__(insn, "cost", cost)
         gens = mem.exec_gen
         first = addr >> PAGE_SHIFT
         last = (addr + insn.length - 1) >> PAGE_SHIFT

@@ -70,7 +70,7 @@ down exactly the remote blocks spanning the patched page.
 
 from __future__ import annotations
 
-from repro.arch.decode import decode_one
+from repro.arch.decode import decode_cached
 from repro.arch.isa import MAX_INSN_LEN, NOP_BYTE, Mnemonic
 from repro.cpu.costs import block_batchable
 from repro.errors import InvalidOpcode, PageFault
@@ -292,11 +292,14 @@ _RSP = 4
 
 
 def _decode_run(mem, head):
-    """Decode the straight-line run at ``head`` (no caches touched).
+    """Decode the straight-line run at ``head`` (no address-space cache
+    touched).
 
     Deliberately bypasses ``mem.insn_cache`` — compilation must not
     perturb tier-1 cache contents, or hit/miss counts and SMP shootdown
-    charges would differ between tiering on and off.  Stops at the first
+    charges would differ between tiering on and off.  It shares the
+    content-keyed ``decode_cached`` memo with tier 1, which holds no
+    per-space state and so perturbs nothing.  Stops at the first
     non-straight-line opcode, at a compiled-in terminator, at the block
     cap, or where decoding itself would fault (execution reaching that
     point side-exits and faults identically on the tier-1 path).  A run
@@ -307,8 +310,7 @@ def _decode_run(mem, head):
     p0 = head >> PAGE_SHIFT
     while len(insns) < BLOCK_CAP:
         try:
-            window = mem.fetch(addr, MAX_INSN_LEN)
-            insn = decode_one(window, 0, addr)
+            insn = decode_cached(mem.fetch(addr, MAX_INSN_LEN), addr)
         except (PageFault, InvalidOpcode):
             break
         if (addr + insn.length - 1) >> PAGE_SHIFT > p0 + 1:

@@ -24,6 +24,7 @@ assembly):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from repro.arch.encode import Assembler
@@ -50,6 +51,7 @@ class LazypolineBlobs:
     noop_ret: int
 
 
+@functools.lru_cache(maxsize=64)
 def build_blobs(
     *,
     generic_hcall: int,
@@ -60,6 +62,13 @@ def build_blobs(
     base: int = 0,
 ) -> LazypolineBlobs:
     """Assemble the blob page at ``base`` (0 for the paper's VA-0 page).
+
+    Memoised: the page is a pure function of the keyword arguments, and
+    the result is frozen (``code`` is ``bytes``), so every attach with the
+    same hcall ids, xstate/pkey configuration and base shares one
+    assembled page instead of re-assembling the 512-nop sled.  A fresh
+    machine registers its hcalls in the same order, so after the first
+    attach in a process every later one is a hit.
 
     A non-zero base is the SUD_ONLY degradation layout: every entry point
     (SIGSYS handler, wrapper, restorers, trampoline) works anywhere, but

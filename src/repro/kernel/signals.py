@@ -24,11 +24,23 @@ entry)::
           +200  xsave area     (XSAVE_AREA_SIZE bytes, all components)
 
 The handler receives ``rdi = signo``, ``rsi = &siginfo``, ``rdx = &ucontext``.
+
+The frame moves in bulk: delivery writes two runs, ``[0, 36)`` (return
+address and siginfo) and ``[48, FRAME_SIZE)`` (ucontext and xsave area),
+each packed by one ``struct.Struct`` and stored with one ``mem.write``;
+the 12-byte gap ``[36, 48)`` is never written, so it keeps whatever the
+stack held.  sigreturn reads the ucontext back with one ``mem.read``.
+Every field is masked to its width exactly as the typed ``write_u32`` /
+``write_u64`` accessors would.  A run that faults is written not at all,
+and a sigreturn whose read faults restores nothing (the address space
+checks a whole access before moving any of it).
 """
 
 from __future__ import annotations
 
-from repro.arch.registers import XComponent
+import struct
+
+from repro.arch.registers import MASK64, XComponent
 from repro.cpu.core import XSAVE_AREA_SIZE, xrstor_apply, xsave_serialize
 from repro.kernel.task import SIG_DFL, SIG_IGN, PendingSignal, Task
 
@@ -98,6 +110,15 @@ FRAME_SIZE = (FRAME_UCONTEXT + UCONTEXT_SIZE + 15) & ~15
 
 #: x86-64 audit arch value, reported in siginfo.arch.
 AUDIT_ARCH_X86_64 = 0xC000003E
+
+#: ``[0, 36)``: return address, then signo/code/addr/syscall/arch/errno.
+_HEAD = struct.Struct("<QIIQIII")
+#: ``[48, FRAME_SIZE)``: 16 gprs, rip, flags, gs_base, sigmask, xsave area.
+_UCONTEXT = struct.Struct(f"<20Q{XSAVE_AREA_SIZE}s")
+assert _HEAD.size == SI_ERRNO + 4 and _UCONTEXT.size == UCONTEXT_SIZE
+assert FRAME_UCONTEXT + UCONTEXT_SIZE == FRAME_SIZE
+#: Every frame saves every xstate component.
+_ALL_XSTATE = XComponent.all()
 
 
 def signal_name(sig: int) -> str:
@@ -182,29 +203,30 @@ class SignalDelivery:
 
         frame_base = ((regs.read(4) - 128 - FRAME_SIZE) & ~15)  # rsp, redzone
         restorer = action.restorer or kernel.default_restorer(task)
-        mem.write_u64(frame_base + FRAME_RETADDR, restorer, check=None)
+        mem.write(frame_base, _HEAD.pack(
+            restorer & MASK64,
+            sig & 0xFFFFFFFF,
+            info.get("code", 0) & 0xFFFFFFFF,
+            info.get("addr", 0) & MASK64,
+            info.get("syscall", 0) & 0xFFFFFFFF,
+            AUDIT_ARCH_X86_64,
+            info.get("errno", 0) & 0xFFFFFFFF,
+        ), check=None)
 
-        # siginfo
-        mem.write_u32(frame_base + SI_SIGNO, sig, check=None)
-        mem.write_u32(frame_base + SI_CODE, info.get("code", 0), check=None)
-        mem.write_u64(frame_base + SI_ADDR, info.get("addr", 0), check=None)
-        mem.write_u32(frame_base + SI_SYSCALL, info.get("syscall", 0), check=None)
-        mem.write_u32(frame_base + SI_ARCH, AUDIT_ARCH_X86_64, check=None)
-        mem.write_u32(frame_base + SI_ERRNO, info.get("errno", 0), check=None)
-
-        # ucontext: the interrupted machine context
+        # ucontext: the interrupted machine context.  The flags word holds
+        # zf/lt in the low bits and PKRU in the high 32 (PKRU is xstate on
+        # real hardware and travels with the frame).
         uc = frame_base + FRAME_UCONTEXT
-        for i, value in enumerate(regs.gpr):
-            mem.write_u64(uc + UC_GPRS + 8 * i, value, check=None)
-        mem.write_u64(uc + UC_RIP, regs.rip, check=None)
-        # flags word: zf/lt in the low bits, PKRU in the high 32 (PKRU is
-        # xstate on real hardware and travels with the frame).
         flags = (1 if regs.zf else 0) | (2 if regs.lt else 0)
         flags |= (regs.pkru & 0xFFFFFFFF) << 32
-        mem.write_u64(uc + UC_FLAGS, flags, check=None)
-        mem.write_u64(uc + UC_GSBASE, regs.gs_base, check=None)
-        mem.write_u64(uc + UC_SIGMASK, task.sigmask, check=None)
-        mem.write(uc + UC_XSTATE, xsave_serialize(regs, XComponent.all()), check=None)
+        mem.write(uc, _UCONTEXT.pack(
+            *[value & MASK64 for value in regs.gpr],
+            regs.rip & MASK64,
+            flags,
+            regs.gs_base & MASK64,
+            task.sigmask & MASK64,
+            xsave_serialize(regs, _ALL_XSTATE),
+        ), check=None)
 
         # switch to the handler
         regs.write(4, frame_base)  # rsp
@@ -231,15 +253,15 @@ class SignalDelivery:
         kernel.charge(task, kernel.costs.sigreturn_work)
 
         frame_base = regs.read(4) - 8  # rsp
-        uc = frame_base + FRAME_UCONTEXT
-        for i in range(16):
-            regs.gpr[i] = mem.read_u64(uc + UC_GPRS + 8 * i, check=None)
-        regs.rip = mem.read_u64(uc + UC_RIP, check=None)
-        flags = mem.read_u64(uc + UC_FLAGS, check=None)
+        *gprs, rip, flags, gs_base, sigmask, xarea = _UCONTEXT.unpack(
+            mem.read(frame_base + FRAME_UCONTEXT, UCONTEXT_SIZE, check=None)
+        )
+        regs.gpr[:] = gprs
+        regs.rip = rip
         regs.zf = bool(flags & 1)
         regs.lt = bool(flags & 2)
         regs.pkru = (flags >> 32) & 0xFFFFFFFF
         mem.active_pkru = regs.pkru
-        regs.gs_base = mem.read_u64(uc + UC_GSBASE, check=None)
-        task.sigmask = mem.read_u64(uc + UC_SIGMASK, check=None)
-        xrstor_apply(regs, mem.read(uc + UC_XSTATE, XSAVE_AREA_SIZE, check=None))
+        regs.gs_base = gs_base
+        task.sigmask = sigmask
+        xrstor_apply(regs, xarea)

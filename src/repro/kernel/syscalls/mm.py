@@ -20,14 +20,8 @@ MAP_ANONYMOUS = 0x20
 
 
 def prot_to_perm(prot: int) -> Perm:
-    perm = Perm.NONE
-    if prot & PROT_READ:
-        perm |= Perm.R
-    if prot & PROT_WRITE:
-        perm |= Perm.W
-    if prot & PROT_EXEC:
-        perm |= Perm.X
-    return perm
+    # Perm's bits are the PROT bits, so the conversion is one mask.
+    return Perm(prot & (PROT_READ | PROT_WRITE | PROT_EXEC))
 
 
 def _charge_pages(kernel, task, length: int) -> None:

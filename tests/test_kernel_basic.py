@@ -182,6 +182,19 @@ def test_mprotect_makes_page_readonly(machine):
     assert proc.term_signal == SIGSEGV
 
 
+@pytest.mark.parametrize("prot", [*range(16), 0xFF, (1 << 64) - 1, -1])
+def test_prot_to_perm_matches_bitwise_reference(prot):
+    from repro.kernel.syscalls.mm import prot_to_perm
+    from repro.mem.pages import Perm
+
+    expected = Perm.NONE
+    for bit, perm in ((1, Perm.R), (2, Perm.W), (4, Perm.X)):
+        if prot & bit:
+            expected |= perm
+    got = prot_to_perm(prot)
+    assert type(got) is Perm and got == expected
+
+
 def test_uname(machine):
     a = asm()
     a.label("_start")
