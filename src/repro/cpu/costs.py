@@ -21,8 +21,8 @@ from repro.arch.isa import N_MNEMONICS, Mnemonic
 
 _M = Mnemonic
 
-#: Default per-instruction cycle costs by mnemonic.  Fractional values are
-#: allowed: the trampoline sled's nops retire ~4 per cycle on the modelled
+#: Default per-instruction cycle costs by mnemonic.  Quarter-cycle values
+#: are allowed: the trampoline sled's nops retire ~4 per cycle on the modelled
 #: out-of-order core, which is what keeps the zpoline slide cheap even for
 #: low syscall numbers (the paper's microbenchmark picks syscall 500 to
 #: enter the sled at its tail and minimise even that).
@@ -110,7 +110,8 @@ class CostModel:
     #: CPU frequency (Hz) used to convert cycles to time/throughput.
     frequency_hz: float = 2.10e9
 
-    #: Per-mnemonic instruction costs (cycles; fractions allowed).
+    #: Per-mnemonic instruction costs (cycles; quarter-cycle multiples,
+    #: see :meth:`refresh_tables`).
     insn_costs: dict[Mnemonic, float] = field(
         default_factory=lambda: dict(DEFAULT_INSN_COSTS)
     )
@@ -193,11 +194,26 @@ class CostModel:
 
         Call after mutating ``insn_costs`` / ``xsave_base`` /
         ``xsave_per_component`` in place (tests do this to recalibrate).
+
+        Every instruction cost must be a non-negative multiple of 0.25
+        below 2**40 (``ValueError`` otherwise).  The tier-1 path charges
+        each instruction separately, so the running clock is the
+        *sequential* float sum of the costs; a compiled block or a nop
+        slide charges one precomputed total.  With such costs each
+        partial sum is an exact dyadic rational K/4 with K < 2**52, every
+        float addition along the way is exact, and the batched total
+        equals the sequential sum bit for bit.  All DEFAULT_INSN_COSTS
+        qualify (integers plus the 0.25-cycle NOP).
         """
         # Dense per-mnemonic cost list indexed by op_index; None marks
         # mnemonics absent from insn_costs so lookups still raise KeyError.
         table: list[float | None] = [None] * N_MNEMONICS
         for m, cost in self.insn_costs.items():
+            if not (0 <= cost < 1 << 40 and (cost * 4) % 1 == 0):
+                raise ValueError(
+                    f"{m.name} cost {cost!r} is not a non-negative "
+                    f"multiple of 0.25 below 2**40"
+                )
             table[m.op_index] = cost
         self._insn_cost_table = table
         # xsave/xrstor cost for the common component counts (0..3).
@@ -230,19 +246,3 @@ class CostModel:
     def cycles_to_seconds(self, cycles: int | float) -> float:
         return cycles / self.frequency_hz
 
-
-def block_batchable(costs) -> bool:
-    """May a superblock fold these per-insn charges into one batched sum?
-
-    The tier-1 path charges each instruction separately, so the running
-    clock is the *sequential* float sum of the costs; a compiled block
-    charges one precomputed total per exit.  The two are bit-identical
-    when every cost is a non-negative multiple of 0.25 below 2**40: each
-    partial sum is then an exact dyadic rational K/4 with K < 2**52, every
-    float addition along the way is exact, and the batched total equals
-    the sequential sum exactly.  All DEFAULT_INSN_COSTS qualify (integers
-    plus the 0.25-cycle NOP).  Anything else — e.g. a calibrated model
-    with arbitrary float costs — fails the gate and the block compiler
-    falls back to per-instruction charges, trading speed for identity.
-    """
-    return all(0 <= c < 1 << 40 and (c * 4) % 1 == 0 for c in costs)

@@ -15,8 +15,9 @@ A superblock is a maximal straight-line run starting at a hot *head*:
 * registers the block touches are hoisted into Python locals and spilled
   back at every exit,
 * the per-instruction cycle charges are folded into one batched
-  ``charge`` call per exit (see :func:`repro.cpu.costs.block_batchable`
-  for why the batched float sum is bit-identical to per-step charging),
+  ``charge`` call per exit (see
+  :meth:`repro.cpu.costs.CostModel.refresh_tables` for why the batched
+  float sum is bit-identical to per-step charging),
 * anything that can observe or change machine state mid-run — syscalls,
   hcalls, hlt, ``wrgsbase``/``wrpkru``, xsave/xrstor, vector/x87 state —
   terminates the block: those instructions always execute on the tier-1
@@ -54,9 +55,9 @@ machine state — plus four of its own:
 * generation-checked: :meth:`BlockCache.nop_run` records each run under
   its page's exec generation, so SMC, ``mprotect`` and ``munmap`` of the
   page fall back to a fresh scan and exact single-step semantics;
-* batchable cost: ``k`` charges of the ``nop`` cost sum exactly to one
-  charge of ``k`` times it (:func:`repro.cpu.costs.block_batchable`);
-  otherwise the slide stays off.
+* exact cost: ``k`` charges of the ``nop`` cost sum exactly to one
+  charge of ``k`` times it (a quarter-cycle multiple, which
+  :meth:`repro.cpu.costs.CostModel.refresh_tables` enforces).
 
 Validity is keyed by the same per-page generation counters that guard the
 tier-1 cache: a block records ``(page, gen)`` for the one or two pages its
@@ -72,7 +73,6 @@ from __future__ import annotations
 
 from repro.arch.decode import decode_cached
 from repro.arch.isa import MAX_INSN_LEN, NOP_BYTE, Mnemonic
-from repro.cpu.costs import block_batchable
 from repro.errors import InvalidOpcode, PageFault
 from repro.mem.pages import PAGE_SHIFT, PAGE_SIZE
 
@@ -141,8 +141,7 @@ class BlockCache:
     ``cost_epoch`` snapshots :attr:`CPU.cost_epoch` — blocks bake their
     cycle costs in, so a recalibrated cost model drops the whole cache
     (checked once per slice, never per instruction).  ``nop_cost`` is the
-    per-``nop`` charge a slide multiplies, or ``None`` when that cost is
-    not batchable and the slide must stay off.
+    per-``nop`` charge a slide multiplies.
     """
 
     __slots__ = ("blocks", "index", "heads", "runs", "cost_epoch", "nop_cost")
@@ -152,8 +151,8 @@ class BlockCache:
         self.index: dict[int, set] = {}
         self.heads: dict[int, int] = {}
         self.runs: dict[int, tuple[int, int, int]] = {}
-        self.cost_epoch = -1
-        self.nop_cost = None
+        self.cost_epoch = -1  # forces a reset() before first use
+        self.nop_cost = 0
 
     def reset(self, cost_epoch: int, cost_table) -> None:
         self.blocks.clear()
@@ -161,8 +160,7 @@ class BlockCache:
         self.heads.clear()
         self.runs.clear()
         self.cost_epoch = cost_epoch
-        nop = cost_table[Mnemonic.NOP.op_index]
-        self.nop_cost = nop if block_batchable((nop,)) else None
+        self.nop_cost = cost_table[Mnemonic.NOP.op_index]
 
     def nop_run(self, mem, addr: int):
         """Scan and record the nop run starting at ``addr``.
@@ -439,7 +437,6 @@ def compile_block(mem, head, cost_table, max_len=None):
     end_rip = last_addr + last_insn.length
 
     costs = [cost_table[insn.mnemonic.op_index] for _, insn in insns]
-    batch = block_batchable(costs)
 
     e = _Emitter()
     can_fault = False
@@ -522,7 +519,8 @@ def compile_block(mem, head, cost_table, max_len=None):
     )
 
     # Body.  ``running`` replays the exact cumulative charge the tier-1
-    # path would have applied after each instruction (see block_batchable).
+    # path would have applied after each instruction (exact: see
+    # CostModel.refresh_tables).
     running = 0
     n = len(insns)
     for k, (addr, insn) in enumerate(insns):
@@ -530,18 +528,15 @@ def compile_block(mem, head, cost_table, max_len=None):
         ops = insn.operands
         running = running + costs[k]
         is_term = k == n - 1 and m in _TERMINATORS
-        if not batch:
-            e.emit(f"charge(task, {costs[k]!r})")
         if m in _MEM_OPS:
             e.materialize()  # the fault path spills architectural flags
             fk = f"_F{k}"
             # A faulting terminator (ret/call) spills and charges its full
             # batched total *before* touching memory, so its fault tuple
             # must not charge again; a mid-block fault is the only charge.
-            e.consts[fk] = (addr, running if batch and not is_term else 0, k + 1)
+            e.consts[fk] = (addr, 0 if is_term else running, k + 1)
             e.emit(f"_f = {fk}")
-        charge_k = repr(running) if batch else "0"
-        exit_cyc = charge_k
+        exit_cyc = repr(running)
         next_addr = addr + insn.length
 
         if m is Mnemonic.NOP:
@@ -640,8 +635,7 @@ def compile_block(mem, head, cost_table, max_len=None):
             e.materialize()
             for line in e.spill():
                 e.lines.append(line)
-            if batch:
-                e.emit(f"charge(task, {running!r})")
+            e.emit(f"charge(task, {running!r})")
             if m is Mnemonic.RET:
                 e.emit("_v = mem.read_u64(r4)")
                 e.emit(f"g[4] = (r4 + 8) & {_M64}")
@@ -672,8 +666,7 @@ def compile_block(mem, head, cost_table, max_len=None):
         e.materialize()
         for line in e.spill():
             e.lines.append(line)
-        if batch:
-            e.emit(f"charge(task, {running!r})")
+        e.emit(f"charge(task, {running!r})")
         e.emit(f"regs.rip = {end_rip}")
         e.emit(f"return {n}")
 

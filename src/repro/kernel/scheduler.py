@@ -236,7 +236,6 @@ class Scheduler:
                             # slides at once (see the nop slide below).
                             r = runs.get(addr)
                             if (r is not None and r[0] > addr
-                                    and nop_cost is not None
                                     and gens.get(r[1], 0) == r[2]):
                                 executed = self._slide(
                                     task, addr, r[0], budget, nop_cost)
@@ -361,10 +360,9 @@ class Scheduler:
                         # dispatch — rip += k, one charge of k nops.
                         # Sound like a block chain (a nop can change
                         # nothing a boundary check reads), page- and
-                        # quantum-bounded, generation-checked, and only
-                        # with a batchable nop cost; see
+                        # quantum-bounded and generation-checked; see
                         # repro.cpu.superblock.
-                        if nop_cost is not None and executed < budget:
+                        if executed < budget:
                             r = runs.get(nrip)
                             if r is None or gens.get(r[1], 0) != r[2]:
                                 r = bcache.nop_run(mem, nrip)

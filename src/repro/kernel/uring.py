@@ -90,6 +90,18 @@ Synchronous and asynchronous drains of the same op list are
 and posts the same result value to the same CQ slot — only the order in
 which CQEs appear (and the guest's ability to overlap) differs.
 
+Both modes run one drain loop (:func:`_drain`) through one per-entry
+gate (:func:`_gate_entry`: allowlist, result links, seccomp).  The sync
+drain is *not* the async drain with ``min_complete`` = all: the loop
+branches on the mode where the two really differ, and only there:
+
+* a blocking entry stalls a sync drain in :meth:`Kernel.dispatch_blocking`
+  (so a later entry's result link always finds a posted CQE); async
+  parks it, and its link dependents, and moves on;
+* sync ties ``cq_tail`` to ``sq_head``, so a SIGSYS handler that rewinds
+  ``sq_head`` to retry a trapped entry overwrites its stale CQE instead
+  of counting it twice; async counts posted CQEs.
+
 Interposition tools see a *single* ``ring_enter`` crossing — one SUD
 selector read, one sled transit, one rewrite, one ptrace stop pair — no
 matter how many entries it drains.  Per-entry attribution is preserved in
@@ -183,7 +195,7 @@ RINGABLE_NAMES = (
 RINGABLE = frozenset(NR[name] for name in RINGABLE_NAMES)
 
 
-# ------------------------------------------------------------------- drain
+# ----------------------------------------------------------------- entries
 def _resolve_args(mem, cq_base: int, capacity: int, raw_args) -> tuple | int:
     """Substitute result links; -ECANCELED if a linked result is negative."""
     resolved = []
@@ -202,9 +214,13 @@ def _resolve_args(mem, cq_base: int, capacity: int, raw_args) -> tuple | int:
     return tuple(resolved)
 
 
-def _execute_entry(kernel, task, sysno: int, raw_args, cq_base: int,
-                   capacity: int) -> int:
-    """Run one SQE through gate + dispatch; always returns a result."""
+def _gate_entry(kernel, task, sysno: int, raw_args, cq_base: int,
+                capacity: int) -> tuple | int:
+    """Allowlist, result links, then the seccomp gate for one SQE.
+
+    Returns the resolved arguments when the entry may dispatch, or its
+    final result when the gate already decided it.
+    """
     if sysno not in RINGABLE:
         return -errno.EINVAL
     args = _resolve_args(task.mem, cq_base, capacity, raw_args)
@@ -219,24 +235,26 @@ def _execute_entry(kernel, task, sysno: int, raw_args, cq_base: int,
         # the entry with -EINTR so the drain makes forward progress; the
         # pending signal stops the drain at the top of the loop.
         return -errno.EINTR
-    ret = kernel.dispatch_blocking(task, sysno, args)
-    return 0 if ret is None else ret
+    return args
 
 
-# ------------------------------------------------------------- async drain
-#: Sentinel: the waiter's dispatch blocked (again); it stays parked.
-_STILL_PARKED = object()
-
-
-def _post_cqe(mem, ring: int, cq_base: int, slot: int, res: int,
+def _post_cqe(mem, cq_base: int, slot: int, res: int,
               user_data: int) -> None:
-    """Post one CQE and advance the published ``cq_tail`` (async mode:
-    ``cq_tail`` counts completions, which may land out of slot order)."""
     cqe = cq_base + slot * CQE_SIZE
     mem.write_u64(cqe + CQE_RES, res & MASK64, check="write")
     mem.write_u64(cqe + CQE_USER_DATA, user_data, check="write")
+
+
+def _count_cqe(mem, ring: int) -> None:
+    """Advance the published ``cq_tail`` by one (async mode: ``cq_tail``
+    counts completions, which may land out of slot order)."""
     cq_tail = mem.read_u64(ring + HDR_CQ_TAIL, check="read")
     mem.write_u64(ring + HDR_CQ_TAIL, cq_tail + 1, check="write")
+
+
+# ----------------------------------------------------------- parked entries
+#: Sentinel: the entry's dispatch blocked (again); no CQE posts yet.
+_PARKED = object()
 
 
 def _link_deps(task, ring: int, raw_args) -> set:
@@ -283,36 +301,28 @@ def _park_entry(kernel, task, *, ring, slot, index, sysno, raw_args,
 
 
 def _dispatch_waiter(kernel, task, waiter):
-    """(Re-)dispatch a waiter's syscall; ``_STILL_PARKED`` if it blocks."""
+    """(Re-)dispatch a waiter's syscall; ``_PARKED`` if it blocks."""
     try:
         ret = kernel.dispatch(task, waiter.sysno, waiter.args)
     except WouldBlock as block:
         waiter.ready = block.ready
-        return _STILL_PARKED
+        return _PARKED
     return 0 if ret is None else ret
 
 
 def _start_waiter(kernel, task, waiter):
     """First execution of a dependency-parked entry (deps resolved).
 
-    Mirrors :func:`_execute_entry`'s gate sequence, but dispatches
-    non-blockingly — a block re-parks the waiter on its own predicate.
+    The drain's gate, then a non-blocking dispatch — a block re-parks the
+    waiter on its own predicate.
     """
-    if waiter.sysno not in RINGABLE:
-        return -errno.EINVAL
     try:
-        args = _resolve_args(task.mem, waiter.cq_base, waiter.capacity,
-                             waiter.raw_args)
+        args = _gate_entry(kernel, task, waiter.sysno, waiter.raw_args,
+                           waiter.cq_base, waiter.capacity)
     except PageFault:
         return -errno.EFAULT
     if isinstance(args, int):
         return args
-    gate = kernel._interception_gate(task, waiter.sysno, args, insn_addr=0,
-                                     sud=False)
-    if isinstance(gate, tuple):
-        return gate[1]
-    if gate == "handled":
-        return -errno.EINTR
     waiter.args = args
     return _dispatch_waiter(kernel, task, waiter)
 
@@ -320,8 +330,9 @@ def _start_waiter(kernel, task, waiter):
 def _complete_waiter(kernel, task, waiter, res: int) -> None:
     """Post the waiter's CQE and release any entries that depend on it."""
     try:
-        _post_cqe(task.mem, waiter.ring, waiter.cq_base, waiter.slot, res,
+        _post_cqe(task.mem, waiter.cq_base, waiter.slot, res,
                   waiter.user_data)
+        _count_cqe(task.mem, waiter.ring)
     except PageFault:
         pass  # ring unmapped since parking; the completion is dropped
     task.ring_waiters.remove(waiter)
@@ -377,7 +388,7 @@ def complete_ring_waiters(kernel, task) -> int:
                 res = _dispatch_waiter(kernel, task, waiter)
             else:
                 continue
-            if res is _STILL_PARKED or not task.alive:
+            if res is _PARKED or not task.alive:
                 continue
             _complete_waiter(kernel, task, waiter, res)
             completed += 1
@@ -385,22 +396,24 @@ def complete_ring_waiters(kernel, task) -> int:
     return completed
 
 
-def _submit_async(kernel, task, ring, sq_head, pending, sq_cap, sq_base,
-                  cq_base):
-    """Consume up to ``pending`` SQEs without ever blocking the drain.
+# ------------------------------------------------------------------- drain
+def _drain(kernel, task, ring, sq_head, pending, sq_cap, is_async):
+    """Consume up to ``pending`` SQEs: fetch, charge, gate, run, post.
 
-    Returns ``(completed, consumed, fault)``; ``fault`` is True when the
-    ring itself faulted mid-drain (the caller maps that to ``-EFAULT``
-    only if nothing was consumed, mirroring the synchronous drain).
+    Returns ``(completed, consumed, faulted)``; ``faulted`` is True when
+    the ring itself faulted mid-drain (the caller maps that to
+    ``-EFAULT`` only if nothing was consumed).
     """
     mem = task.mem
     costs = kernel.costs
     tracer = kernel.tracer
-    completed = 0
-    consumed = 0
+    sq_base = ring + HEADER_SIZE
+    cq_base = sq_base + sq_cap * SQE_SIZE
+    completed = consumed = 0
     while consumed < pending and task.alive:
-        # Same signal semantics as the synchronous drain: a deliverable
-        # signal stops submission between entries, never before the first.
+        # A deliverable signal stops the drain between entries — the same
+        # way it interrupts a blocking syscall — but never before the
+        # first entry, so a re-entered ring always makes progress.
         if consumed and task.has_deliverable_signal():
             break
         slot = sq_head % sq_cap
@@ -416,57 +429,58 @@ def _submit_async(kernel, task, ring, sq_head, pending, sq_cap, sq_base,
             user_data = mem.read_u64(sqe + SQE_USER_DATA, check="read")
         except PageFault:
             return completed, consumed, True
-        parked = False
-        res = -errno.EINVAL
-        deps = _link_deps(task, ring, raw_args)
+        deps = _link_deps(task, ring, raw_args) if is_async else None
         if deps:
             _park_entry(kernel, task, ring=ring, slot=slot, index=sq_head,
                         sysno=sysno, raw_args=raw_args, user_data=user_data,
                         cq_base=cq_base, capacity=sq_cap, deps=deps)
-            parked = True
-        elif sysno in RINGABLE:
-            args = _resolve_args(mem, cq_base, sq_cap, raw_args)
+            res = _PARKED
+        else:
+            args = _gate_entry(kernel, task, sysno, raw_args, cq_base, sq_cap)
             if isinstance(args, int):
                 res = args
+            elif not is_async:
+                res = kernel.dispatch_blocking(task, sysno, args)
             else:
-                gate = kernel._interception_gate(task, sysno, args,
-                                                 insn_addr=0, sud=False)
-                if isinstance(gate, tuple):
-                    res = gate[1]
-                elif gate == "handled":
-                    res = -errno.EINTR
-                else:
-                    try:
-                        ret = kernel.dispatch(task, sysno, args)
-                        res = 0 if ret is None else ret
-                    except WouldBlock as block:
-                        _park_entry(kernel, task, ring=ring, slot=slot,
-                                    index=sq_head, sysno=sysno,
-                                    raw_args=raw_args, user_data=user_data,
-                                    cq_base=cq_base, capacity=sq_cap,
-                                    deps=set(), args=args,
-                                    ready=block.ready)
-                        parked = True
+                try:
+                    res = kernel.dispatch(task, sysno, args)
+                except WouldBlock as block:
+                    _park_entry(kernel, task, ring=ring, slot=slot,
+                                index=sq_head, sysno=sysno,
+                                raw_args=raw_args, user_data=user_data,
+                                cq_base=cq_base, capacity=sq_cap,
+                                deps=set(), args=args, ready=block.ready)
+                    res = _PARKED
+            if res is None:
+                res = 0
         if not task.alive:
             break
         try:
-            if not parked:
-                _post_cqe(mem, ring, cq_base, slot, res, user_data)
+            if res is not _PARKED:
+                _post_cqe(mem, cq_base, slot, res, user_data)
+                if is_async:
+                    _count_cqe(mem, ring)
             sq_head += 1
+            # Publish per entry so a partially drained ring is always
+            # observable and resumable by the guest.
             mem.write_u64(ring + HDR_SQ_HEAD, sq_head, check="write")
+            if not is_async:
+                # cq_tail coupled to sq_head (see the module docstring)
+                mem.write_u64(ring + HDR_CQ_TAIL, sq_head, check="write")
         except PageFault:
             return completed, consumed, True
         consumed += 1
-        if not parked:
-            completed += 1
-            if tracer is not None:
-                tracer.ring_entry(
-                    kernel.clock, task.tid, index=sq_head - 1, sysno=sysno,
-                    name=syscall_name(sysno), ret=res, user_data=user_data,
-                    cycles=kernel.clock - entry_start,
-                )
-            if res == -errno.EINTR and task.has_deliverable_signal():
-                break
+        if res is _PARKED:
+            continue
+        completed += 1
+        if tracer is not None:
+            tracer.ring_entry(
+                kernel.clock, task.tid, index=sq_head - 1, sysno=sysno,
+                name=syscall_name(sysno), ret=res, user_data=user_data,
+                cycles=kernel.clock - entry_start,
+            )
+        if res == -errno.EINTR and task.has_deliverable_signal():
+            break  # the interrupted entry's CQE is posted; handler runs next
     return completed, consumed, False
 
 
@@ -485,7 +499,6 @@ def sys_ring_enter(kernel, task, args):
     try:
         sq_head = mem.read_u64(ring + HDR_SQ_HEAD, check="read")
         sq_tail = mem.read_u64(ring + HDR_SQ_TAIL, check="read")
-        cq_tail = mem.read_u64(ring + HDR_CQ_TAIL, check="read")
         sq_cap = mem.read_u64(ring + HDR_SQ_CAP, check="read")
         cq_cap = mem.read_u64(ring + HDR_CQ_CAP, check="read")
     except PageFault:
@@ -498,104 +511,40 @@ def sys_ring_enter(kernel, task, args):
     if to_submit:
         pending = min(pending, to_submit)
 
-    tracer = kernel.tracer
-    drain_start = kernel.clock if tracer is not None else 0
-    costs = kernel.costs
-    sq_base = ring + HEADER_SIZE
-    cq_base = ring + HEADER_SIZE + sq_cap * SQE_SIZE
-
-    if is_async:
-        completed = parked = 0
-        if pending:
-            completed, consumed, faulted = _submit_async(
-                kernel, task, ring, sq_head, pending, sq_cap, sq_base,
-                cq_base,
-            )
-            if not task.alive:
-                return None
-            parked = consumed - completed
-            if tracer is not None:
-                tracer.ring_enter(
-                    kernel.clock, task.tid, submitted=pending,
-                    completed=completed, cycles=kernel.clock - drain_start,
-                    parked=parked,
-                )
-            if faulted and consumed == 0:
-                return -errno.EFAULT
-        if min_complete:
-            # ring_wait: block (interruptibly, like any blocking syscall)
-            # until the published cq_tail reaches min_complete.  The
-            # readiness predicate drives the parked entries itself, so
-            # waiting is what makes their wakeups fire.
-            def cq_ready():
-                complete_ring_waiters(kernel, task)
-                try:
-                    tail = mem.read_u64(ring + HDR_CQ_TAIL, check="read")
-                except PageFault:
-                    return True
-                if tail >= min_complete:
-                    return True
-                # Nothing parked can ever post another CQE: waiting more
-                # would deadlock, so the call returns short instead.
-                return not task.ring_waiters
-            if not cq_ready():
-                raise WouldBlock(cq_ready)
-        return drive_completed + completed
-
-    if pending == 0:
-        return 0
     completed = 0
-    while completed < pending and task.alive:
-        # A deliverable signal stops the drain between entries — the same
-        # way it interrupts a blocking syscall — but never before the
-        # first entry, so a re-entered ring always makes progress.
-        if completed and task.has_deliverable_signal():
-            break
-        slot = sq_head % sq_cap
-        entry_start = kernel.clock
-        kernel.charge(task, costs.uring_per_entry)
-        try:
-            sqe = sq_base + slot * SQE_SIZE
-            sysno = to_signed(mem.read_u64(sqe + SQE_SYSNO, check="read"))
-            raw_args = tuple(
-                mem.read_u64(sqe + SQE_ARGS + 8 * k, check="read")
-                for k in range(6)
-            )
-            user_data = mem.read_u64(sqe + SQE_USER_DATA, check="read")
-        except PageFault:
-            return -errno.EFAULT if completed == 0 else completed
-        res = _execute_entry(kernel, task, sysno, raw_args, cq_base, sq_cap)
+    if pending:
+        tracer = kernel.tracer
+        drain_start = kernel.clock if tracer is not None else 0
+        completed, consumed, faulted = _drain(
+            kernel, task, ring, sq_head, pending, sq_cap, is_async,
+        )
         if not task.alive:
             return None
-        try:
-            cqe = cq_base + slot * CQE_SIZE
-            mem.write_u64(cqe + CQE_RES, res & MASK64, check="write")
-            mem.write_u64(cqe + CQE_USER_DATA, user_data, check="write")
-            sq_head += 1
-            # The synchronous drain completes exactly the entries it
-            # consumes, so cq_tail is *coupled* to sq_head rather than
-            # incremented: a SIGSYS handler that re-arms a trapped entry
-            # (rewinding sq_head to retry it) then overwrites the stale
-            # -EINTR CQE instead of double-counting it.
-            cq_tail = sq_head
-            # Publish per entry so a partially drained ring is always
-            # observable and resumable by the guest.
-            mem.write_u64(ring + HDR_SQ_HEAD, sq_head, check="write")
-            mem.write_u64(ring + HDR_CQ_TAIL, cq_tail, check="write")
-        except PageFault:
-            return -errno.EFAULT if completed == 0 else completed
-        completed += 1
+        # One ring_enter event per crossing, faulted or not.
         if tracer is not None:
-            tracer.ring_entry(
-                kernel.clock, task.tid, index=sq_head - 1, sysno=sysno,
-                name=syscall_name(sysno), ret=res, user_data=user_data,
-                cycles=kernel.clock - entry_start,
+            tracer.ring_enter(
+                kernel.clock, task.tid, submitted=pending,
+                completed=completed, cycles=kernel.clock - drain_start,
+                parked=consumed - completed,
             )
-        if res == -errno.EINTR and task.has_deliverable_signal():
-            break  # the interrupted entry's CQE is posted; handler runs next
-    if tracer is not None:
-        tracer.ring_enter(
-            kernel.clock, task.tid, submitted=pending, completed=completed,
-            cycles=kernel.clock - drain_start,
-        )
-    return completed
+        if faulted and consumed == 0:
+            return -errno.EFAULT
+    if is_async and min_complete:
+        # ring_wait: block (interruptibly, like any blocking syscall)
+        # until the published cq_tail reaches min_complete.  The
+        # readiness predicate drives the parked entries itself, so
+        # waiting is what makes their wakeups fire.
+        def cq_ready():
+            complete_ring_waiters(kernel, task)
+            try:
+                tail = mem.read_u64(ring + HDR_CQ_TAIL, check="read")
+            except PageFault:
+                return True
+            if tail >= min_complete:
+                return True
+            # Nothing parked can ever post another CQE: waiting more
+            # would deadlock, so the call returns short instead.
+            return not task.ring_waiters
+        if not cq_ready():
+            raise WouldBlock(cq_ready)
+    return drive_completed + completed

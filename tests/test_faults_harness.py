@@ -17,6 +17,7 @@ interposition stack:
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -110,6 +111,50 @@ def test_scenario_smoke_sweep(fault_seed_count):
             "sweep missed boundaries: "
             f"{[hex(b) for b in sorted(all_boundaries - covered)]}"
         )
+
+
+# ---------------------------------------------------------- pinned corpus
+#: sha256 over ``SCENARIOS[name](seed).digest()`` for seeds 0..7, in
+#: order: every verdict, detail, coverage tuple and report digest of the
+#: scenario corpus, pinned byte for byte.  A change to any scenario's
+#: guest, schedule, fault plan or verdict logic moves its pin.
+PINNED_SCENARIO_DIGESTS = {
+    "rewrite_window":
+        "854f9c04025ddaf3a291a1090afb84df835101a60acdbb0a1bbd13635ebebe6b",
+    "differential":
+        "adabc67daa40bf9b78e2b8c123cc4462b9a986b615130f6324339fbb0d7fa927",
+    "transient_faults":
+        "c212af5a1f76ae4d7962aa44864d6f381e7203376f75eb2d5727fddb762b115a",
+    "mprotect_fault":
+        "729269a1cfe12b681a3211b83fd5c4a1a279bb1314170ce9cb69977d392c220b",
+    "sled_denied":
+        "60452d62a1aa266efece443a107593efa94525d9b37e40dd842bb2af460a19ba",
+    "setup_fault":
+        "b28d202f66f248ec478666f63b66c144b8f1dd19c98973a38e396ad75460278f",
+    "rewrite_fault":
+        "0766687022f561269ed762f563e53f3ce5dd3b37bb111037e35165c54846322b",
+    "signal_depth":
+        "2b1add434f03a60edaecc0cfbad205eaf1e04698959068521b29e2f91cd0257f",
+    "uring_signal":
+        "677f66d497bcfaf99a717697a0d45a049d8a74d3afc3409f8841b537a9f2bb8b",
+    "uring_async":
+        "e1ab4ffe3584c1d701f336f5e12f0f1589871610610a94b37b5c966ce7f8797e",
+    "shard_crash":
+        "e7d461ea8aaec374eba7b54d0ee4b561b85dfb166f7d902a2202a13986f5a49b",
+    "shard_hang":
+        "156816c654efdb0af5010f0bced72b8923b15f9f97d8b228503be6aa1d543657",
+    "shard_degraded":
+        "eb3ab181a674160650aa46266e87f2602ac690f86a882d61ae598774048e51ad",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SCENARIO_DIGESTS))
+def test_scenario_corpus_matches_pinned_digests(name):
+    assert set(PINNED_SCENARIO_DIGESTS) == set(SCENARIOS)
+    h = hashlib.sha256()
+    for seed in range(8):
+        h.update(SCENARIOS[name](seed).digest().encode())
+    assert h.hexdigest() == PINNED_SCENARIO_DIGESTS[name]
 
 
 # -------------------------------------------------------------- determinism

@@ -16,7 +16,7 @@ import pytest
 from repro.arch.encode import Assembler
 from repro.arch.isa import CALL_RAX_BYTES, Mnemonic
 from repro.cpu.core import BareTask, CPU, NullEnvironment
-from repro.cpu.costs import CostModel
+from repro.cpu.costs import DEFAULT_INSN_COSTS, CostModel
 from repro.errors import InvalidOpcode
 from repro.interpose.api import TraceInterposer
 from repro.interpose.lazypoline import Lazypoline
@@ -545,7 +545,7 @@ def _slide_image(after=None, *, hot=None, threads=False, iters=24,
                                 text_perm=Perm.RWX if hot else Perm.RX), a
 
 
-def _slide_outcomes(image, *, costs=None, cores=1, smc=False):
+def _slide_outcomes(image, *, cores=1, smc=False):
     """Run ``image`` with tiering off and on; both outcomes and the tiered
     machine's superblock stats."""
     # Slid interior nops are never decoded, so after a patch the tiered
@@ -556,7 +556,7 @@ def _slide_outcomes(image, *, costs=None, cores=1, smc=False):
     out = {}
     for sb in (False, True):
         tracer = Tracer()
-        machine = Machine(costs or CostModel(), superblocks=sb,
+        machine = Machine(CostModel(), superblocks=sb,
                           tracer=tracer, cores=cores)
         proc = machine.load(image)
         machine.run(until=lambda: not proc.task.alive,
@@ -690,13 +690,17 @@ def test_slide_cross_core_shootdown_identity():
     assert stats["slides"] >= 2 * 2 * 40
 
 
-def test_slide_disengages_for_non_batchable_nop_cost():
-    """0.1-cycle nops do not sum exactly in one charge: no slides, and
-    the run stays bit-identical to single-stepping."""
-    costs = CostModel()
-    costs.insn_costs[Mnemonic.NOP] = 0.1
-    costs.refresh_tables()
-    image, _ = _slide_image()
-    (code, sig, *_), stats = _slide_outcomes(image, costs=costs)
-    assert (code, sig) == (0, None)
-    assert stats["slides"] == 0
+def test_cost_model_rejects_costs_a_batched_charge_cannot_sum_exactly():
+    """Blocks and nop slides charge one precomputed total, which equals
+    per-step charging only for quarter-cycle costs below 2**40: the cost
+    model refuses any other instruction cost, and every default passes."""
+    for bad in (0.1, -0.25, 2**40):
+        costs = CostModel()
+        costs.insn_costs[Mnemonic.NOP] = bad
+        with pytest.raises(ValueError):
+            costs.refresh_tables()
+        with pytest.raises(ValueError):
+            CostModel(insn_costs={**DEFAULT_INSN_COSTS, Mnemonic.NOP: bad})
+    costs = CostModel(insn_costs=dict(DEFAULT_INSN_COSTS))
+    for mnemonic, cost in DEFAULT_INSN_COSTS.items():
+        assert costs.insn_cost(mnemonic) == cost

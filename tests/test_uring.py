@@ -18,7 +18,7 @@ import pytest
 from repro.arch.encode import Assembler
 from repro.arch.registers import to_signed
 from repro.faults.injector import FaultInjector, FaultRule
-from repro.faults.scenarios import arm_repeating_signal, build_uring_signal_guest
+from repro.faults.scenarios import arm_repeating_signal, build_ring_signal_guest
 from repro.interpose.registry import attach
 from repro.interpose.api import TraceInterposer, passthrough_interposer
 from repro.kernel import errno
@@ -32,6 +32,7 @@ from repro.kernel.uring import (
     HDR_SQ_HEAD,
     HDR_SQ_TAIL,
     MAX_ENTRIES,
+    RING_ENTER_ASYNC,
     SQE_ARGS,
     SQE_SYSNO,
     SQE_USER_DATA,
@@ -270,6 +271,34 @@ def test_ring_obs_events_and_cycle_attribution():
     assert names == ["getpid", "lseek", "ring_enter"]
 
 
+@pytest.mark.parametrize("flags", [0, RING_ENTER_ASYNC], ids=["sync", "async"])
+@pytest.mark.parametrize("head, expected", [(61, 2), (63, -errno.EFAULT)])
+def test_sqe_page_unmapped_mid_ring_emits_one_ring_enter(flags, head,
+                                                         expected):
+    """A ring whose SQE page is unmapped faults mid-drain: the call
+    returns the completed count (-EFAULT if nothing was consumed), and
+    the crossing still emits exactly one ring_enter event."""
+    tracer = Tracer()
+    machine, task = idle_machine(tracer=tracer)
+    ring = RingMem(machine, task, entries=128)
+    # SQE slots 63..126 fill the ring's second page; the header, slots
+    # 0..62 and the CQ live on the first and third.
+    assert sqe_offset(63) == 4096 and cqe_offset(128, 0) > 8192
+    for slot in range(head, head + 4):
+        ring.push(slot, "getpid")
+    ring.w64(HDR_SQ_HEAD, head)
+    ring.w64(HDR_SQ_TAIL, head + 4)
+    task.mem.unmap(ring.addr + 4096, 4096)
+    ret = machine.kernel.dispatch(task, RING_ENTER,
+                                  (ring.addr, 0, 0, flags, 0, 0))
+    assert ret == expected
+    completed = max(expected, 0)
+    assert ring.r64(HDR_SQ_HEAD) == head + completed
+    enters = [e.data for e in tracer.events if e.kind == K.RING_ENTER]
+    assert enters == [{"submitted": 4, "completed": completed,
+                       "cycles": enters[0]["cycles"]}]
+
+
 # ------------------------------------------------------------- guest harness
 def test_blocking_entry_blocks_cooperatively():
     """A nanosleep SQE parks the drain until simulated time advances."""
@@ -298,7 +327,7 @@ def test_signal_mid_drain_partial_cq_and_resume(tool):
     never a lost wakeup, identically under interposition."""
     tracer = Tracer()
     machine = Machine(tracer=tracer)
-    process = machine.load(build_uring_signal_guest())
+    process = machine.load(build_ring_signal_guest())
     if tool is not None:
         attach(machine, process, tool, interposer=passthrough_interposer)
     arm_repeating_signal(machine, process.task)

@@ -20,7 +20,7 @@ from repro.arch.registers import to_signed
 from repro.faults.scenarios import (
     arm_pipe_feeder,
     arm_repeating_signal,
-    build_uring_async_guest,
+    build_ring_signal_guest,
 )
 from repro.kernel import errno
 from repro.kernel.machine import Machine
@@ -277,7 +277,7 @@ def test_async_efault_only_when_nothing_consumed():
 def run_async_guest(tool=None):
     tracer = Tracer()
     machine = Machine(tracer=tracer)
-    process = machine.load(build_uring_async_guest())
+    process = machine.load(build_ring_signal_guest(async_drain=True))
     if tool is not None:
         from repro.interpose.registry import attach
         from repro.interpose.api import passthrough_interposer
