@@ -706,8 +706,11 @@ class CPU:
         """(Re)build the dense op_index -> cost table from ``self.costs``.
 
         ``None`` marks xsave/xrstor, whose cost depends on the task's xstate
-        component count and is computed at charge time.  Call again after
-        swapping or recalibrating ``self.costs``.
+        component count: tier 1 computes it at charge time, and a compiled
+        block bakes in ``costs.xsave_cost`` of the count it is specialised
+        on.  Call again after swapping or recalibrating ``self.costs``,
+        the xstate costs included: the bumped :attr:`cost_epoch` drops
+        every compiled block, baked costs and all.
         """
         table: list = []
         for m in Mnemonic:
@@ -719,9 +722,13 @@ class CPU:
         self.cost_epoch += 1
 
     # ------------------------------------------------------------ superblocks
-    def compile_superblock(self, mem, head: int, tid: int = -1,
+    def compile_superblock(self, mem, head: int, task,
                            max_len: int | None = None):
         """Compile the run at ``head`` into ``mem``'s bound block cache.
+
+        The block is specialised on ``task``'s xstate component count, so
+        xsave/xrstor compile (guarded; see
+        :func:`repro.cpu.superblock.compile_block`).
 
         With ``max_len`` the block is truncated to the remaining slice
         budget and cached under the ``(head, max_len)`` key — a *tail*
@@ -731,7 +738,9 @@ class CPU:
         """
         from repro.cpu.superblock import compile_block
 
-        block = compile_block(mem, head, self._cost_table, max_len)
+        count = task.xsave_components
+        xstate = (count, self.costs.xsave_cost(count))
+        block = compile_block(mem, head, self._cost_table, xstate, max_len)
         key = head if max_len is None else (head, max_len)
         bc = mem.block_cache
         bc.blocks[key] = block
@@ -743,7 +752,8 @@ class CPU:
             self.blocks_compiled += 1
             if self.tracer is not None:
                 self.tracer.block_compile(
-                    getattr(self.env, "clock", 0), tid, head, block.n
+                    getattr(self.env, "clock", 0),
+                    getattr(task, "tid", -1), head, block.n,
                 )
         return block
 
@@ -829,6 +839,9 @@ class CPU:
         cache = mem.insn_cache
         if len(cache) >= _CACHE_CAPACITY:
             cache.clear()
+            # Nop-run records vouch for an entry on their page (see
+            # BlockCache.nop_run); they go with the entries.
+            mem.block_cache.runs.clear()
         cache[addr] = entry
         return entry
 
@@ -858,43 +871,86 @@ class CPU:
 
 # ----------------------------------------------------------------- xsave glue
 # Both directions run on every interposed syscall (the lazypoline fast path
-# brackets its hcall with xsave/xrstor), so they work on the raw component
-# bits and move each register file with one bulk conversion.
+# brackets its hcall with xsave/xrstor), and a server saves the same vector
+# state request after request.  So each direction is memoised on content in
+# one process-wide table shared by every machine, like ``decode_cached``:
+# ``xsave_serialize`` on the mask bits plus the values of the components
+# they select, ``xrstor_apply`` on the area bytes.  Each memoises a pure
+# value of its key (the area bytes, or immutable per-component tuples), so
+# a guest that edits the saved area before xrstor restores the edit, and a
+# restore copies into the register file's own lists.  A failed serialize
+# or parse raises before anything is stored.
 _VEC_BYTES = 16 * 16
 _VEC_ZERO = bytes(_VEC_BYTES)
 _X87_AREA = struct.Struct("<8QB")  # the x87 slots, then the top byte
 _X87_ZERO = bytes(_X87_AREA.size)
 _AREA_TAIL = bytes(XSAVE_AREA_SIZE - XSAVE_X87_OFF - _X87_AREA.size)
 
+#: Entries per xstate memo before a wholesale clear.  Small on purpose: a
+#: guest that churns vector state gets no hits, and its memo must not grow
+#: the process (each restore entry holds a 1 KiB area).
+_XSTATE_CAPACITY = 256
+_saved: dict[tuple, bytes] = {}
+_restored: dict[bytes, tuple] = {}
+
 
 def _pack_vecs(values) -> bytes:
     return b"".join([v.to_bytes(16, "little") for v in values])
 
 
-def _unpack_vecs(area, off: int) -> list[int]:
+def _unpack_vecs(area, off: int) -> tuple[int, ...]:
     big = int.from_bytes(area[off : off + _VEC_BYTES], "little")
-    return [(big >> shift) & MASK128 for shift in range(0, 128 * 16, 128)]
+    return tuple([(big >> shift) & MASK128 for shift in range(0, 128 * 16, 128)])
 
 
 def xsave_serialize(regs, mask: XComponent) -> bytes:
     """Serialize the selected xstate components into the xsave area format."""
     bits = mask.value & 7  # X87 = 1, SSE = 2, AVX = 4: the area's mask word
-    return b"".join((
-        _U64.pack(bits),
-        _pack_vecs(regs.xmm) if bits & 2 else _VEC_ZERO,
-        _pack_vecs(regs.ymm_high) if bits & 4 else _VEC_ZERO,
-        _X87_AREA.pack(*regs.x87, regs.x87_top) if bits & 1 else _X87_ZERO,
-        _AREA_TAIL,
-    ))
+    key = (
+        bits,
+        tuple(regs.xmm) if bits & 2 else None,
+        tuple(regs.ymm_high) if bits & 4 else None,
+        (*regs.x87, regs.x87_top) if bits & 1 else None,
+    )
+    area = _saved.get(key)
+    if area is None:
+        area = b"".join((
+            _U64.pack(bits),
+            _pack_vecs(key[1]) if bits & 2 else _VEC_ZERO,
+            _pack_vecs(key[2]) if bits & 4 else _VEC_ZERO,
+            _X87_AREA.pack(*key[3]) if bits & 1 else _X87_ZERO,
+            _AREA_TAIL,
+        ))
+        if len(_saved) >= _XSTATE_CAPACITY:
+            _saved.clear()
+        _saved[key] = area
+    return area
 
 
 def xrstor_apply(regs, area: bytes) -> None:
     """Restore xstate components from an xsave area."""
-    (bits,) = _U64.unpack_from(area, XSAVE_MASK_OFF)
+    state = _restored.get(area)
+    if state is None:
+        (bits,) = _U64.unpack_from(area, XSAVE_MASK_OFF)
+        x87 = top = None
+        if bits & 1:
+            *x87, top = _X87_AREA.unpack_from(area, XSAVE_X87_OFF)
+            x87 = tuple(x87)
+        state = (
+            bits,
+            _unpack_vecs(area, XSAVE_XMM_OFF) if bits & 2 else None,
+            _unpack_vecs(area, XSAVE_YMM_OFF) if bits & 4 else None,
+            x87,
+            top,
+        )
+        if len(_restored) >= _XSTATE_CAPACITY:
+            _restored.clear()
+        _restored[area] = state
+    bits = state[0]
     if bits & 2:
-        regs.xmm[:] = _unpack_vecs(area, XSAVE_XMM_OFF)
+        regs.xmm[:] = state[1]
     if bits & 4:
-        regs.ymm_high[:] = _unpack_vecs(area, XSAVE_YMM_OFF)
+        regs.ymm_high[:] = state[2]
     if bits & 1:
-        *x87, regs.x87_top = _X87_AREA.unpack_from(area, XSAVE_X87_OFF)
-        regs.x87[:] = x87
+        regs.x87[:] = state[3]
+        regs.x87_top = state[4]

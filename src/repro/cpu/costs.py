@@ -180,6 +180,26 @@ class CostModel:
     #: TLB shootdown / icache flush after writing code (per rewrite).
     code_patch_flush: int = 120
 
+    # ---- lazypoline's host-side handlers (repro.interpose.lazypoline) ---------
+    #: SIGSYS slow path: switching the SUD selector to ALLOW.
+    lazypoline_sigsys_selector: int = 3
+    #: SIGSYS slow path: REG_RIP redirection to the fast-path entry, with
+    #: the emulated ``call rax`` push.
+    lazypoline_sigsys_redirect: int = 10
+    #: Uncontended acquire of the §IV-A(b) rewrite spinlock (CAS + fences).
+    lazypoline_rewrite_lock: int = 20
+    #: Writing the two ``call rax`` bytes over a syscall site (or back, on
+    #: a rollback); ``code_patch_flush`` is charged on top.
+    lazypoline_site_patch: int = 3
+    #: Wrapper-handler prologue: push the selector on the %gs sigreturn
+    #: stack, set BLOCK and resolve the application handler.
+    lazypoline_wrap_pre: int = 8
+    #: Interposed rt_sigreturn: stash the selector and rip and point the
+    #: frame at the sigreturn trampoline.
+    lazypoline_sigreturn_detour: int = 12
+    #: Interposed rt_sigaction: build the shadow registration.
+    lazypoline_sigaction_shadow: int = 10
+
     # ---- xstate ---------------------------------------------------------------
     #: Fixed cost of an xsave/xrstor instruction.
     xsave_base: int = 10

@@ -19,7 +19,7 @@ A superblock is a maximal straight-line run starting at a hot *head*:
   :meth:`repro.cpu.costs.CostModel.refresh_tables` for why the batched
   float sum is bit-identical to per-step charging),
 * anything that can observe or change machine state mid-run — syscalls,
-  hcalls, hlt, ``wrgsbase``/``wrpkru``, xsave/xrstor, vector/x87 state —
+  hcalls, hlt, ``wrgsbase``/``wrpkru``, vector/x87 arithmetic —
   terminates the block: those instructions always execute on the tier-1
   path, so every syscall, signal-delivery point and scheduler boundary
   stays exactly where the single-step interpreter put it,
@@ -27,6 +27,16 @@ A superblock is a maximal straight-line run starting at a hot *head*:
   pointer traffic) compile like any other memory access at
   ``gs_base + disp``: ``gs_base`` and PKRU are constant inside a block,
   because nothing that writes them compiles,
+* xsave and xrstor (the interposer's ABI glue around its hcall) compile
+  as a store and a load of the 1 KiB area, through the same
+  content-keyed memos tier 1 uses.  Their cost depends on the task's
+  xstate component count, so the block is specialised on the count it
+  was compiled for, with that ``xsave_cost`` baked in, and guarded: when
+  the running task's count differs, the block exits *before* the first
+  xstate instruction, having charged only what retired, and tier 1 steps
+  it at its own cost (the guard/deopt split of PyPy's blackhole
+  interpreter, SNIPPETS.md 2-3).  Neither instruction ever heads a
+  block, so a guard never returns 0 into the scheduler's chain loop,
 * a conditional or indirect branch may terminate the block *compiled-in*:
   the generated code computes the successor rip and exits,
 * faults inside the block spill, rewind ``rip`` to the faulting
@@ -54,7 +64,11 @@ machine state — plus four of its own:
   boundary land where single-stepping puts them;
 * generation-checked: :meth:`BlockCache.nop_run` records each run under
   its page's exec generation, so SMC, ``mprotect`` and ``munmap`` of the
-  page fall back to a fresh scan and exact single-step semantics;
+  page fall back to a fresh scan and exact single-step semantics.  A
+  run is recorded only after a nop on its page was stepped, which keeps
+  cross-core shootdown IPIs exact even when a later entry — a slice
+  resuming mid-run, or a ``call rax`` landing on the run's sentinel head
+  — slides without a step (the proof is in ``nop_run``);
 * exact cost: ``k`` charges of the ``nop`` cost sum exactly to one
   charge of ``k`` times it (a quarter-cycle multiple, which
   :meth:`repro.cpu.costs.CostModel.refresh_tables` enforces).
@@ -104,9 +118,11 @@ class SuperBlock:
     """One compiled straight-line run (or a "don't retry" sentinel).
 
     ``fn(task, charge) -> int`` (``charge`` is the environment's charge
-    method, hoisted by the caller) executes the whole run: it returns the
-    number of instructions retired and leaves ``task.regs``/memory/cycle
-    state exactly as that many tier-1 steps would have.  On a guest fault it
+    method, hoisted by the caller) executes the run: it returns the
+    number of instructions retired (all ``n`` unless a side exit or the
+    xstate guard stopped it early, never 0) and leaves
+    ``task.regs``/memory/cycle state exactly as that many tier-1 steps
+    would have.  On a guest fault it
     sets ``task.sb_fault`` to the retired count (faulting instruction
     included) and re-raises.  ``fn is None`` marks a sentinel: the head's
     run is not compilable (too short, or starts with an excluded opcode);
@@ -163,18 +179,39 @@ class BlockCache:
         self.nop_cost = cost_table[Mnemonic.NOP.op_index]
 
     def nop_run(self, mem, addr: int):
-        """Scan and record the nop run starting at ``addr``.
+        """Scan and record the nop run through ``addr``.
 
-        Returns ``(end, page, gen)``: the run covers ``[addr, end)`` and
-        stops at the first non-``nop`` byte or at the end of ``addr``'s
-        page, whose exec generation was ``gen`` when scanned (``end ==
-        addr``: no run).  Every address of the run gets the same record,
-        so a slice that resumes mid-run slides at once.  The scheduler
-        scans only right after single-stepping a ``nop`` on the same page,
-        which leaves that page with a decoded entry in the translation
-        cache — exactly as single-stepping the whole run would, so remote
-        shootdowns of the page charge the same IPIs.  Returns ``None``
-        at a page start (the run would lie on another page).
+        The scheduler calls this only right after single-stepping a
+        ``nop`` at ``addr - 1``.  Returns ``(end, page, gen)``: the run
+        covers that nop and ``[addr, end)``, stopping at the first
+        non-``nop`` byte or at the end of ``addr``'s page, whose exec
+        generation was ``gen`` when scanned (``end == addr``: nothing left
+        to slide).  Every address of the run, the stepped one included,
+        gets the same record, so a slice that resumes mid-run, or a
+        ``call rax`` that lands on the run's sentinel head, slides at
+        once.  Returns ``None`` at a page start (the run would lie on
+        another page).
+
+        Why sliding from a record, without stepping even its first nop,
+        leaves cross-core shootdown IPI charges as they are with tiering
+        off:
+
+        * ``_shootdown`` charges an IPI to a core iff that core's
+          translation cache holds *some* entry on the patched page; which
+          addresses of the page it holds does not matter.
+        * ``addr`` is no page start, so the nop stepped at ``addr - 1``
+          lies on page ``pn`` and left an entry for it, at generation
+          ``gen``, in the translation cache bound alongside this block
+          cache (the two are swapped together per core and address
+          space).
+        * That entry leaves the cache only when ``pn``'s generation is
+          bumped (a remote shootdown drops it on the other cores) or when
+          the cache is cleared at capacity, which clears these records
+          too.  Every slide re-checks the record's generation.
+        * So wherever a record is used, its page already holds an entry.
+          The steps a slide skips would only add entries to that page,
+          and the set of pages with entries — all an IPI reads — is the
+          set single-stepping leaves.
         """
         off = addr & (PAGE_SIZE - 1)
         if not off:
@@ -184,8 +221,7 @@ class BlockCache:
         pn = addr >> PAGE_SHIFT
         rec = (end, pn, mem.exec_gen.get(pn, 0))
         runs = self.runs
-        runs[addr] = rec
-        for a in range(addr + 1, end):
+        for a in range(addr - 1, max(end, addr + 1)):
             runs[a] = rec
         return rec
 
@@ -193,13 +229,14 @@ class BlockCache:
 # --------------------------------------------------------------- classification
 # Straight-line instructions the compiler knows how to fuse, gs-relative
 # loads and stores included: ``gs_base`` is constant inside a block
-# because ``wrgsbase`` is not compiled.  Everything else ends the block
-# *before* it, so it executes on the tier-1 path with the full scheduler
-# boundary protocol around it: syscalls, hcalls, hlt and traps (boundary
-# points), ``wrgsbase``/``wrpkru``/``gswrpkru`` (would change ``gs_base``
-# or PKRU mid-block), ``gsjmp``/``gscopy8`` (sigreturn-trampoline glue),
-# xsave/xrstor (cost depends on the task's xstate components), vector
-# and x87.
+# because ``wrgsbase`` is not compiled.  xsave/xrstor fuse too, behind a
+# guard on the task's xstate component count (their cost depends on it;
+# see compile_block).  Everything else ends the block *before* it, so it
+# executes on the tier-1 path with the full scheduler boundary protocol
+# around it: syscalls, hcalls, hlt and traps (boundary points),
+# ``wrgsbase``/``wrpkru``/``gswrpkru`` (would change ``gs_base`` or PKRU
+# mid-block), ``gsjmp``/``gscopy8`` (sigreturn-trampoline glue), vector
+# and x87 arithmetic.
 _STRAIGHT = frozenset(
     (
         Mnemonic.NOP,
@@ -233,8 +270,15 @@ _STRAIGHT = frozenset(
         Mnemonic.DEC,
         Mnemonic.PUSH,
         Mnemonic.POP,
+        Mnemonic.XSAVE,
+        Mnemonic.XRSTOR,
     )
 )
+
+#: xsave/xrstor: their cost depends on the task's xstate component count,
+#: so a block holding one is specialised on that count and guarded.  Like
+#: ``nop``, neither ever heads a block, so a guard never sits at entry.
+_XSTATE = frozenset((Mnemonic.XSAVE, Mnemonic.XRSTOR))
 
 #: Control transfers compiled *into* the block as its final instruction.
 _TERMINATORS = frozenset(
@@ -257,14 +301,15 @@ _TERMINATORS = frozenset(
 #: so one that is not the block's last side-exits on a ``code_epoch`` bump.
 _STORES = frozenset(
     (Mnemonic.STORE, Mnemonic.STORE8, Mnemonic.GSSTORE, Mnemonic.GSSTORE8,
-     Mnemonic.PUSH)
+     Mnemonic.PUSH, Mnemonic.XSAVE)
 )
 
 #: Instructions that touch guest memory and so may fault: each gets an
 #: ``_F{k}`` fault record (rewind rip, charge what retired, re-raise).
 _MEM_OPS = _STORES | frozenset(
     (Mnemonic.LOAD, Mnemonic.LOAD8, Mnemonic.GSLOAD, Mnemonic.GSLOAD8,
-     Mnemonic.POP, Mnemonic.RET, Mnemonic.CALL_REG, Mnemonic.CALL_REL)
+     Mnemonic.POP, Mnemonic.RET, Mnemonic.CALL_REG, Mnemonic.CALL_REL,
+     Mnemonic.XRSTOR)
 )
 
 #: gs-relative memory ops: a block holding one hoists ``gs_base``.
@@ -272,10 +317,12 @@ _GS_OPS = frozenset(
     (Mnemonic.GSLOAD, Mnemonic.GSSTORE, Mnemonic.GSLOAD8, Mnemonic.GSSTORE8)
 )
 
-#: ``ENDS_RUN[op_index]``: no block compiles *across* this instruction
-#: (it is tier-1-only or a terminator), so the scheduler counts the run
-#: after it as a head candidate even when execution falls through to it.
-ENDS_RUN = tuple(m not in _STRAIGHT for m in Mnemonic)
+#: ``ENDS_RUN[op_index]``: the scheduler counts the run after this
+#: instruction as a head candidate even when execution falls through to
+#: it — because no block compiles across it (it is tier-1-only or a
+#: terminator), or, for xsave/xrstor, because it is only ever stepped
+#: where a block's guard missed or a slice began at it.
+ENDS_RUN = tuple(m not in _STRAIGHT or m in _XSTATE for m in Mnemonic)
 
 _JCC_COND = {
     Mnemonic.JZ: "zf",
@@ -301,7 +348,8 @@ def _decode_run(mem, head):
     non-straight-line opcode, at a compiled-in terminator, at the block
     cap, or where decoding itself would fault (execution reaching that
     point side-exits and faults identically on the tier-1 path).  A run
-    headed by a ``nop`` is empty: the scheduler slides nop runs instead.
+    headed by a ``nop`` is empty (the scheduler slides nop runs instead),
+    and so is one headed by xsave/xrstor (see ``_XSTATE``).
     """
     insns = []
     addr = head
@@ -317,7 +365,8 @@ def _decode_run(mem, head):
         if m in _TERMINATORS:
             insns.append((addr, insn))
             break
-        if m not in _STRAIGHT or (m is Mnemonic.NOP and not insns):
+        if m not in _STRAIGHT or (
+                not insns and (m is Mnemonic.NOP or m in _XSTATE)):
             break
         insns.append((addr, insn))
         addr += insn.length
@@ -407,7 +456,7 @@ def _side_exit(e, charge_expr, next_addr, count):
     e.lines.append(f"            return {count}")
 
 
-def compile_block(mem, head, cost_table, max_len=None):
+def compile_block(mem, head, cost_table, xstate, max_len=None):
     """Compile the run at ``head``; always returns a :class:`SuperBlock`.
 
     A non-compilable head yields a sentinel block (``fn is None``) whose
@@ -419,7 +468,19 @@ def compile_block(mem, head, cost_table, max_len=None):
     quantum remainder runs as one compiled call instead of single-stepping.
     A truncated run simply ends in a fallthrough exit at the cut point —
     exactly as a run cut by :data:`BLOCK_CAP` would.
+
+    ``xstate`` is ``(components, cost)``: the xstate component count of
+    the task the block is compiled for and ``xsave_cost`` of it.  The
+    block compiles xsave/xrstor with that cost baked in, behind one guard
+    before the first of them: when the running task's count differs, the
+    block spills and charges what has retired, leaves ``rip`` at the
+    xstate instruction and returns that (non-zero) count, before any of
+    its side effects — the tier-1 path then steps it at its own cost.
     """
+    # Deferred: repro.cpu.core imports the memory layer, which imports
+    # this module for BlockCache.
+    from repro.cpu.core import XSAVE_AREA_SIZE, xrstor_apply, xsave_serialize
+
     insns = _decode_run(mem, head)
     if max_len is not None:
         insns = insns[:max_len]
@@ -436,7 +497,11 @@ def compile_block(mem, head, cost_table, max_len=None):
     p1 = (last_addr + last_insn.length - 1) >> PAGE_SHIFT
     end_rip = last_addr + last_insn.length
 
-    costs = [cost_table[insn.mnemonic.op_index] for _, insn in insns]
+    costs = [
+        xstate[1] if insn.mnemonic in _XSTATE
+        else cost_table[insn.mnemonic.op_index]
+        for _, insn in insns
+    ]
 
     e = _Emitter()
     can_fault = False
@@ -497,6 +562,8 @@ def compile_block(mem, head, cost_table, max_len=None):
                 e.touch(_RSP)
         elif m is Mnemonic.CALL_REL:
             e.touch(_RSP)
+        elif m in _XSTATE:
+            e.touch(ops[0])
         elif m in _JCC_COND:
             e.flags_read = True
         if e.flags_set and first_set is None:
@@ -523,9 +590,11 @@ def compile_block(mem, head, cost_table, max_len=None):
     # CostModel.refresh_tables).
     running = 0
     n = len(insns)
+    guarded = False
     for k, (addr, insn) in enumerate(insns):
         m = insn.mnemonic
         ops = insn.operands
+        retired = running
         running = running + costs[k]
         is_term = k == n - 1 and m in _TERMINATORS
         if m in _MEM_OPS:
@@ -631,6 +700,25 @@ def compile_block(mem, head, cost_table, max_len=None):
         elif m is Mnemonic.DEC:
             e.emit(f"r{ops[0]} = (r{ops[0]} - 1) & {_M64}")
             _flags(e, f"r{ops[0]}")
+        elif m in _XSTATE:
+            if not guarded:
+                # Nothing a block runs changes the count, so one guard
+                # covers every later xstate instruction.  k >= 1: no
+                # block starts at one.
+                guarded = True
+                e.emit(f"if task.xsave_components != {xstate[0]}:")
+                for line in e.spill("            "):
+                    e.lines.append(line)
+                e.lines.append(f"            charge(task, {retired!r})")
+                e.lines.append(f"            regs.rip = {addr}")
+                e.lines.append(f"            return {k}")
+            area = f"(r{ops[0]} + {ops[1]}) & {_M64}"
+            if m is Mnemonic.XSAVE:
+                e.emit(f"mem.write({area}, _xsave(regs, task.xsave_mask))")
+                if k != n - 1:
+                    _side_exit(e, exit_cyc, next_addr, k + 1)
+            else:
+                e.emit(f"_xrstor(regs, mem.read({area}, {XSAVE_AREA_SIZE}))")
         elif is_term:
             e.materialize()
             for line in e.spill():
@@ -700,6 +788,9 @@ def compile_block(mem, head, cost_table, max_len=None):
         src.extend(line[4:] for line in e.lines)
 
     ns = dict(e.consts)
+    if guarded:
+        ns["_xsave"] = xsave_serialize
+        ns["_xrstor"] = xrstor_apply
     exec(compile("\n".join(src), f"<superblock:{head:#x}>", "exec"), ns)
     fn = ns["_sb"]
     total = running

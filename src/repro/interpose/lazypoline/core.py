@@ -396,7 +396,7 @@ class Lazypoline:
                 flags = mem.read_u64(uc + UC_FLAGS, check=None)
                 mem.write_u64(gs + gsrel.GS_TRAMP_PKRU, flags >> 32, check=None)
                 mem.write_u64(uc + UC_FLAGS, flags & 0xFFFFFFFF, check=None)
-        hctx.charge(12)
+        hctx.charge(hctx.kernel.costs.lazypoline_sigreturn_detour)
 
         # Hand the kernel the rsp it expects for this frame, then sigreturn
         # with the selector (still) ALLOW.
@@ -443,7 +443,7 @@ class Lazypoline:
         mem.write_u64(scratch + 8, flags | SA_SIGINFO | SA_RESTORER, check=None)
         mem.write_u64(scratch + 16, self.blobs.app_restorer, check=None)
         mem.write_u64(scratch + 24, mask, check=None)
-        hctx.charge(10)
+        hctx.charge(hctx.kernel.costs.lazypoline_sigaction_shadow)
         ret = hctx.do_syscall(_NR_RT_SIGACTION, (sig, scratch, 0, 8))
         return 0 if ret is None else ret
 
@@ -496,7 +496,7 @@ class Lazypoline:
             self.degrade.note_spill(tid=task.tid, depth=depth)
             hctx.charge(hctx.kernel.costs.page_op)
         gsrel.write_selector(mem, gs, 1)  # SELECTOR_BLOCK
-        hctx.charge(8)
+        hctx.charge(hctx.kernel.costs.lazypoline_wrap_pre)
 
         action = self.app_handlers.get(sig)
         target = action.handler if action is not None else self.blobs.noop_ret
@@ -599,7 +599,7 @@ class Lazypoline:
         self.slowpath_hits += 1
 
         gsrel.write_selector(mem, regs.gs_base, SELECTOR_ALLOW)
-        hctx.charge(3)
+        hctx.charge(hctx.kernel.costs.lazypoline_sigsys_selector)
 
         siginfo = regs.read(RSI)
         uc = regs.read(RDX)
@@ -623,7 +623,7 @@ class Lazypoline:
         mem.write_u64(new_rsp, call_addr, check=None)
         mem.write_u64(uc + UC_GPRS + 8 * RSP, new_rsp, check=None)
         mem.write_u64(uc + UC_RIP, self.blobs.fastpath_entry, check=None)
-        hctx.charge(10)
+        hctx.charge(hctx.kernel.costs.lazypoline_sigsys_redirect)
 
     def _spin_for_lock(self, hctx, release: int) -> None:
         """Spin (bounded retries, then yield) until the owner releases.
@@ -682,7 +682,8 @@ class Lazypoline:
         # permission while another is mid-rewrite.  The uncontended acquire
         # (CAS + fences) always costs; under SMP a second core trapping on
         # the same window must additionally spin until the owner releases.
-        hctx.charge(20)
+        costs = kernel.costs
+        hctx.charge(costs.lazypoline_rewrite_lock)
         rewritten = self._rewritten_for(mem)
         owner, _acquired_at, release = self._lock_windows.get(
             mem.asid, (-1, 0, 0)
@@ -723,7 +724,7 @@ class Lazypoline:
                 degrade.note_rewrite_failure(site, -ret, tid=task.tid)
                 return
             mem.write(site, CALL_RAX_BYTES, check="write")
-            hctx.charge(3 + kernel.costs.code_patch_flush)
+            hctx.charge(costs.lazypoline_site_patch + costs.code_patch_flush)
             restore_err = 0
             for page, prot in zip(pages, saved):
                 ret = self._mprotect_retry(hctx, page, PAGE_SIZE, prot)
@@ -741,7 +742,7 @@ class Lazypoline:
                 for page in pages:
                     mem.protect(page, PAGE_SIZE, Perm.RW)
                 mem.write(site, insn, check="write")
-                hctx.charge(3 + kernel.costs.code_patch_flush)
+                hctx.charge(costs.lazypoline_site_patch + costs.code_patch_flush)
                 for page, perm in zip(pages, saved_perms):
                     mem.protect(page, PAGE_SIZE, perm)
                 degrade.note_rewrite_failure(site, restore_err, tid=task.tid)

@@ -247,7 +247,7 @@ class Scheduler:
                             c = heads.get(addr, 0) + 1
                             if c >= _HOT:
                                 heads.pop(addr, None)
-                                cpu.compile_superblock(mem, addr, task.tid)
+                                cpu.compile_superblock(mem, addr, task)
                             else:
                                 heads[addr] = c
                     else:
@@ -287,7 +287,7 @@ class Scheduler:
                                     if c >= _HOT:
                                         heads.pop(nrip, None)
                                         cpu.compile_superblock(
-                                            mem, nrip, task.tid)
+                                            mem, nrip, task)
                                     else:
                                         heads[nrip] = c
                                     break
@@ -332,7 +332,7 @@ class Scheduler:
                                 if c >= _HOT:
                                     heads.pop(key, None)
                                     tb = cpu.compile_superblock(
-                                        mem, addr, task.tid, max_len=key[1])
+                                        mem, addr, task, max_len=key[1])
                                 else:
                                     heads[key] = c
                             if tb is not None and tb.fn is not None:
@@ -346,6 +346,23 @@ class Scheduler:
                                 else:
                                     executed += n
                                     tb.runs += 1
+                                continue
+                        else:
+                            # A sentinel head.  The sled entry a ``call
+                            # rax`` lands on is one (no block starts at a
+                            # nop): when its run is already recorded,
+                            # slide at once instead of stepping the first
+                            # nop.  Checked here only, so a step anywhere
+                            # else pays no extra lookup.  Sound by
+                            # BlockCache.nop_run's argument: the record
+                            # exists only after a stepped nop on its page,
+                            # and its generation is checked.
+                            r = runs.get(addr)
+                            if (r is not None and r[0] > addr
+                                    and gens.get(r[1], 0) == r[2]):
+                                executed += self._slide(
+                                    task, addr, r[0], budget - executed,
+                                    nop_cost)
                                 continue
                 try:
                     insn = step(task)
@@ -361,27 +378,30 @@ class Scheduler:
                         # Sound like a block chain (a nop can change
                         # nothing a boundary check reads), page- and
                         # quantum-bounded and generation-checked; see
-                        # repro.cpu.superblock.
-                        if executed < budget:
-                            r = runs.get(nrip)
-                            if r is None or gens.get(r[1], 0) != r[2]:
-                                r = bcache.nop_run(mem, nrip)
-                            if r is not None and r[0] > nrip:
-                                executed += self._slide(
-                                    task, nrip, r[0], budget - executed,
-                                    nop_cost)
+                        # repro.cpu.superblock.  A rescan also records
+                        # the nop just stepped, so a sled entry there
+                        # slides next time.
+                        r = runs.get(nrip)
+                        if (r is None or gens.get(r[1], 0) != r[2]
+                                or addr not in runs):
+                            r = bcache.nop_run(mem, nrip)
+                        if (r is not None and r[0] > nrip
+                                and executed < budget):
+                            executed += self._slide(
+                                task, nrip, r[0], budget - executed,
+                                nop_cost)
                     elif ((nrip != addr + insn.length
                            or ENDS_RUN[insn.mnemonic.op_index])
                           and nrip not in blocks):
                         # Count taken control transfers, and fallthrough
                         # past an instruction no block compiles across
-                        # (xsave, hcall, ...), as candidate block heads;
+                        # (hcall, rdgsbase, ...), as candidate block heads;
                         # any other straight-line fallthrough is covered
                         # by the run that eventually compiles across it.
                         c = heads.get(nrip, 0) + 1
                         if c >= _HOT:
                             heads.pop(nrip, None)
-                            cpu.compile_superblock(mem, nrip, task.tid)
+                            cpu.compile_superblock(mem, nrip, task)
                         else:
                             heads[nrip] = c
                 if self._nest_epoch != epoch:

@@ -218,7 +218,7 @@ def test_kernel_write_u64_drops_spanning_block():
     a.hlt()
     cpu, task = _bare(a.assemble(), Perm.RX)
     mem = task.mem
-    block = cpu.compile_superblock(mem, CODE)
+    block = cpu.compile_superblock(mem, CODE, task)
     assert block.fn is not None and CODE in mem.block_cache.blocks
     gen, epoch = mem.exec_gen.get(CODE >> 12, 0), mem.code_epoch
 
@@ -228,7 +228,7 @@ def test_kernel_write_u64_drops_spanning_block():
     assert not mem.block_cache.index.get(CODE >> 12)
     assert mem.exec_gen[CODE >> 12] == gen + 1
     assert mem.code_epoch == epoch + 1
-    assert cpu.compile_superblock(mem, CODE).g0 == block.g0 + 1
+    assert cpu.compile_superblock(mem, CODE, task).g0 == block.g0 + 1
 
 
 @pytest.mark.superblock
@@ -247,7 +247,7 @@ def test_block_storing_into_its_own_page_side_exits():
     a.hlt()
     cpu, task = _bare(a.assemble(), Perm.RWX)
     patch = a.address_of("patch")
-    block = cpu.compile_superblock(task.mem, CODE)
+    block = cpu.compile_superblock(task.mem, CODE, task)
     assert block.fn is not None and block.n > 3
 
     charged = []

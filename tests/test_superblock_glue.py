@@ -1,10 +1,14 @@
-"""Tier 2 on the interposer's glue: gs-relative memory ops and tail gating.
+"""Tier 2 on the interposer's glue: gs-relative memory ops, xsave/xrstor
+and tail gating.
 
 Lazypoline's fast path wraps every interposed syscall in gs-relative
-selector and xstate-pointer traffic.  Tier 2 compiles those loads and
-stores like any other memory access, so each case below pins one way the
-compiled form could drift from single-stepping: a gs store that patches
-code, a gs load that faults, and the hotness gate on tail variants.
+selector and xstate-pointer traffic and brackets its hcall with
+xsave/xrstor.  Tier 2 compiles those loads and stores like any other
+memory access, and the xstate pair behind a guard on the task's xstate
+component count, so each case below pins one way the compiled form could
+drift from single-stepping: a gs store or xsave that patches code, a gs
+load or xrstor that faults, a guard that must miss, and the hotness gate
+on tail variants.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import pytest
 
 from repro.arch.encode import Assembler
 from repro.arch.isa import Mnemonic
+from repro.arch.registers import XComponent
 from repro.cpu.core import BareTask, CPU, NullEnvironment
 from repro.cpu.superblock import HOT_THRESHOLD, _decode_run
 from repro.errors import PageFault
@@ -99,7 +104,7 @@ def test_gs_store_into_executable_page_side_exits():
     cpu, task, _ = _bare(a.assemble(), Perm.RWX)
     patch = a.address_of("patch")
     task.regs.gs_base = patch
-    block = cpu.compile_superblock(task.mem, CODE)
+    block = cpu.compile_superblock(task.mem, CODE, task)
     assert block.fn is not None and block.n == 10
 
     charged = []
@@ -181,7 +186,7 @@ def test_gs_load_fault_in_block_charges_like_single_step():
 
     cpu2, task2, _ = _bare(code)
     task2.regs.gs_base = UNMAPPED
-    block = cpu2.compile_superblock(task2.mem, CODE)
+    block = cpu2.compile_superblock(task2.mem, CODE, task2)
     assert block.fn is not None and block.n == 4
     charged = []
     with pytest.raises(PageFault) as compiled:
@@ -230,6 +235,122 @@ def test_gs_load_fault_in_hot_loop_matches_single_step():
     head = a.address_of("loop")
     assert head in _compiled_heads(mem, Mnemonic.GSLOAD)
     assert mem.block_cache.blocks[head].runs >= 16
+
+
+# ------------------------------------------------------------- xsave/xrstor
+def _xrstor_code():
+    a = Assembler(base=CODE)
+    a.inc("rbx")
+    a.inc("rbx")
+    a.label("xrstor")
+    a.xrstor("rsi", 0)
+    a.inc("rbx")
+    a.hlt()
+    return a.assemble(), a.address_of("xrstor")
+
+
+def test_xrstor_fault_in_block_charges_like_single_step():
+    """An xrstor from an unmapped area faults inside the compiled block:
+    rip rewinds to it and the charge is exactly what single-stepping
+    retires, the xrstor's own xstate cost included."""
+    code, xrstor = _xrstor_code()
+
+    cpu, task, env = _bare(code)
+    task.regs.write_name("rsi", UNMAPPED)
+    with pytest.raises(PageFault) as stepped:
+        while True:
+            addr = task.regs.rip
+            cpu.step(task)
+    assert addr == xrstor
+
+    cpu2, task2, _ = _bare(code)
+    task2.regs.write_name("rsi", UNMAPPED)
+    block = cpu2.compile_superblock(task2.mem, CODE, task2)
+    assert block.fn is not None and block.n == 4
+    charged = []
+    with pytest.raises(PageFault) as compiled:
+        block.fn(task2, lambda _task, cycles: charged.append(cycles))
+
+    assert task2.sb_fault == 3
+    assert task2.regs.rip == xrstor
+    assert sum(charged) == env.cycles
+    assert compiled.value.address == stepped.value.address == UNMAPPED
+    assert task2.regs.read_name("rbx") == task.regs.read_name("rbx") == 2
+
+
+def test_xsave_into_executable_page_side_exits():
+    """A compiled xsave whose area overwrites the block's own upcoming
+    code exits right after it instead of running the stale instructions."""
+    a = Assembler(base=CODE)
+    a.mov_imm("rcx", 1)
+    a.xsave("rsi", 0)
+    a.label("patch")
+    for _ in range(8):
+        a.inc("rbx")
+    a.hlt()
+    cpu, task, _ = _bare(a.assemble(), Perm.RWX)
+    patch = a.address_of("patch")
+    task.regs.write_name("rsi", patch)
+    block = cpu.compile_superblock(task.mem, CODE, task)
+    assert block.fn is not None and block.n == 10
+
+    charged = []
+    retired = block.fn(task, lambda _task, cycles: charged.append(cycles))
+
+    assert retired == 2
+    assert task.regs.rip == patch
+    assert task.regs.read_name("rbx") == 0
+    assert task.mem.read(patch, 8) == (7).to_bytes(8, "little")  # mask word
+    assert CODE not in task.mem.block_cache.blocks
+    assert sum(charged) == (cpu._cost_table[Mnemonic.MOV_IMM64.op_index]
+                            + cpu.costs.xsave_cost(3))
+
+
+def _xstate_pair_code():
+    a = Assembler(base=CODE)
+    a.mov_imm("rsi", STACK)
+    a.inc("rbx")
+    a.label("xsave")
+    a.xsave("rsi", 0)
+    a.xrstor("rsi", 0)
+    a.inc("rbx")
+    a.label("end")
+    a.hlt()
+    return a.assemble(), a.address_of("xsave"), a.address_of("end")
+
+
+@pytest.mark.parametrize("mask", [XComponent.all(), XComponent.SSE,
+                                  XComponent.X87 | XComponent.AVX,
+                                  XComponent.none()])
+def test_block_compiled_for_one_component_set_never_charges_another(mask):
+    """A block specialised on all three components, run by a task with
+    ``mask``: a different count misses the guard before the xsave, having
+    charged only what retired, and single-stepping the rest charges that
+    count's own cost — so the total always equals single-stepping."""
+    code, xsave, end = _xstate_pair_code()
+
+    cpu, task, env = _bare(code)
+    task.xsave_mask = mask
+    while not env.halted:
+        cpu.step(task)
+    stepped_state = (task.regs.rip, task.regs.read_name("rbx"),
+                     task.mem.read(STACK, 16))
+
+    cpu2, task2, env2 = _bare(code)
+    block = cpu2.compile_superblock(task2.mem, CODE, BareTask(task2.mem))
+    assert block.n == 5
+    task2.xsave_mask = mask
+    charged = []
+    retired = block.fn(task2, lambda _task, cycles: charged.append(cycles))
+    hit = task2.xsave_components == 3
+    assert retired == (5 if hit else 2)
+    assert task2.regs.rip == (end if hit else xsave)
+    assert sum(charged) == (block.cost if hit else 2)
+    while not env2.halted:
+        cpu2.step(task2)
+    assert sum(charged) + env2.cycles == env.cycles
+    assert (task2.regs.rip, task2.regs.read_name("rbx"),
+            task2.mem.read(STACK, 16)) == stepped_state
 
 
 # ----------------------------------------------------------- tail variants

@@ -10,11 +10,13 @@ instructions *inside* the hot loop, signal handlers firing between
 iterations, nop runs of random length (which the scheduler slides
 instead of stepping, so random quanta cut them anywhere), gs-relative
 loads and stores against the scratch page (``gs_base`` points there),
-tier-1-only instructions mid-body (``rdgsbase``, an ``xsave``/``xrstor``
-pair) that split the body into blocks entered by fallthrough, and random
-scheduler quanta (including quantum=1, where blocks never fit the budget
-and the tier must stand down entirely) — and the differential oracle
-checks every observable in lockstep.
+a tier-1-only ``rdgsbase`` mid-body that splits the body into blocks
+entered by fallthrough, an ``xsave``/``xrstor`` pair (compiled, behind a
+guard on the task's xstate component count), an hcall that flips that
+count mid-run so the guard misses, and random scheduler quanta (including
+quantum=1, where blocks never fit the budget and the tier must stand down
+entirely) — and the differential oracle checks every observable in
+lockstep.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.arch.encode import Assembler
+from repro.arch.registers import XComponent
 from repro.faults.oracle import differences, run_guest
 from repro.kernel.syscalls.table import NR
 from repro.mem import layout
@@ -41,6 +44,22 @@ SIGUSR1 = 10
 #: Offset of the xsave area in the scratch page (clear of the gs/store
 #: slots below 0x200 and the signal slots at 0x200-0x210).
 XSAVE_AT = 0x400
+
+#: The hcall id of :func:`_flip_xstate`: the first one a bare machine
+#: registers (see :func:`register_flip`).
+FLIP_HCALL = 0
+
+
+def _flip_xstate(hctx) -> None:
+    """Toggle the task between all three xstate components and SSE only,
+    which changes the xsave/xrstor cost and the saved area."""
+    task = hctx.task
+    full = task.xsave_mask == XComponent.all()
+    task.xsave_mask = XComponent.SSE if full else XComponent.all()
+
+
+def register_flip(machine) -> None:
+    assert machine.kernel.register_hcall(_flip_xstate) == FLIP_HCALL
 
 
 def _nop_byte() -> int:
@@ -64,7 +83,7 @@ def _patch_words() -> tuple[int, int]:
 
 # One random body instruction: (kind, reg, reg2, imm).
 _op = st.tuples(
-    st.integers(min_value=0, max_value=21),
+    st.integers(min_value=0, max_value=22),
     st.integers(min_value=0, max_value=len(POOL) - 1),
     st.integers(min_value=0, max_value=len(POOL) - 1),
     st.integers(min_value=0, max_value=0xFFFF),
@@ -130,13 +149,18 @@ def _emit_op(a: Assembler, k: int, op, skips: list[int]) -> None:
         a.gsstore8(imm & 0x1FF, rd)
         a.gsload8(rs, (imm >> 1) & 0x1FF)
     elif kind == 21:
-        # a tier-1-only instruction: the block ends before it, and the
-        # run after it is a fallthrough head
         if imm & 1:
+            # a tier-1-only instruction: the block ends before it, and
+            # the run after it is a fallthrough head
             a.rdgsbase(rd)
         else:
+            # compiled, specialised on the task's xstate component count
             a.xsave("rsi", XSAVE_AT)
             a.xrstor("rsi", XSAVE_AT)
+    elif kind == 22:
+        # flips the task's xstate components: a block compiled for the
+        # old count now misses its guard
+        a.hcall(FLIP_HCALL)
 
 
 def build_guest(ops, iters: int, smc: bool, signal: bool):
@@ -255,6 +279,7 @@ def _lockstep(image_builder, quantum: int) -> None:
         sb: run_guest(
             image_builder,
             None,
+            setup=register_flip,
             machine_opts={"superblocks": sb, "quantum": quantum},
         )
         for sb in (False, True)
@@ -313,18 +338,10 @@ def test_hot_loop_actually_tiers_up():
     assert proc.exit_code == 0
 
 
-def test_gs_ops_actually_compile():
-    """A block holding gs loads and stores compiles and runs, and so does
-    the fallthrough run after a tier-1-only instruction."""
+def _compiled_runs(mem):
+    """``head -> (mnemonic names, runs)`` of every live compiled block."""
     from repro.cpu.superblock import _decode_run
-    from repro.kernel.machine import Machine
 
-    ops = [(19, 0, 1, 0x40), (20, 1, 2, 0x81), (21, 2, 0, 0), (0, 0, 1, 0)]
-    machine = Machine()
-    proc = machine.load(build_guest(ops, 48, False, False))
-    machine.run_process(proc)
-    assert proc.exit_code == 0
-    mem = proc.task.mem
     compiled = {}
     for head, b in mem.block_cache.blocks.items():
         if b.fn is not None and type(head) is int:
@@ -332,14 +349,64 @@ def test_gs_ops_actually_compile():
                 [i.mnemonic.name for _, i in _decode_run(mem, head)[:b.n]],
                 b.runs,
             )
+    return compiled
+
+
+def test_gs_ops_actually_compile():
+    """A block holding gs loads and stores and the xsave/xrstor pair
+    compiles and runs, and so does the fallthrough run after a
+    tier-1-only instruction."""
+    from repro.kernel.machine import Machine
+
+    ops = [(19, 0, 1, 0x40), (20, 1, 2, 0x81), (21, 2, 0, 0), (21, 2, 0, 1),
+           (0, 0, 1, 0)]
+    machine = Machine()
+    proc = machine.load(build_guest(ops, 48, False, False))
+    machine.run_process(proc)
+    assert proc.exit_code == 0
+    compiled = _compiled_runs(proc.task.mem)
     gs_blocks = [m for m, runs in compiled.values()
-                 if {"GSSTORE", "GSLOAD", "GSSTORE8", "GSLOAD8"} <= set(m)
+                 if {"GSSTORE", "GSLOAD", "GSSTORE8", "GSLOAD8",
+                     "XSAVE", "XRSTOR"} <= set(m)
                  and runs >= 16]
     assert gs_blocks, compiled
-    # the run after xrstor (the loop tail) starts its own hot block
-    after_xrstor = [m for m, runs in compiled.values()
-                    if m[0] == "ADD" and runs >= 16]
-    assert after_xrstor, compiled
+    # the run after rdgsbase (the loop tail) starts its own hot block
+    after_rdgsbase = [m for m, runs in compiled.values()
+                      if m[0] == "ADD" and runs >= 16]
+    assert after_rdgsbase, compiled
+
+
+def test_xstate_flip_misses_the_guard():
+    """The flip op really exercises the guard: the xsave block stays hot,
+    and after each flip the xsave is stepped on the tier-1 path (the only
+    way it is ever stepped here) at the new count's cost."""
+    from repro.kernel.machine import Machine
+
+    ops = [(13, 0, 0, 0), (21, 0, 0, 0), (22, 0, 0, 0), (0, 0, 1, 0)]
+    stepped = []
+    reports = {}
+    for sb in (False, True):
+        machine = Machine(superblocks=sb)
+        register_flip(machine)
+        proc = machine.load(build_guest(ops, 48, False, False))
+        cpu = machine.kernel.cpu
+        step = cpu.step
+
+        def spy(task, step=step, cpu=cpu):
+            insn = step(task)
+            if cpu.superblocks:
+                stepped.append(insn.mnemonic.name)
+            return insn
+
+        cpu.step = spy
+        machine.run_process(proc)
+        assert proc.exit_code == 0
+        reports[sb] = (machine.clock, machine.scheduler.total_instructions)
+    assert reports[False] == reports[True]
+    compiled = _compiled_runs(proc.task.mem)
+    assert [m for m, runs in compiled.values()
+            if "XSAVE" in m and runs >= 16], compiled
+    assert "XSAVE" in stepped
 
 
 def test_nop_runs_actually_slide():

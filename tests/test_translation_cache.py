@@ -17,6 +17,7 @@ from repro.arch.encode import Assembler
 from repro.arch.isa import CALL_RAX_BYTES, Mnemonic
 from repro.cpu.core import BareTask, CPU, NullEnvironment
 from repro.cpu.costs import DEFAULT_INSN_COSTS, CostModel
+from repro.cpu.superblock import HOT_THRESHOLD
 from repro.errors import InvalidOpcode
 from repro.interpose.api import TraceInterposer
 from repro.interpose.lazypoline import Lazypoline
@@ -381,7 +382,7 @@ def _compiled(perm: Perm = Perm.RX):
     """(cpu, mem, head, block): a block compiled and installed at head."""
     code, head = _hot_loop_code()
     cpu, task, env = bare(code, perm=perm)
-    block = cpu.compile_superblock(task.mem, head)
+    block = cpu.compile_superblock(task.mem, head, task)
     assert block.fn is not None and block.n >= 2
     assert head in task.mem.block_cache.blocks
     return cpu, task.mem, head, block
@@ -394,7 +395,7 @@ def test_superblock_write_mid_block_invalidates():
     assert head not in mem.block_cache.blocks
     assert not mem.block_cache.index.get(head >> 12)
     # recompilation against the patched bytes works immediately
-    again = cpu.compile_superblock(mem, head)
+    again = cpu.compile_superblock(mem, head, BareTask(mem))
     assert again.fn is not None
     assert again.g0 == block.g0 + 1
 
@@ -688,6 +689,185 @@ def test_slide_cross_core_shootdown_identity():
     assert (code, sig) == (0, None)
     assert shootdowns >= 1
     assert stats["slides"] >= 2 * 2 * 40
+
+
+# ------------------------------------------------- sled entries (tier 2)
+# Under lazypoline every interposed syscall is a ``call rax`` into the
+# VA-0 nop sled.  Once the sled entry is a sentinel head and its run is
+# recorded, the entry slides without stepping a nop; the cases below pin
+# that this changes no IPI charge and that a patched sled steps again.
+
+SLED_ENTRY = NR["getpid"]
+
+
+def _sled_image(*, threads=False, patch_sled=False, iters=48):
+    """A getpid loop (optionally in two CLONE_VM threads); with
+    ``patch_sled`` the loop rewrites one sled byte in place (mprotect
+    RWX, store, mprotect RX) at iteration ``iters // 2``."""
+    a = asm()
+    a.label("_start")
+    a.mov_imm("r13", 1)
+    if threads:
+        emit_syscall(a, "mmap", 0, 8192, 3, 0x22, (1 << 64) - 1, 0)
+        a.mov("r12", "rax")
+        a.mov_imm("rdi", THREAD_FLAGS | CLONE_VM)
+        a.lea("rsi", "r12", 8192)
+        a.mov_imm("rdx", 0)
+        a.mov_imm("r10", 0)
+        a.mov_imm("r8", 0)
+        a.mov_imm("rax", NR["clone"])
+        a.syscall()
+        a.mov("r13", "rax")  # 0 in the thread
+    a.mov_imm("rbx", iters)
+    a.label("loop")
+    emit_syscall(a, "getpid")
+    if patch_sled:
+        a.cmpi("rbx", iters // 2)
+        a.jnz("cold")
+        emit_syscall(a, "mprotect", 0, PAGE_SIZE, 7)
+        a.mov_imm("r8", 0)
+        a.mov_imm("r9", 0x90)
+        a.store8("r8", 200, "r9")
+        emit_syscall(a, "mprotect", 0, PAGE_SIZE, 5)
+        a.label("cold")
+    a.dec("rbx")
+    a.jnz("loop")
+    if threads:
+        a.cmpi("r13", 0)
+        a.jnz("join")
+        a.mov_imm("rcx", 1)
+        a.store("r12", 0, "rcx")
+        a.label("park")
+        a.jmp("park")
+        a.label("join")
+        a.load("rcx", "r12", 0)
+        a.cmpi("rcx", 1)
+        a.jnz("join")
+    emit_exit(a, 0)
+    return finish(a, "sled")
+
+
+def _sled_outcomes(image, *, cores=1):
+    """Run ``image`` under lazypoline with tiering off and on; assert every
+    outcome matches, and return, for the tiered run, the generation of
+    the sled page at each nop stepped at the sled entry, and the stats."""
+    out = {}
+    entry_steps = []
+    for sb in (False, True):
+        machine = Machine(CostModel(), superblocks=sb, cores=cores,
+                          smp_seed=5)
+        proc = machine.load(image)
+        Lazypoline._install(machine, proc, TraceInterposer())
+        cpu = machine.kernel.cpu
+        step = cpu.step
+
+        def spy(task, step=step, tiered=sb):
+            addr = task.regs.rip
+            insn = step(task)
+            if tiered and addr == SLED_ENTRY:
+                assert insn.mnemonic is Mnemonic.NOP
+                entry_steps.append(task.mem.exec_gen.get(0, 0))
+            return insn
+
+        cpu.step = spy
+        machine.run(until=lambda: not proc.task.alive,
+                    max_instructions=2_000_000)
+        out[sb] = (
+            proc.exit_code,
+            proc.term_signal,
+            machine.clock,
+            machine.scheduler.total_instructions,
+            machine.scheduler.shootdowns,
+            [core.shootdowns for core in machine.scheduler.cores],
+        )
+        stats = machine.superblock_stats()
+    assert out[False] == out[True]
+    return out[True], entry_steps, stats
+
+
+def test_sled_entry_slides_without_a_step():
+    """After warm-up the sled entry is a sentinel with a recorded run:
+    nearly every interposed getpid slides from it without a step."""
+    iters = 96
+    (code, *_), entry_steps, stats = _sled_outcomes(
+        _sled_image(iters=iters))
+    assert code == 0
+    assert stats["slides"] >= iters
+    assert len(entry_steps) <= 2 * 16 < iters
+
+
+def test_sled_entry_two_cores_keep_ipi_charges_identical():
+    """Two threads on two cores enter the sled; both rewrite their shared
+    getpid site and patch the sled page mid-run, each patch shooting down
+    the other core's decodes.  Cycles and IPI counts (total and per core)
+    match tiering off, with the sled entries sliding: each core steps the
+    entry only until its sentinel compiles, before and after the patch."""
+    iters = 96
+    outcome, entry_steps, stats = _sled_outcomes(
+        _sled_image(threads=True, patch_sled=True, iters=iters), cores=2)
+    code, _, _, _, shootdowns, per_core = outcome
+    assert code == 0
+    assert shootdowns >= 2 and all(per_core)
+    assert len(entry_steps) <= 2 * 2 * 16 < 2 * iters
+
+
+def test_sled_entry_after_sled_patch_falls_back_to_stepping():
+    """An SMC patch of the sled page drops the entry's sentinel and makes
+    its run record stale: the next entries step the first nop again (at
+    the new generation), then slide once the run is rescanned."""
+    iters = 96
+    (code, *_), entry_steps, _ = _sled_outcomes(
+        _sled_image(patch_sled=True, iters=iters))
+    assert code == 0
+    before = [g for g in entry_steps if g == 0]
+    after = [g for g in entry_steps if g > 0]
+    assert before and after
+    assert len(entry_steps) < iters
+
+
+def test_entry_just_below_a_recorded_run_gets_recorded():
+    """A run first entered one byte in, then at its first nop: stepping
+    that nop finds the rest of the run recorded, and records the nop too,
+    so later entries there slide from the sentinel instead of stepping."""
+    a = asm()
+    a.label("_start")
+    a.mov_imm("rbx", 24)
+    a.label("first")
+    a.call("run1")
+    a.dec("rbx")
+    a.jnz("first")
+    a.mov_imm("rbx", 64)
+    a.label("second")
+    a.call("run0")
+    a.dec("rbx")
+    a.jnz("second")
+    emit_exit(a, 0)
+    a.align(PAGE_SIZE)
+    a.db(b"\x90" * 0x100)
+    a.label("run0")
+    a.nop()
+    a.label("run1")
+    a.db(b"\x90" * 200)
+    a.ret()
+    image = finish(a, "run-below")
+    run0 = a.address_of("run0")
+    out, steps = {}, []
+    for sb in (False, True):
+        machine = Machine(superblocks=sb)
+        proc = machine.load(image)
+        cpu = machine.kernel.cpu
+        step = cpu.step
+
+        def spy(task, step=step, tiered=sb):
+            if tiered and task.regs.rip == run0:
+                steps.append(task.regs.rip)
+            return step(task)
+
+        cpu.step = spy
+        out[sb] = (machine.run_process(proc), machine.clock,
+                   machine.scheduler.total_instructions)
+    assert out[False] == out[True]
+    assert len(steps) <= HOT_THRESHOLD < 64
 
 
 def test_cost_model_rejects_costs_a_batched_charge_cannot_sum_exactly():
