@@ -5,7 +5,7 @@ export PYTHONPATH
 FUZZ_MINUTES ?= 5
 FAULT_SEEDS ?= 0:64
 
-.PHONY: test test-fast test-degrade test-superblock test-uring test-uring-async test-cluster test-chaos faults fuzz bench bench-sim bench-selftest perf trace
+.PHONY: test test-fast test-degrade test-superblock test-smp test-uring test-uring-async test-cluster test-chaos faults fuzz bench bench-sim bench-selftest perf trace
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -23,6 +23,11 @@ test-degrade:
 # the invalidation and cycle-identity matrices.
 test-superblock:
 	$(PYTHON) -m pytest -x -q -m superblock
+
+# SMP tier: multi-core determinism, cross-core coherence (shootdowns),
+# the scaling curve and the SMP property checks.
+test-smp:
+	$(PYTHON) -m pytest -x -q -m smp
 
 # Syscall-aggregation tier: ring drain semantics, signal-interrupted drains,
 # and the batched-vs-unbatched identity matrix across tools and cores.

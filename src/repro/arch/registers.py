@@ -109,12 +109,6 @@ class RegisterFile:
         return value
 
     # -- state capture -----------------------------------------------------
-    def snapshot_gprs(self) -> tuple[int, ...]:
-        return tuple(self.gpr)
-
-    def restore_gprs(self, snap: tuple[int, ...]) -> None:
-        self.gpr[:] = snap
-
     def snapshot_xstate(self, components: XComponent) -> dict:
         """Capture selected extended-state components (xsave analogue)."""
         snap: dict = {"components": components}

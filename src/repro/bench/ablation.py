@@ -39,9 +39,6 @@ class AblationResult:
     def pkey_extra_cycles(self) -> float:
         return self.pkey_protected - self.unprotected
 
-    def xstate_overhead(self, label: str) -> float:
-        return self.xstate[label] / self.baseline
-
 
 def run(*, iterations: int = 300) -> AblationResult:
     result = AblationResult()

@@ -36,7 +36,9 @@ A superblock is a maximal straight-line run starting at a hot *head*:
   xstate instruction, having charged only what retired, and tier 1 steps
   it at its own cost (the guard/deopt split of PyPy's blackhole
   interpreter, SNIPPETS.md 2-3).  Neither instruction ever heads a
-  block, so a guard never returns 0 into the scheduler's chain loop,
+  block, so a guard never returns 0 into the scheduler's one dispatch
+  loop (``Scheduler.run_task_slice``: one lookup per block entry, then
+  a chain from wherever the block exits),
 * a conditional or indirect branch may terminate the block *compiled-in*:
   the generated code computes the successor rip and exits,
 * faults inside the block spill, rewind ``rip`` to the faulting
@@ -51,7 +53,8 @@ A superblock is a maximal straight-line run starting at a hot *head*:
 Runs of ``nop`` bytes are never compiled: a block never *starts* at a
 ``nop``.  The scheduler *slides* them instead — it retires ``k`` nops of
 a run as one dispatch, advancing ``rip`` by ``k`` and charging ``k``
-times the ``nop`` cost once (see ``Scheduler.run_task_slice``).  That is
+times the ``nop`` cost once (from the same lookup that dispatches
+blocks, or right after a stepped ``nop``).  That is
 the interposer's sled (``call rax`` lands at offset ``rax`` of a VA-0 nop
 sled): every syscall number, and every quantum cut inside the sled, would
 otherwise be a fresh block head.  A slide is sound under the same

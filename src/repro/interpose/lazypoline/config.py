@@ -43,9 +43,5 @@ class LazypolineConfig:
     protect_gs_with_pkey: bool = False
 
     @property
-    def xstate_components(self) -> int:
-        return bin(self.preserve_xstate.value).count("1")
-
-    @property
     def preserves_any_xstate(self) -> bool:
         return self.preserve_xstate.value != 0

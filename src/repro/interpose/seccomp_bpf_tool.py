@@ -42,8 +42,3 @@ class SeccompBpfTool:
         )
         process.task.seccomp_filters.append(prog)
         return cls(process, [prog])
-
-    def add_filter(self, program: BpfProgram) -> None:
-        """Stack another filter (filters can never be removed — §IV-A)."""
-        self.process.task.seccomp_filters.append(program)
-        self.programs.append(program)

@@ -206,8 +206,3 @@ class SignalPathTool:
         mem.write(uc_outer, blob, check=None)
         hctx.charge(hctx.kernel.costs.copy_cost(UCONTEXT_SIZE) + 20)
         return None
-
-    # ------------------------------------------------------------- diagnostics
-    def saved_rip(self, hctx) -> int:
-        uc = hctx.task.regs.read(RDX)
-        return hctx.task.mem.read_u64(uc + UC_RIP, check=None)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from repro.cpu.costs import CostModel
+from repro.errors import GuestCrash
 from repro.kernel.kernel import Kernel
 from repro.kernel.scheduler import Scheduler
 from repro.kernel.task import Task, TaskState
@@ -111,15 +112,11 @@ class Machine:
     def clock(self) -> int:
         """Simulated elapsed time in CPU cycles.
 
-        On a multi-core machine this is the *frontier* — the maximum over
-        all per-core clocks — since cores retire cycles in parallel.  On a
-        single-core machine it is exactly the kernel clock, as it always
-        was.
+        This is the *frontier* — the maximum over all per-core clocks —
+        since cores retire cycles in parallel.  On a single-core machine
+        it is exactly the kernel clock.
         """
-        sched = self.scheduler
-        if not sched.smp:
-            return self.kernel.clock
-        return sched.frontier()
+        return self.scheduler.frontier()
 
     @property
     def seconds(self) -> float:
@@ -152,7 +149,7 @@ class Machine:
         for core in sched.cores:
             snap = core.snapshot(frontier)
             if not sched.smp:
-                # Legacy loop: core 0's clock is the kernel clock.
+                # One-core round: core 0's clock is the kernel clock.
                 snap["clock"] = self.kernel.clock
                 snap["tasks"] = len(self.kernel.live_tasks())
             stats.append(snap)
@@ -195,9 +192,14 @@ class Machine:
 
     def run_process(self, process: Process, *, max_instructions: int = 50_000_000) -> int:
         """Run until ``process`` exits and return its exit code."""
-        from repro.kernel.scheduler import run_to_exit
-
-        return run_to_exit(self, process, max_instructions)
+        self.run(until=lambda: not process.task.alive,
+                 max_instructions=max_instructions)
+        if process.task.alive:
+            raise GuestCrash(
+                f"process {process.task.comm!r} did not exit within "
+                f"{max_instructions} instructions"
+            )
+        return process.exit_code
 
     # ------------------------------------------------------------ conveniences
     @property

@@ -35,11 +35,6 @@ class TraceeControl:
         self._charge()
         return self.task.regs.copy()
 
-    def setregs(self, regs: RegisterFile) -> None:
-        self._charge()
-        self.task.regs.gpr[:] = regs.gpr
-        self.task.regs.rip = regs.rip
-
     def get_syscall_args(self) -> tuple[int, tuple[int, ...]]:
         """Syscall number and the six argument registers (one GETREGS)."""
         from repro.arch.registers import SYSCALL_ARG_REGS
@@ -47,10 +42,6 @@ class TraceeControl:
         self._charge()
         regs = self.task.regs
         return regs.read(0), tuple(regs.read(r) for r in SYSCALL_ARG_REGS)
-
-    def set_syscall(self, nr: int) -> None:
-        self._charge()
-        self.task.regs.write(0, nr)
 
     def set_retval(self, value: int) -> None:
         self._charge()

@@ -18,21 +18,28 @@ drawn from a seeded RNG.  Slices still execute one at a time in host order
 core's *local* timeline: the kernel's global ``clock`` attribute is swapped
 to the core's clock for the duration of the slice and harvested back at the
 end.  Elapsed machine time is the *frontier* — the maximum core clock — so
-work spread over N cores genuinely takes ~1/N the simulated time.  The
-single-core code path is bit-for-bit the one that ran before SMP existed:
-``Machine(cores=1)`` is cycle-identical by construction.
+work spread over N cores genuinely takes ~1/N the simulated time.
+
+One outer loop (:meth:`Scheduler.run`) serves every core count; only the
+round body forks on it, because the core count is observable.  One core
+runs its round inline over the kernel's task list; many cores run
+:meth:`Scheduler._smp_round`, which swaps clocks and decode caches per
+slice.  Routing one core through the SMP round as well costs about a
+third more host time per op on the interposed webserver (the per-slice
+clock swap, cache rebind and runqueue copy), and gains nothing, so the
+two round bodies stay.  ``Machine(cores=1)`` is cycle-identical to the
+pre-SMP machine by construction.
 """
 
 from __future__ import annotations
 
-import heapq
 import random
 
 from repro.arch.isa import Mnemonic
 from repro.arch.registers import MASK64, RAX
 from repro.cpu.superblock import ENDS_RUN, BlockCache
 from repro.cpu.superblock import HOT_THRESHOLD as _HOT
-from repro.errors import BreakpointTrap, GuestCrash, InvalidOpcode, PageFault
+from repro.errors import BreakpointTrap, InvalidOpcode, PageFault
 from repro.kernel.smp import Core
 from repro.kernel.task import Task, TaskState
 from repro.kernel.waits import DeadlockError, WouldBlock
@@ -95,15 +102,14 @@ class Scheduler:
         self._nest_epoch = 0
         self.total_instructions = 0
         self._last_tid: int | None = None  # for ctx_switch trace events
-        #: SMP state.  ``cores == 1`` keeps the legacy single-core run loop
-        #: (``self.smp`` False); core 0 then only collects busy-cycle stats.
+        #: SMP state.  With ``cores == 1`` (``self.smp`` False) the run
+        #: loop takes the inline one-core round and core 0 only collects
+        #: busy-cycle stats.
         self.cores = [Core(i) for i in range(cores)]
         self.smp = cores > 1
         self.smp_seed = smp_seed
         self._rng = random.Random(smp_seed)
         self._current_core = self.cores[0]
-        #: Total cross-core shootdown IPIs sent (see :meth:`_shootdown`).
-        self.shootdowns = 0
 
     # --------------------------------------------------------------- slices
     def _maybe_unblock(self, task: Task) -> None:
@@ -167,6 +173,7 @@ class Scheduler:
         # slices, so insn_count is batched to slice exit as well.
         cpu = kernel.cpu
         step = cpu.step
+        charge = kernel.charge
         handle_fault = kernel.handle_fault
         runnable = TaskState.RUNNABLE
         core = self._current_core
@@ -221,139 +228,49 @@ class Scheduler:
                         self._bind_core(core, mem)
                     tier = cpu.superblocks and policy is None and not hooks
                     if tier:
-                        bcache = self._tier_state(cpu, mem)
-                        blocks = bcache.blocks
-                        heads = bcache.heads
-                        runs = bcache.runs
-                        nop_cost = bcache.nop_cost
-                        gens = mem.exec_gen
+                        (bcache, blocks, heads, runs, nop_cost,
+                         gens) = self._tier_state(cpu, mem)
                 addr = task.regs.rip
-                if tier:
+                # Tier 2: one lookup per block entry runs the block at
+                # ``addr`` (or its tail variant when it overruns the
+                # budget), or slides a recorded nop run, and chains from
+                # wherever the block exits.  Chaining skips the boundary
+                # checks above, which is sound because a block runs no
+                # syscalls/hcalls: nothing inside a chain can change
+                # liveness, pending signals or the address-space binding
+                # — only a fault can, and it returns to them.  For the
+                # same reason an exit to an address with no runnable block
+                # steps that instruction at once.  ``addr = None`` marks a
+                # dispatch that returns to the boundary checks unstepped.
+                # ``head``: a miss here is a block-head candidate.  Slice
+                # entries and block exits are (quantum cuts land mid-run,
+                # so they recur without ever being a taken branch
+                # target); other steps count below, through taken
+                # transfers and ``ENDS_RUN`` fallthroughs.
+                head = executed == 0
+                while tier:
                     b = blocks.get(addr)
                     if b is None:
-                        if executed == 0:
-                            # A slice resuming inside a recorded nop run
-                            # slides at once (see the nop slide below).
-                            r = runs.get(addr)
-                            if (r is not None and r[0] > addr
-                                    and gens.get(r[1], 0) == r[2]):
-                                executed = self._slide(
-                                    task, addr, r[0], budget, nop_cost)
-                                continue
-                            # Quantum cuts land mid-run, so slice entry
-                            # points recur without ever being a taken
-                            # branch target; count them as head
-                            # candidates too (once per slice — cheap).
-                            c = heads.get(addr, 0) + 1
-                            if c >= _HOT:
-                                heads.pop(addr, None)
-                                cpu.compile_superblock(mem, addr, task)
-                            else:
-                                heads[addr] = c
+                        if not head:
+                            break  # a mid-slice step target: step it
+                        fn = None
+                    elif (gens.get(b.p0, 0) != b.g0
+                          or gens.get(b.p1, 0) != b.g1):
+                        # Missed by the eager flush (e.g. invalidated
+                        # while bound to another core's cache).
+                        del blocks[addr]
+                        if b.fn is not None:
+                            cpu.note_block_invalidate(addr, task.tid)
+                        break
                     else:
                         fn = b.fn
-                        if (gens.get(b.p0, 0) != b.g0
-                                or gens.get(b.p1, 0) != b.g1):
-                            # Missed by the eager flush (e.g. invalidated
-                            # while bound to another core's cache).
-                            del blocks[addr]
-                            if fn is not None:
-                                cpu.note_block_invalidate(addr, task.tid)
-                        elif fn is not None and b.n <= budget - executed:
-                            # Chain compiled blocks back-to-back.  This
-                            # skips the boundary checks above *between*
-                            # blocks, which is sound because a block runs
-                            # no syscalls/hcalls: nothing inside a chain
-                            # can change liveness, pending signals or the
-                            # address-space binding — only a fault can,
-                            # and it breaks the chain.
-                            charge = kernel.charge
-                            while True:
-                                try:
-                                    n = fn(task, charge)
-                                except (PageFault, InvalidOpcode,
-                                        BreakpointTrap) as exc:
-                                    executed += task.sb_fault
-                                    b.runs += 1
-                                    handle_fault(task, exc, task.regs.rip)
-                                    break
-                                executed += n
-                                b.runs += 1
-                                # Hotness: block exits chain into heads.
-                                nrip = task.regs.rip
-                                nb = blocks.get(nrip)
-                                if nb is None:
-                                    c = heads.get(nrip, 0) + 1
-                                    if c >= _HOT:
-                                        heads.pop(nrip, None)
-                                        cpu.compile_superblock(
-                                            mem, nrip, task)
-                                    else:
-                                        heads[nrip] = c
-                                    break
-                                fn = nb.fn
-                                if (fn is None
-                                        or nb.n > budget - executed):
-                                    break
-                                if (gens.get(nb.p0, 0) != nb.g0
-                                        or gens.get(nb.p1, 0) != nb.g1):
-                                    del blocks[nrip]
-                                    cpu.note_block_invalidate(
-                                        nrip, task.tid)
-                                    break
-                                b = nb
-                            # Blocks never nest a scheduler run (no
-                            # syscalls/hcalls inside), so the post-step
-                            # epoch recheck below cannot fire; skip it.
-                            continue
-                        elif fn is not None:
-                            # The block overruns the remaining budget.
-                            # Run a *tail* variant truncated to exactly
-                            # the leftover — same instructions, costs and
-                            # fault behaviour as that many single steps,
-                            # without the per-instruction boundary
-                            # protocol (sound for the same reason the
-                            # chain above is: no syscalls/hcalls inside).
-                            # A variant compiles only once its (head,
-                            # leftover) pair is hot; until then the
-                            # remainder single-steps.
-                            key = (addr, budget - executed)
-                            tb = blocks.get(key)
-                            if tb is not None and (
-                                    gens.get(tb.p0, 0) != tb.g0
-                                    or gens.get(tb.p1, 0) != tb.g1):
-                                del blocks[key]
-                                if tb.fn is not None:
-                                    cpu.note_block_invalidate(
-                                        addr, task.tid)
-                                tb = None
-                            if tb is None:
-                                c = heads.get(key, 0) + 1
-                                if c >= _HOT:
-                                    heads.pop(key, None)
-                                    tb = cpu.compile_superblock(
-                                        mem, addr, task, max_len=key[1])
-                                else:
-                                    heads[key] = c
-                            if tb is not None and tb.fn is not None:
-                                try:
-                                    n = tb.fn(task, kernel.charge)
-                                except (PageFault, InvalidOpcode,
-                                        BreakpointTrap) as exc:
-                                    executed += task.sb_fault
-                                    tb.runs += 1
-                                    handle_fault(task, exc, task.regs.rip)
-                                else:
-                                    executed += n
-                                    tb.runs += 1
-                                continue
-                        else:
-                            # A sentinel head.  The sled entry a ``call
-                            # rax`` lands on is one (no block starts at a
-                            # nop): when its run is already recorded,
-                            # slide at once instead of stepping the first
-                            # nop.  Checked here only, so a step anywhere
-                            # else pays no extra lookup.  Sound by
+                    if fn is None:
+                        if b is not None or executed == 0:
+                            # A sentinel head (no block starts at a nop,
+                            # so the sled entry a ``call rax`` lands on is
+                            # one), or a slice resuming inside a run:
+                            # when the nop run is recorded, slide at once
+                            # instead of stepping.  Sound by
                             # BlockCache.nop_run's argument: the record
                             # exists only after a stepped nop on its page,
                             # and its generation is checked.
@@ -363,7 +280,69 @@ class Scheduler:
                                 executed += self._slide(
                                     task, addr, r[0], budget - executed,
                                     nop_cost)
-                                continue
+                                addr = None
+                                break
+                        if b is None:
+                            c = heads.get(addr, 0) + 1
+                            if c >= _HOT:
+                                heads.pop(addr, None)
+                                cpu.compile_superblock(mem, addr, task)
+                                if 0 < executed < budget:
+                                    # A block exit dispatches the block
+                                    # just compiled; a slice entry steps.
+                                    continue
+                            else:
+                                heads[addr] = c
+                        if executed == budget:
+                            addr = None  # a chain used up the slice
+                        break
+                    tail = b.n > budget - executed
+                    if tail:
+                        # The block overruns the remaining budget.  Run a
+                        # *tail* variant truncated to exactly the leftover:
+                        # same instructions, costs and fault behaviour as
+                        # that many single steps.  A variant compiles only
+                        # once its (head, leftover) pair is hot; until
+                        # then the remainder single-steps.
+                        key = (addr, budget - executed)
+                        b = blocks.get(key)
+                        if b is not None and (
+                                gens.get(b.p0, 0) != b.g0
+                                or gens.get(b.p1, 0) != b.g1):
+                            del blocks[key]
+                            if b.fn is not None:
+                                cpu.note_block_invalidate(addr, task.tid)
+                            b = None
+                        if b is None:
+                            c = heads.get(key, 0) + 1
+                            if c >= _HOT:
+                                heads.pop(key, None)
+                                b = cpu.compile_superblock(
+                                    mem, addr, task, max_len=key[1])
+                            else:
+                                heads[key] = c
+                        if b is None or b.fn is None:
+                            break
+                        fn = b.fn
+                    try:
+                        executed += fn(task, charge)
+                    except (PageFault, InvalidOpcode, BreakpointTrap) as exc:
+                        executed += task.sb_fault
+                        b.runs += 1
+                        handle_fault(task, exc, task.regs.rip)
+                        addr = None
+                        break
+                    b.runs += 1
+                    if tail:  # its exit is no head candidate
+                        addr = None
+                        break
+                    addr = task.regs.rip
+                    head = True
+                    if executed == budget and addr in blocks:
+                        addr = None  # budget spent; only a miss counts
+                        break
+                if addr is None:
+                    continue
                 try:
                     insn = step(task)
                 except (PageFault, InvalidOpcode, BreakpointTrap) as exc:
@@ -412,12 +391,8 @@ class Scheduler:
                         self._bind_core(core, task.mem)
                     tier = cpu.superblocks and policy is None and not hooks
                     if tier and task.mem is not None:
-                        bcache = self._tier_state(cpu, task.mem)
-                        blocks = bcache.blocks
-                        heads = bcache.heads
-                        runs = bcache.runs
-                        nop_cost = bcache.nop_cost
-                        gens = task.mem.exec_gen
+                        (bcache, blocks, heads, runs, nop_cost,
+                         gens) = self._tier_state(cpu, task.mem)
         finally:
             self._active.discard(task.tid)
             core._depth -= 1
@@ -442,15 +417,17 @@ class Scheduler:
         until=None,
         raise_on_deadlock: bool = True,
     ) -> None:
-        """Run until all tasks exit, ``until()`` is true, or the budget ends."""
-        if self.smp:
-            return self._run_smp(
-                max_instructions=max_instructions,
-                until=until,
-                raise_on_deadlock=raise_on_deadlock,
-            )
+        """Run until all tasks exit, ``until()`` is true, or the budget ends.
+
+        One loop for any core count; only the round body forks on it.
+        """
         kernel = self.kernel
         start = self.total_instructions
+        if self.smp and kernel.clock > max(c.clock for c in self.cores):
+            # Cycles charged outside any slice (a tool attached before the
+            # run) have elapsed on every core: start the first round there.
+            for core in self.cores:
+                core.clock = kernel.clock
         while True:
             if until is not None and until():
                 return
@@ -465,18 +442,27 @@ class Scheduler:
                 and self.total_instructions - start >= max_instructions
             ):
                 return
-            progress = 0
-            if self.policy is not None:
-                round_tasks = self.policy.schedule_order(round_tasks)
-            for task in round_tasks:
-                if not task.alive or task.tid in self._active:
-                    continue
-                progress += self.run_task_slice(task)
-                if until is not None and until():
+            if self.smp:
+                progress, stopped = self._smp_round(until=until)
+                if stopped:
                     return
+                # Events are machine-global; fire them against the
+                # frontier.  (kernel.clock is scratch between slices —
+                # the next slice re-swaps it to its core's local clock.)
+                kernel.clock = self.frontier()
+            else:
+                progress = 0
+                if self.policy is not None:
+                    round_tasks = self.policy.schedule_order(round_tasks)
+                for task in round_tasks:
+                    if not task.alive or task.tid in self._active:
+                        continue
+                    progress += self.run_task_slice(task)
+                    if until is not None and until():
+                        return
             kernel.fire_due_events()
             if progress == 0:
-                if kernel.advance_time():
+                if self._advance_time():
                     continue
                 # No instruction ran and no event is pending.
                 still_live = kernel.live_tasks()
@@ -488,6 +474,16 @@ class Scheduler:
                         + ", ".join(repr(t) for t in still_live)
                     )
                 return
+
+    def _advance_time(self) -> bool:
+        """Nothing ran: lift every core to the next event's time, fire it."""
+        at = self.kernel.next_event_time()
+        if at is None:
+            return False
+        for core in self.cores:
+            if core.clock < at:
+                core.clock = at
+        return self.kernel.advance_time()
 
     def run_others_once(self, current: Task) -> bool:
         """One scheduling pass over every task except ``current``.
@@ -509,6 +505,11 @@ class Scheduler:
         return progress > 0
 
     # ---------------------------------------------------------------- SMP
+    @property
+    def shootdowns(self) -> int:
+        """Total cross-core shootdown IPIs sent (see :meth:`_shootdown`)."""
+        return sum(core.shootdowns for core in self.cores)
+
     def frontier(self) -> int:
         """Machine-wide elapsed cycles: the maximum over all core clocks."""
         f = self.kernel.clock
@@ -574,13 +575,16 @@ class Scheduler:
         hook so eager invalidations surface as ``block_invalidate``
         events.  A slice calls it on entry only when one of the two is
         due, and again after a nested run or an execve rebinds ``mem``.
+        Returns the cache and the parts a slice keeps in locals:
+        ``(bcache, blocks, heads, runs, nop_cost, exec_gen)``.
         """
         bcache = mem.block_cache
         if bcache.cost_epoch != cpu.cost_epoch:
             bcache.reset(cpu.cost_epoch, cpu._cost_table)
         if mem.block_flush_hook is None:
             mem.block_flush_hook = self._block_flush
-        return bcache
+        return (bcache, bcache.blocks, bcache.heads, bcache.runs,
+                bcache.nop_cost, mem.exec_gen)
 
     def _block_flush(self, mem, pn: int, dropped: list) -> None:
         """Eager flush callback: blocks spanning page ``pn`` were dropped."""
@@ -668,7 +672,6 @@ class Scheduler:
                 for addr in stale:
                     del cache[addr]
                 core.shootdowns += 1
-                self.shootdowns += 1
                 kernel.charge(None, ipi)
 
     def _slice_on(self, core: Core, task: Task) -> int:
@@ -789,71 +792,3 @@ class Scheduler:
                 if core not in ran and core._depth == 0 and core.clock < target:
                     core.clock = target
         return progress, False
-
-    def _advance_time_smp(self) -> bool:
-        """All cores idle: jump every clock to the next event and fire it."""
-        kernel = self.kernel
-        if not kernel._events:
-            return False
-        at, _seq, callback = heapq.heappop(kernel._events)
-        for core in self.cores:
-            if core.clock < at:
-                core.clock = at
-        if kernel.clock < at:
-            kernel.clock = at
-        callback()
-        return True
-
-    def _run_smp(
-        self,
-        *,
-        max_instructions: int | None = None,
-        until=None,
-        raise_on_deadlock: bool = True,
-    ) -> None:
-        """The SMP analogue of :meth:`run`, round-by-round over all cores."""
-        kernel = self.kernel
-        start = self.total_instructions
-        while True:
-            if until is not None and until():
-                return
-            if not kernel.live_tasks():
-                return
-            if (
-                max_instructions is not None
-                and self.total_instructions - start >= max_instructions
-            ):
-                return
-            progress, stopped = self._smp_round(until=until)
-            if stopped:
-                return
-            # Events are machine-global; fire them against the frontier.
-            # (kernel.clock is scratch between slices — the next slice
-            # re-swaps it to its core's local clock.)
-            kernel.clock = self.frontier()
-            kernel.fire_due_events()
-            if progress == 0:
-                if self._advance_time_smp():
-                    continue
-                still_live = kernel.live_tasks()
-                if not still_live:
-                    return
-                if raise_on_deadlock:
-                    raise DeadlockError(
-                        "all tasks blocked with no pending events: "
-                        + ", ".join(repr(t) for t in still_live)
-                    )
-                return
-
-
-def run_to_exit(machine, process, max_instructions: int = 10_000_000) -> int:
-    """Convenience: run until ``process`` exits; returns its exit code."""
-    machine.run(
-        until=lambda: not process.task.alive, max_instructions=max_instructions
-    )
-    if process.task.alive:
-        raise GuestCrash(
-            f"process {process.task.comm!r} did not exit within "
-            f"{max_instructions} instructions"
-        )
-    return process.exit_code

@@ -176,10 +176,6 @@ class Task:
     def alive(self) -> bool:
         return self.state in (TaskState.RUNNABLE, TaskState.BLOCKED)
 
-    @property
-    def is_thread_group_leader(self) -> bool:
-        return self.tid == self.pid
-
     def signal_blocked(self, sig: int) -> bool:
         return bool(self.sigmask & (1 << sig))
 

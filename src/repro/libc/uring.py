@@ -198,10 +198,6 @@ class GuestRing:
     def push_accept(self, fd) -> int:
         return self.push("accept4", fd, 0, 0, 0)
 
-    def push_send(self, fd, buf, count) -> int:
-        # send(fd, buf, n, 0) on a connected socket == write(fd, buf, n)
-        return self.push("write", fd, buf, count)
-
     def _enter_loop(self, target_head: int, *, min_complete: int = 0,
                     flags: int = 0) -> None:
         """Emit ring_enter, re-entering until ``sq_head == target_head``.

@@ -24,6 +24,9 @@ from repro.loader.image import image_from_assembler
 from repro.mem import layout
 from repro.obs.export import export_jsonl
 from repro.obs.tracer import Tracer
+from repro.workloads import coreutils
+
+pytestmark = pytest.mark.smp
 
 
 def _all_dead(machine):
@@ -65,9 +68,10 @@ def test_machine_core_arguments():
 def test_single_core_machine_is_the_legacy_machine():
     """``cores=1`` must be cycle-for-cycle the pre-SMP machine.
 
-    The SMP scheduler only engages for ``cores > 1``; a 1-core machine
-    takes the legacy scheduling path, so clocks, instruction counts and
-    observable results are identical no matter what ``smp_seed`` says.
+    One run loop serves every core count, but a 1-core machine runs the
+    inline one-core round body (no per-core clock swap, no seeded core
+    order), so clocks, instruction counts and observable results are
+    identical no matter what ``smp_seed`` says.
     """
     results = []
     for smp_seed in (0, 99):
@@ -98,6 +102,21 @@ def test_single_core_machine_is_the_legacy_machine():
         )
     )
     assert results[0] == results[1] == results[2]
+
+
+def test_cycles_charged_before_the_first_slice_count_on_smp():
+    """lazypoline attached before ``run`` charges its set-up to the
+    kernel clock; with one task, a 2-core machine must end exactly where
+    the 1-core machine does — every core starts the first round there."""
+    clocks = []
+    for cores in (1, 2):
+        machine = Machine(cores=cores)
+        coreutils.setup_fs(machine)
+        process = machine.load(coreutils.build_coreutil("ls"))
+        attach(machine, process, tool="lazypoline")
+        assert machine.run_process(process) == 0
+        clocks.append(machine.clock)
+    assert clocks[0] == clocks[1]
 
 
 # -------------------------------------------------------------- determinism
@@ -301,7 +320,6 @@ def test_events_carry_core_ids():
 
 
 # ------------------------------------------------------------------- scaling
-@pytest.mark.smp
 def test_webserver_scales_across_cores():
     """Acceptance: guest-MIPS at cores=4 ≥ 2x the 1-core figure."""
     from repro.workloads.runner import run_workload
