@@ -28,8 +28,14 @@ xsave/xrstor       ``(base, disp)``
 rdgsbase/wrgsbase  ``(reg,)``
 gsload/gsload8     ``(dst, disp)`` — disp unsigned 32-bit
 gsstore/gsstore8   ``(disp, src)``
+gsjmp/gswrpkru     ``(disp,)`` — disp unsigned 32-bit
+gscopy8            ``(dst, src)`` — both gs displacements, unsigned 32-bit
+rdpkru/wrpkru      ``(reg,)``
 hcall              ``(hook_id,)``
 =================  =======================================================
+
+The instruction table in :mod:`repro.cpu.ops` names these operands and
+gives each its role (register read or written, immediate, displacement).
 """
 
 from __future__ import annotations

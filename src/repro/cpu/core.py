@@ -41,6 +41,11 @@ per-mnemonic handler functions indexed by ``Mnemonic.op_index``; each cache
 entry carries its ``(handler, cost)`` pair so the steady-state step is
 fetch-check-generation -> charge -> call.  ``cost`` is ``None`` for
 xsave/xrstor, whose cost depends on the task's xstate component count.
+The handlers are generated, in one ``compile`` at import, from the effect
+templates of the instruction table in :mod:`repro.cpu.ops` — the same
+table tier 2 emits its source from — and write ``task.regs.gpr``
+directly.  Only the ops no template expresses are written out below:
+the environment calls, the traps, ``faddp`` and xsave/xrstor.
 """
 
 from __future__ import annotations
@@ -49,15 +54,10 @@ import struct
 from typing import Protocol
 
 from repro.arch.decode import decode_cached, decode_one
-from repro.arch.isa import MAX_INSN_LEN, N_MNEMONICS, Instruction, Mnemonic
-from repro.arch.registers import (
-    MASK64,
-    MASK128,
-    RSP,
-    XComponent,
-    to_signed,
-)
+from repro.arch.isa import MAX_INSN_LEN, Instruction, Mnemonic
+from repro.arch.registers import MASK64, MASK128, XComponent
 from repro.cpu.costs import CostModel
+from repro.cpu.ops import dispatch
 from repro.errors import BreakpointTrap, InvalidOpcode
 from repro.mem.pages import PAGE_SHIFT
 
@@ -81,8 +81,10 @@ _CACHE_CAPACITY = 65536
 class Environment(Protocol):
     """What the CPU needs from its surroundings."""
 
-    def charge(self, task, cycles: int) -> None:
-        """Account ``cycles`` of work performed by ``task``."""
+    def charge(self, task, cycles: float) -> None:
+        """Account ``cycles`` of work performed by ``task``: a multiple of
+        0.25 (instruction costs are quarter cycles; see
+        :meth:`repro.cpu.costs.CostModel.refresh_tables`)."""
 
     def on_syscall(self, task) -> None:
         """A syscall instruction retired; rip already points past it."""
@@ -103,7 +105,7 @@ class NullEnvironment:
         self.halted: list[object] = []
         self.hcalls: list[int] = []
 
-    def charge(self, task, cycles: int) -> None:
+    def charge(self, task, cycles: float) -> None:
         self.cycles += cycles
 
     def on_syscall(self, task) -> None:
@@ -141,13 +143,11 @@ class BareTask:
 
 
 # ------------------------------------------------------------------ handlers
-# One module-level function per mnemonic, uniform signature
-# ``handler(cpu, task, insn, next_rip)``.  ``regs.rip`` is already
-# ``next_rip`` when the handler runs; control-flow handlers overwrite it.
-
-
-def _op_nop(cpu, task, insn, next_rip):
-    pass
+# One function per mnemonic, uniform signature ``handler(cpu, task, insn,
+# next_rip)``; ``regs.rip`` is already ``next_rip`` when it runs, and
+# control transfers overwrite it.  :data:`DISPATCH` generates the handler
+# of every row of the instruction table (``repro.cpu.ops``) that has an
+# effect template; these are the ops no template expresses.
 
 
 def _op_syscall(cpu, task, insn, next_rip):
@@ -170,322 +170,6 @@ def _op_ud2(cpu, task, insn, next_rip):
     raise InvalidOpcode(next_rip - insn.length, 0x0F)
 
 
-# control flow ----------------------------------------------------------------
-def _op_ret(cpu, task, insn, next_rip):
-    task.regs.rip = cpu._pop(task)
-
-
-def _op_push(cpu, task, insn, next_rip):
-    cpu._push(task, task.regs.read(insn.operands[0]))
-
-
-def _op_pop(cpu, task, insn, next_rip):
-    task.regs.write(insn.operands[0], cpu._pop(task))
-
-
-def _op_call_reg(cpu, task, insn, next_rip):
-    cpu._push(task, next_rip)
-    task.regs.rip = task.regs.read(insn.operands[0])
-
-
-def _op_jmp_reg(cpu, task, insn, next_rip):
-    task.regs.rip = task.regs.read(insn.operands[0])
-
-
-def _op_call_rel(cpu, task, insn, next_rip):
-    cpu._push(task, next_rip)
-    task.regs.rip = (next_rip + insn.operands[0]) & MASK64
-
-
-def _op_jmp_rel(cpu, task, insn, next_rip):
-    task.regs.rip = (next_rip + insn.operands[0]) & MASK64
-
-
-def _op_jz(cpu, task, insn, next_rip):
-    regs = task.regs
-    if regs.zf:
-        regs.rip = (next_rip + insn.operands[0]) & MASK64
-
-
-def _op_jnz(cpu, task, insn, next_rip):
-    regs = task.regs
-    if not regs.zf:
-        regs.rip = (next_rip + insn.operands[0]) & MASK64
-
-
-def _op_jl(cpu, task, insn, next_rip):
-    regs = task.regs
-    if regs.lt:
-        regs.rip = (next_rip + insn.operands[0]) & MASK64
-
-
-def _op_jg(cpu, task, insn, next_rip):
-    regs = task.regs
-    if not regs.lt and not regs.zf:
-        regs.rip = (next_rip + insn.operands[0]) & MASK64
-
-
-def _op_jge(cpu, task, insn, next_rip):
-    regs = task.regs
-    if not regs.lt:
-        regs.rip = (next_rip + insn.operands[0]) & MASK64
-
-
-def _op_jle(cpu, task, insn, next_rip):
-    regs = task.regs
-    if regs.lt or regs.zf:
-        regs.rip = (next_rip + insn.operands[0]) & MASK64
-
-
-# data movement ---------------------------------------------------------------
-def _op_mov_imm64(cpu, task, insn, next_rip):
-    ops = insn.operands
-    task.regs.write(ops[0], ops[1])
-
-
-def _op_mov(cpu, task, insn, next_rip):
-    ops = insn.operands
-    regs = task.regs
-    regs.write(ops[0], regs.read(ops[1]))
-
-
-def _op_load(cpu, task, insn, next_rip):
-    ops = insn.operands
-    regs = task.regs
-    regs.write(ops[0], task.mem.read_u64((regs.read(ops[1]) + ops[2]) & MASK64))
-
-
-def _op_store(cpu, task, insn, next_rip):
-    ops = insn.operands
-    regs = task.regs
-    task.mem.write_u64((regs.read(ops[0]) + ops[1]) & MASK64, regs.read(ops[2]))
-
-
-def _op_load8(cpu, task, insn, next_rip):
-    ops = insn.operands
-    regs = task.regs
-    regs.write(ops[0], task.mem.read_u8((regs.read(ops[1]) + ops[2]) & MASK64))
-
-
-def _op_store8(cpu, task, insn, next_rip):
-    ops = insn.operands
-    regs = task.regs
-    task.mem.write_u8((regs.read(ops[0]) + ops[1]) & MASK64, regs.read(ops[2]) & 0xFF)
-
-
-def _op_lea(cpu, task, insn, next_rip):
-    ops = insn.operands
-    regs = task.regs
-    regs.write(ops[0], (regs.read(ops[1]) + ops[2]) & MASK64)
-
-
-# ALU -------------------------------------------------------------------------
-def _set_flags(regs, result: int) -> None:
-    regs.zf = result == 0
-    regs.lt = bool(result >> 63)
-
-
-def _op_add(cpu, task, insn, next_rip):
-    ops = insn.operands
-    regs = task.regs
-    result = (regs.read(ops[0]) + regs.read(ops[1])) & MASK64
-    regs.write(ops[0], result)
-    _set_flags(regs, result)
-
-
-def _op_sub(cpu, task, insn, next_rip):
-    ops = insn.operands
-    regs = task.regs
-    result = (regs.read(ops[0]) - regs.read(ops[1])) & MASK64
-    regs.write(ops[0], result)
-    _set_flags(regs, result)
-
-
-def _op_and(cpu, task, insn, next_rip):
-    ops = insn.operands
-    regs = task.regs
-    result = regs.read(ops[0]) & regs.read(ops[1])
-    regs.write(ops[0], result)
-    _set_flags(regs, result)
-
-
-def _op_or(cpu, task, insn, next_rip):
-    ops = insn.operands
-    regs = task.regs
-    result = regs.read(ops[0]) | regs.read(ops[1])
-    regs.write(ops[0], result)
-    _set_flags(regs, result)
-
-
-def _op_xor(cpu, task, insn, next_rip):
-    ops = insn.operands
-    regs = task.regs
-    result = regs.read(ops[0]) ^ regs.read(ops[1])
-    regs.write(ops[0], result)
-    _set_flags(regs, result)
-
-
-def _op_imul(cpu, task, insn, next_rip):
-    ops = insn.operands
-    regs = task.regs
-    result = (to_signed(regs.read(ops[0])) * to_signed(regs.read(ops[1]))) & MASK64
-    regs.write(ops[0], result)
-    _set_flags(regs, result)
-
-
-def _op_cmp(cpu, task, insn, next_rip):
-    ops = insn.operands
-    regs = task.regs
-    a = to_signed(regs.read(ops[0]))
-    b = to_signed(regs.read(ops[1]))
-    regs.zf = a == b
-    regs.lt = a < b
-
-
-def _op_addi(cpu, task, insn, next_rip):
-    ops = insn.operands
-    regs = task.regs
-    result = (regs.read(ops[0]) + (ops[1] & MASK64)) & MASK64
-    regs.write(ops[0], result)
-    _set_flags(regs, result)
-
-
-def _op_subi(cpu, task, insn, next_rip):
-    ops = insn.operands
-    regs = task.regs
-    result = (regs.read(ops[0]) - (ops[1] & MASK64)) & MASK64
-    regs.write(ops[0], result)
-    _set_flags(regs, result)
-
-
-def _op_andi(cpu, task, insn, next_rip):
-    ops = insn.operands
-    regs = task.regs
-    result = regs.read(ops[0]) & (ops[1] & MASK64)
-    regs.write(ops[0], result)
-    _set_flags(regs, result)
-
-
-def _op_ori(cpu, task, insn, next_rip):
-    ops = insn.operands
-    regs = task.regs
-    result = regs.read(ops[0]) | (ops[1] & MASK64)
-    regs.write(ops[0], result)
-    _set_flags(regs, result)
-
-
-def _op_xori(cpu, task, insn, next_rip):
-    ops = insn.operands
-    regs = task.regs
-    result = regs.read(ops[0]) ^ (ops[1] & MASK64)
-    regs.write(ops[0], result)
-    _set_flags(regs, result)
-
-
-def _op_cmpi(cpu, task, insn, next_rip):
-    ops = insn.operands
-    regs = task.regs
-    a = to_signed(regs.read(ops[0]))
-    regs.zf = a == ops[1]
-    regs.lt = a < ops[1]
-
-
-def _op_shl(cpu, task, insn, next_rip):
-    ops = insn.operands
-    regs = task.regs
-    result = (regs.read(ops[0]) << (ops[1] & 63)) & MASK64
-    regs.write(ops[0], result)
-    _set_flags(regs, result)
-
-
-def _op_shr(cpu, task, insn, next_rip):
-    ops = insn.operands
-    regs = task.regs
-    result = regs.read(ops[0]) >> (ops[1] & 63)
-    regs.write(ops[0], result)
-    _set_flags(regs, result)
-
-
-def _op_inc(cpu, task, insn, next_rip):
-    ops = insn.operands
-    regs = task.regs
-    result = (regs.read(ops[0]) + 1) & MASK64
-    regs.write(ops[0], result)
-    _set_flags(regs, result)
-
-
-def _op_dec(cpu, task, insn, next_rip):
-    ops = insn.operands
-    regs = task.regs
-    result = (regs.read(ops[0]) - 1) & MASK64
-    regs.write(ops[0], result)
-    _set_flags(regs, result)
-
-
-# vector ----------------------------------------------------------------------
-def _op_movq_xg(cpu, task, insn, next_rip):
-    ops = insn.operands
-    regs = task.regs
-    regs.write_xmm(ops[0], regs.read(ops[1]))
-
-
-def _op_movq_gx(cpu, task, insn, next_rip):
-    ops = insn.operands
-    regs = task.regs
-    regs.write(ops[0], regs.read_xmm(ops[1]) & MASK64)
-
-
-def _op_movups_load(cpu, task, insn, next_rip):
-    ops = insn.operands
-    regs = task.regs
-    addr = (regs.read(ops[1]) + ops[2]) & MASK64
-    regs.write_xmm(ops[0], int.from_bytes(task.mem.read(addr, 16), "little"))
-
-
-def _op_movups_store(cpu, task, insn, next_rip):
-    ops = insn.operands
-    regs = task.regs
-    addr = (regs.read(ops[0]) + ops[1]) & MASK64
-    task.mem.write(addr, regs.read_xmm(ops[2]).to_bytes(16, "little"))
-
-
-def _op_movaps(cpu, task, insn, next_rip):
-    ops = insn.operands
-    regs = task.regs
-    regs.write_xmm(ops[0], regs.read_xmm(ops[1]))
-
-
-def _op_punpcklqdq(cpu, task, insn, next_rip):
-    ops = insn.operands
-    regs = task.regs
-    low = regs.read_xmm(ops[0]) & MASK64
-    src_low = regs.read_xmm(ops[1]) & MASK64
-    regs.write_xmm(ops[0], low | (src_low << 64))
-
-
-def _op_xorps(cpu, task, insn, next_rip):
-    ops = insn.operands
-    regs = task.regs
-    regs.write_xmm(ops[0], regs.read_xmm(ops[0]) ^ regs.read_xmm(ops[1]))
-
-
-def _op_vaddpd(cpu, task, insn, next_rip):
-    # Lane-wise 64-bit add; also touches the AVX high halves.
-    ops = insn.operands
-    regs = task.regs
-    d = regs.read_xmm(ops[0])
-    s = regs.read_xmm(ops[1])
-    low = ((d & MASK64) + (s & MASK64)) & MASK64
-    high = (((d >> 64) & MASK64) + ((s >> 64) & MASK64)) & MASK64
-    regs.write_xmm(ops[0], low | (high << 64))
-    regs.ymm_high[ops[0]] = (regs.ymm_high[ops[0]] + regs.ymm_high[ops[1]]) & MASK128
-
-
-# x87 -------------------------------------------------------------------------
-def _op_fld1(cpu, task, insn, next_rip):
-    task.regs.x87_push(_U64.unpack(_F64.pack(1.0))[0])
-
-
 def _op_faddp(cpu, task, insn, next_rip):
     regs = task.regs
     a = _F64.unpack(_U64.pack(regs.x87_pop()))[0]
@@ -493,175 +177,30 @@ def _op_faddp(cpu, task, insn, next_rip):
     regs.x87_push(_U64.unpack(_F64.pack(a + b))[0])
 
 
-def _op_fld_mem(cpu, task, insn, next_rip):
-    ops = insn.operands
-    regs = task.regs
-    addr = (regs.read(ops[0]) + ops[1]) & MASK64
-    regs.x87_push(task.mem.read_u64(addr))
-
-
-def _op_fstp_mem(cpu, task, insn, next_rip):
-    ops = insn.operands
-    regs = task.regs
-    addr = (regs.read(ops[0]) + ops[1]) & MASK64
-    task.mem.write_u64(addr, regs.x87_pop())
-
-
-# xstate ----------------------------------------------------------------------
 def _op_xsave(cpu, task, insn, next_rip):
     ops = insn.operands
-    regs = task.regs
-    addr = (regs.read(ops[0]) + ops[1]) & MASK64
-    task.mem.write(addr, xsave_serialize(regs, task.xsave_mask))
+    addr = (task.regs.gpr[ops[0]] + ops[1]) & MASK64
+    task.mem.write(addr, xsave_serialize(task.regs, task.xsave_mask))
 
 
 def _op_xrstor(cpu, task, insn, next_rip):
     ops = insn.operands
-    regs = task.regs
-    addr = (regs.read(ops[0]) + ops[1]) & MASK64
-    xrstor_apply(regs, task.mem.read(addr, XSAVE_AREA_SIZE))
-
-
-# gs-relative -----------------------------------------------------------------
-def _op_rdgsbase(cpu, task, insn, next_rip):
-    regs = task.regs
-    regs.write(insn.operands[0], regs.gs_base)
-
-
-def _op_wrgsbase(cpu, task, insn, next_rip):
-    regs = task.regs
-    regs.gs_base = regs.read(insn.operands[0])
-
-
-def _op_gsload(cpu, task, insn, next_rip):
-    ops = insn.operands
-    regs = task.regs
-    regs.write(ops[0], task.mem.read_u64((regs.gs_base + ops[1]) & MASK64))
-
-
-def _op_gsstore(cpu, task, insn, next_rip):
-    ops = insn.operands
-    regs = task.regs
-    task.mem.write_u64((regs.gs_base + ops[0]) & MASK64, regs.read(ops[1]))
-
-
-def _op_gsload8(cpu, task, insn, next_rip):
-    ops = insn.operands
-    regs = task.regs
-    regs.write(ops[0], task.mem.read_u8((regs.gs_base + ops[1]) & MASK64))
-
-
-def _op_gsstore8(cpu, task, insn, next_rip):
-    ops = insn.operands
-    regs = task.regs
-    task.mem.write_u8((regs.gs_base + ops[0]) & MASK64, regs.read(ops[1]) & 0xFF)
-
-
-def _op_rdpkru(cpu, task, insn, next_rip):
-    regs = task.regs
-    regs.write(insn.operands[0], regs.pkru)
-
-
-def _op_wrpkru(cpu, task, insn, next_rip):
-    regs = task.regs
-    regs.pkru = regs.read(insn.operands[0]) & 0xFFFFFFFF
-    task.mem.active_pkru = regs.pkru
-
-
-def _op_gswrpkru(cpu, task, insn, next_rip):
-    regs = task.regs
-    regs.pkru = task.mem.read_u32((regs.gs_base + insn.operands[0]) & MASK64)
-    task.mem.active_pkru = regs.pkru
-
-
-def _op_gsjmp(cpu, task, insn, next_rip):
-    regs = task.regs
-    regs.rip = task.mem.read_u64((regs.gs_base + insn.operands[0]) & MASK64)
-
-
-def _op_gscopy8(cpu, task, insn, next_rip):
-    ops = insn.operands
-    regs = task.regs
-    value = task.mem.read_u8((regs.gs_base + ops[1]) & MASK64)
-    task.mem.write_u8((regs.gs_base + ops[0]) & MASK64, value)
+    addr = (task.regs.gpr[ops[0]] + ops[1]) & MASK64
+    xrstor_apply(task.regs, task.mem.read(addr, XSAVE_AREA_SIZE))
 
 
 #: Dense dispatch table: ``DISPATCH[mnemonic.op_index] -> handler``.
-DISPATCH: list = [None] * N_MNEMONICS
-for _m, _fn in {
-    Mnemonic.NOP: _op_nop,
-    Mnemonic.RET: _op_ret,
-    Mnemonic.HLT: _op_hlt,
-    Mnemonic.INT3: _op_int3,
+DISPATCH: list = dispatch({
     Mnemonic.SYSCALL: _op_syscall,
     Mnemonic.SYSENTER: _op_syscall,
+    Mnemonic.HLT: _op_hlt,
+    Mnemonic.HCALL: _op_hcall,
+    Mnemonic.INT3: _op_int3,
     Mnemonic.UD2: _op_ud2,
-    Mnemonic.PUSH: _op_push,
-    Mnemonic.POP: _op_pop,
-    Mnemonic.CALL_REG: _op_call_reg,
-    Mnemonic.JMP_REG: _op_jmp_reg,
-    Mnemonic.CALL_REL: _op_call_rel,
-    Mnemonic.JMP_REL: _op_jmp_rel,
-    Mnemonic.JZ: _op_jz,
-    Mnemonic.JNZ: _op_jnz,
-    Mnemonic.JL: _op_jl,
-    Mnemonic.JG: _op_jg,
-    Mnemonic.JGE: _op_jge,
-    Mnemonic.JLE: _op_jle,
-    Mnemonic.MOV_IMM64: _op_mov_imm64,
-    Mnemonic.MOV: _op_mov,
-    Mnemonic.LOAD: _op_load,
-    Mnemonic.STORE: _op_store,
-    Mnemonic.LOAD8: _op_load8,
-    Mnemonic.STORE8: _op_store8,
-    Mnemonic.ADD: _op_add,
-    Mnemonic.SUB: _op_sub,
-    Mnemonic.CMP: _op_cmp,
-    Mnemonic.AND: _op_and,
-    Mnemonic.OR: _op_or,
-    Mnemonic.XOR: _op_xor,
-    Mnemonic.IMUL: _op_imul,
-    Mnemonic.SHL: _op_shl,
-    Mnemonic.SHR: _op_shr,
-    Mnemonic.ADDI: _op_addi,
-    Mnemonic.SUBI: _op_subi,
-    Mnemonic.CMPI: _op_cmpi,
-    Mnemonic.ANDI: _op_andi,
-    Mnemonic.ORI: _op_ori,
-    Mnemonic.XORI: _op_xori,
-    Mnemonic.INC: _op_inc,
-    Mnemonic.DEC: _op_dec,
-    Mnemonic.LEA: _op_lea,
-    Mnemonic.MOVQ_XG: _op_movq_xg,
-    Mnemonic.MOVQ_GX: _op_movq_gx,
-    Mnemonic.MOVUPS_LOAD: _op_movups_load,
-    Mnemonic.MOVUPS_STORE: _op_movups_store,
-    Mnemonic.MOVAPS: _op_movaps,
-    Mnemonic.PUNPCKLQDQ: _op_punpcklqdq,
-    Mnemonic.XORPS: _op_xorps,
-    Mnemonic.VADDPD: _op_vaddpd,
-    Mnemonic.FLD1: _op_fld1,
     Mnemonic.FADDP: _op_faddp,
-    Mnemonic.FLD_MEM: _op_fld_mem,
-    Mnemonic.FSTP_MEM: _op_fstp_mem,
     Mnemonic.XSAVE: _op_xsave,
     Mnemonic.XRSTOR: _op_xrstor,
-    Mnemonic.RDGSBASE: _op_rdgsbase,
-    Mnemonic.WRGSBASE: _op_wrgsbase,
-    Mnemonic.GSLOAD: _op_gsload,
-    Mnemonic.GSSTORE: _op_gsstore,
-    Mnemonic.GSLOAD8: _op_gsload8,
-    Mnemonic.GSSTORE8: _op_gsstore8,
-    Mnemonic.GSJMP: _op_gsjmp,
-    Mnemonic.GSCOPY8: _op_gscopy8,
-    Mnemonic.RDPKRU: _op_rdpkru,
-    Mnemonic.WRPKRU: _op_wrpkru,
-    Mnemonic.GSWRPKRU: _op_gswrpkru,
-    Mnemonic.HCALL: _op_hcall,
-}.items():
-    DISPATCH[_m.op_index] = _fn
-del _m, _fn
-assert all(fn is not None for fn in DISPATCH), "mnemonic without handler"
+})
 
 
 class CPU:
@@ -844,20 +383,6 @@ class CPU:
             mem.block_cache.runs.clear()
         cache[addr] = entry
         return entry
-
-    # ----------------------------------------------------------- stack utils
-    def _push(self, task, value: int) -> None:
-        regs = task.regs
-        rsp = (regs.read(RSP) - 8) & MASK64
-        task.mem.write_u64(rsp, value)
-        regs.write(RSP, rsp)
-
-    def _pop(self, task) -> int:
-        regs = task.regs
-        rsp = regs.read(RSP)
-        value = task.mem.read_u64(rsp)
-        regs.write(RSP, (rsp + 8) & MASK64)
-        return value
 
 
 # ----------------------------------------------------------------- xsave glue

@@ -2,7 +2,11 @@
 
 ``reg_effects`` computes which registers an instruction reads and writes,
 used by the Pin-style analysis tool (§IV-B of the paper) to detect programs
-that expect register contents to survive a syscall.
+that expect register contents to survive a syscall.  It reads them off the
+operand roles of the instruction's row in :mod:`repro.cpu.ops`, the table
+both interpreter tiers execute from, so the analysis and execution cannot
+disagree about an operand.  ``tests/test_reg_effects.py`` checks the sets
+against single tier-1 steps.
 
 Register identifiers:
 
@@ -16,8 +20,8 @@ from __future__ import annotations
 
 from typing import Protocol
 
-from repro.arch.isa import Instruction, Mnemonic
-from repro.arch.registers import RSP, SYSCALL_ARG_REGS, SYSCALL_CLOBBERS
+from repro.arch.isa import Instruction
+from repro.cpu.ops import ROWS
 
 RegId = tuple
 
@@ -56,103 +60,17 @@ class WindowWatch:
         return {a for a in self.covered if start <= a < end}
 
 
-_G = lambda i: ("g", i)  # noqa: E731 - tiny constructors keep tables readable
-_X = lambda i: ("x", i)  # noqa: E731
-_Y = lambda i: ("y", i)  # noqa: E731
-_ST = ("st",)
-
-_ALL_XSTATE = frozenset(
-    [_X(i) for i in range(16)] + [_Y(i) for i in range(16)] + [_ST]
-)
-
-
 def reg_effects(insn: Instruction) -> tuple[frozenset, frozenset]:
-    """Return ``(reads, writes)`` register-id sets for ``insn``."""
-    m = insn.mnemonic
-    ops = insn.operands
-    M = Mnemonic
+    """Return ``(reads, writes)`` register-id sets for ``insn``.
 
-    if m in (M.NOP, M.HLT, M.INT3, M.UD2, M.JMP_REL, M.JZ, M.JNZ,
-             M.JL, M.JG, M.JGE, M.JLE, M.HCALL, M.GSJMP, M.GSCOPY8,
-             M.GSWRPKRU):
-        return frozenset(), frozenset()
-    if m in (M.SYSCALL, M.SYSENTER):
-        reads = frozenset({_G(0)} | {_G(r) for r in SYSCALL_ARG_REGS})
-        writes = frozenset(_G(r) for r in SYSCALL_CLOBBERS)
-        return reads, writes
-    if m is M.RET:
-        return frozenset({_G(RSP)}), frozenset({_G(RSP)})
-    if m is M.PUSH:
-        return frozenset({_G(ops[0]), _G(RSP)}), frozenset({_G(RSP)})
-    if m is M.POP:
-        return frozenset({_G(RSP)}), frozenset({_G(ops[0]), _G(RSP)})
-    if m is M.CALL_REG:
-        return frozenset({_G(ops[0]), _G(RSP)}), frozenset({_G(RSP)})
-    if m is M.JMP_REG:
-        return frozenset({_G(ops[0])}), frozenset()
-    if m is M.CALL_REL:
-        return frozenset({_G(RSP)}), frozenset({_G(RSP)})
-    if m is M.MOV_IMM64:
-        return frozenset(), frozenset({_G(ops[0])})
-    if m is M.MOV:
-        return frozenset({_G(ops[1])}), frozenset({_G(ops[0])})
-    if m in (M.LOAD, M.LOAD8):
-        return frozenset({_G(ops[1])}), frozenset({_G(ops[0])})
-    if m in (M.STORE, M.STORE8):
-        return frozenset({_G(ops[0]), _G(ops[2])}), frozenset()
-    if m is M.LEA:
-        return frozenset({_G(ops[1])}), frozenset({_G(ops[0])})
-    if m in (M.ADD, M.SUB, M.AND, M.OR, M.IMUL):
-        return frozenset({_G(ops[0]), _G(ops[1])}), frozenset({_G(ops[0])})
-    if m is M.XOR:
-        if ops[0] == ops[1]:  # zeroing idiom: no true read
-            return frozenset(), frozenset({_G(ops[0])})
-        return frozenset({_G(ops[0]), _G(ops[1])}), frozenset({_G(ops[0])})
-    if m is M.CMP:
-        return frozenset({_G(ops[0]), _G(ops[1])}), frozenset()
-    if m in (M.SHL, M.SHR, M.ADDI, M.SUBI, M.ANDI, M.ORI, M.XORI):
-        return frozenset({_G(ops[0])}), frozenset({_G(ops[0])})
-    if m is M.CMPI:
-        return frozenset({_G(ops[0])}), frozenset()
-    if m in (M.INC, M.DEC):
-        return frozenset({_G(ops[0])}), frozenset({_G(ops[0])})
-    if m is M.MOVQ_XG:
-        return frozenset({_G(ops[1])}), frozenset({_X(ops[0])})
-    if m is M.MOVQ_GX:
-        return frozenset({_X(ops[1])}), frozenset({_G(ops[0])})
-    if m is M.MOVUPS_LOAD:
-        return frozenset({_G(ops[1])}), frozenset({_X(ops[0])})
-    if m is M.MOVUPS_STORE:
-        return frozenset({_G(ops[0]), _X(ops[2])}), frozenset()
-    if m is M.MOVAPS:
-        return frozenset({_X(ops[1])}), frozenset({_X(ops[0])})
-    if m is M.PUNPCKLQDQ:
-        return frozenset({_X(ops[0]), _X(ops[1])}), frozenset({_X(ops[0])})
-    if m is M.XORPS:
-        if ops[0] == ops[1]:
-            return frozenset(), frozenset({_X(ops[0])})
-        return frozenset({_X(ops[0]), _X(ops[1])}), frozenset({_X(ops[0])})
-    if m is M.VADDPD:
-        reads = frozenset({_X(ops[0]), _X(ops[1]), _Y(ops[0]), _Y(ops[1])})
-        return reads, frozenset({_X(ops[0]), _Y(ops[0])})
-    if m is M.FLD1:
-        return frozenset(), frozenset({_ST})
-    if m in (M.FADDP,):
-        return frozenset({_ST}), frozenset({_ST})
-    if m is M.FLD_MEM:
-        return frozenset({_G(ops[0])}), frozenset({_ST})
-    if m is M.FSTP_MEM:
-        return frozenset({_G(ops[0]), _ST}), frozenset({_ST})
-    if m is M.XSAVE:
-        return frozenset({_G(ops[0])}) | _ALL_XSTATE, frozenset()
-    if m is M.XRSTOR:
-        return frozenset({_G(ops[0])}), frozenset(_ALL_XSTATE)
-    if m in (M.RDGSBASE, M.RDPKRU):
-        return frozenset(), frozenset({_G(ops[0])})
-    if m in (M.WRGSBASE, M.WRPKRU):
-        return frozenset({_G(ops[0])}), frozenset()
-    if m in (M.GSLOAD, M.GSLOAD8):
-        return frozenset(), frozenset({_G(ops[0])})
-    if m in (M.GSSTORE, M.GSSTORE8):
-        return frozenset({_G(ops[1])}), frozenset()
-    raise AssertionError(f"reg_effects: unhandled mnemonic {m}")
+    Derived from the operand roles of its row in the instruction table
+    (:mod:`repro.cpu.ops`), plus the row's fixed sets (the syscall ABI,
+    the xstate registers of xsave/xrstor) and its zeroing idiom
+    (``xor r, r`` and ``xorps x, x`` read nothing).
+    """
+    row = ROWS[insn.mnemonic.op_index]
+    ops = insn.operands
+    writes = row.fixed_writes.union([(k, ops[i]) for k, i in row.writes])
+    if row.zeroing and ops[0] == ops[1]:
+        return frozenset(), writes
+    return row.fixed_reads.union([(k, ops[i]) for k, i in row.reads]), writes

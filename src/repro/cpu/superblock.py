@@ -10,6 +10,14 @@ turns hot, its instructions are compiled *together* into one generated
 Python function whose body is the fused, specialised sequence of the
 handlers that tier 1 would have dispatched one call at a time.
 
+What each instruction compiles to, and whether it compiles at all, comes
+from its row in the instruction table (:mod:`repro.cpu.ops`): the same
+effect template tier 1's handler is generated from, rendered over register
+locals with immediates baked in, the row's flags rule, memory kind (fault
+record, side exit) and block role (straight, inner, terminator or
+tier-1-only).  Only xsave/xrstor and the spill-then-charge frame of a
+terminator are emitted by hand here.
+
 A superblock is a maximal straight-line run starting at a hot *head*:
 
 * registers the block touches are hoisted into Python locals and spilled
@@ -90,6 +98,7 @@ from __future__ import annotations
 
 from repro.arch.decode import decode_cached
 from repro.arch.isa import MAX_INSN_LEN, NOP_BYTE, Mnemonic
+from repro.cpu.ops import ROWS, render_tier2
 from repro.errors import InvalidOpcode, PageFault
 from repro.mem.pages import PAGE_SHIFT, PAGE_SIZE
 
@@ -113,8 +122,6 @@ MIN_LEN = 2
 _NOP = bytes((NOP_BYTE,))
 
 _M64 = (1 << 64) - 1
-_SBIT = 1 << 63
-_2_64 = 1 << 64
 
 
 class SuperBlock:
@@ -230,113 +237,32 @@ class BlockCache:
 
 
 # --------------------------------------------------------------- classification
-# Straight-line instructions the compiler knows how to fuse, gs-relative
+# A row's ``block`` role in the instruction table (repro.cpu.ops) says
+# what the compiler does with it.  ``straight`` and ``inner`` ops fuse
+# (``inner``: nop and xsave/xrstor, which never head a block), gs-relative
 # loads and stores included: ``gs_base`` is constant inside a block
-# because ``wrgsbase`` is not compiled.  xsave/xrstor fuse too, behind a
-# guard on the task's xstate component count (their cost depends on it;
-# see compile_block).  Everything else ends the block *before* it, so it
-# executes on the tier-1 path with the full scheduler boundary protocol
-# around it: syscalls, hcalls, hlt and traps (boundary points),
+# because ``wrgsbase`` is not compiled.  xsave/xrstor fuse behind a guard
+# on the task's xstate component count (their cost depends on it; see
+# compile_block).  ``term`` ops are compiled in as the block's last
+# instruction.  ``tier1`` ops end the block *before* them, so they execute
+# on the tier-1 path with the full scheduler boundary protocol around
+# them: syscalls, hcalls, hlt and traps (boundary points),
 # ``wrgsbase``/``wrpkru``/``gswrpkru`` (would change ``gs_base`` or PKRU
 # mid-block), ``gsjmp``/``gscopy8`` (sigreturn-trampoline glue), vector
 # and x87 arithmetic.
-_STRAIGHT = frozenset(
-    (
-        Mnemonic.NOP,
-        Mnemonic.MOV_IMM64,
-        Mnemonic.MOV,
-        Mnemonic.LOAD,
-        Mnemonic.STORE,
-        Mnemonic.LOAD8,
-        Mnemonic.STORE8,
-        Mnemonic.GSLOAD,
-        Mnemonic.GSSTORE,
-        Mnemonic.GSLOAD8,
-        Mnemonic.GSSTORE8,
-        Mnemonic.LEA,
-        Mnemonic.ADD,
-        Mnemonic.SUB,
-        Mnemonic.CMP,
-        Mnemonic.AND,
-        Mnemonic.OR,
-        Mnemonic.XOR,
-        Mnemonic.IMUL,
-        Mnemonic.SHL,
-        Mnemonic.SHR,
-        Mnemonic.ADDI,
-        Mnemonic.SUBI,
-        Mnemonic.CMPI,
-        Mnemonic.ANDI,
-        Mnemonic.ORI,
-        Mnemonic.XORI,
-        Mnemonic.INC,
-        Mnemonic.DEC,
-        Mnemonic.PUSH,
-        Mnemonic.POP,
-        Mnemonic.XSAVE,
-        Mnemonic.XRSTOR,
-    )
-)
 
 #: xsave/xrstor: their cost depends on the task's xstate component count,
 #: so a block holding one is specialised on that count and guarded.  Like
 #: ``nop``, neither ever heads a block, so a guard never sits at entry.
 _XSTATE = frozenset((Mnemonic.XSAVE, Mnemonic.XRSTOR))
 
-#: Control transfers compiled *into* the block as its final instruction.
-_TERMINATORS = frozenset(
-    (
-        Mnemonic.RET,
-        Mnemonic.CALL_REG,
-        Mnemonic.JMP_REG,
-        Mnemonic.CALL_REL,
-        Mnemonic.JMP_REL,
-        Mnemonic.JZ,
-        Mnemonic.JNZ,
-        Mnemonic.JL,
-        Mnemonic.JG,
-        Mnemonic.JGE,
-        Mnemonic.JLE,
-    )
-)
-
-#: Instructions that write guest memory: each may hit an executable page,
-#: so one that is not the block's last side-exits on a ``code_epoch`` bump.
-_STORES = frozenset(
-    (Mnemonic.STORE, Mnemonic.STORE8, Mnemonic.GSSTORE, Mnemonic.GSSTORE8,
-     Mnemonic.PUSH, Mnemonic.XSAVE)
-)
-
-#: Instructions that touch guest memory and so may fault: each gets an
-#: ``_F{k}`` fault record (rewind rip, charge what retired, re-raise).
-_MEM_OPS = _STORES | frozenset(
-    (Mnemonic.LOAD, Mnemonic.LOAD8, Mnemonic.GSLOAD, Mnemonic.GSLOAD8,
-     Mnemonic.POP, Mnemonic.RET, Mnemonic.CALL_REG, Mnemonic.CALL_REL,
-     Mnemonic.XRSTOR)
-)
-
-#: gs-relative memory ops: a block holding one hoists ``gs_base``.
-_GS_OPS = frozenset(
-    (Mnemonic.GSLOAD, Mnemonic.GSSTORE, Mnemonic.GSLOAD8, Mnemonic.GSSTORE8)
-)
-
 #: ``ENDS_RUN[op_index]``: the scheduler counts the run after this
 #: instruction as a head candidate even when execution falls through to
 #: it — because no block compiles across it (it is tier-1-only or a
 #: terminator), or, for xsave/xrstor, because it is only ever stepped
-#: where a block's guard missed or a slice began at it.
-ENDS_RUN = tuple(m not in _STRAIGHT or m in _XSTATE for m in Mnemonic)
-
-_JCC_COND = {
-    Mnemonic.JZ: "zf",
-    Mnemonic.JNZ: "not zf",
-    Mnemonic.JL: "lt",
-    Mnemonic.JG: "not lt and not zf",
-    Mnemonic.JGE: "not lt",
-    Mnemonic.JLE: "lt or zf",
-}
-
-_RSP = 4
+#: where a block's guard missed or a slice began at it.  (A stepped
+#: ``nop`` slides before the scheduler reads this.)
+ENDS_RUN = tuple(row.block != "straight" for row in ROWS)
 
 
 def _decode_run(mem, head):
@@ -364,12 +290,11 @@ def _decode_run(mem, head):
             break
         if (addr + insn.length - 1) >> PAGE_SHIFT > p0 + 1:
             break  # keep every block within a two-page span
-        m = insn.mnemonic
-        if m in _TERMINATORS:
+        block = ROWS[insn.mnemonic.op_index].block
+        if block == "term":
             insns.append((addr, insn))
             break
-        if m not in _STRAIGHT or (
-                not insns and (m is Mnemonic.NOP or m in _XSTATE)):
+        if block == "tier1" or (not insns and block == "inner"):
             break
         insns.append((addr, insn))
         addr += insn.length
@@ -436,17 +361,6 @@ class _Emitter:
             out.append(f"{indent}regs.zf = zf")
             out.append(f"{indent}regs.lt = lt")
         return out
-
-
-def _flags(e, val):
-    e.set_flags_from(
-        [f"zf = {val} == 0", f"lt = {val} >= {_SBIT}"],
-        [int(val[1:])],
-    )
-
-
-def _signed(expr):
-    return f"({expr} if {expr} < {_SBIT} else {expr} - {_2_64})"
 
 
 def _side_exit(e, charge_expr, next_addr, count):
@@ -518,67 +432,31 @@ def compile_block(mem, head, cost_table, xstate, max_len=None):
     # only then does the prologue load ``regs.zf``/``regs.lt``.
     first_set = first_fault = None
     for i, (_, insn) in enumerate(insns):
-        m = insn.mnemonic
+        row = ROWS[insn.mnemonic.op_index]
         ops = insn.operands
-        if m in (Mnemonic.MOV_IMM64,):
-            e.writes(ops[0])
-        elif m in (Mnemonic.MOV,):
-            e.writes(ops[0])
-            e.touch(ops[1])
-        elif m in (Mnemonic.LOAD, Mnemonic.LOAD8, Mnemonic.LEA):
-            e.writes(ops[0])
-            e.touch(ops[1])
-        elif m in (Mnemonic.STORE, Mnemonic.STORE8):
-            e.touch(ops[0], ops[2])
-        elif m in (Mnemonic.GSLOAD, Mnemonic.GSLOAD8):
-            e.writes(ops[0])
-        elif m in (Mnemonic.GSSTORE, Mnemonic.GSSTORE8):
-            e.touch(ops[1])
-        elif m in (Mnemonic.CMP,):
-            e.touch(ops[0], ops[1])
+        # A terminator updates the registers it writes in ``g`` directly
+        # after the spill, so they are read-only as locals.
+        term = row.block == "term"
+        for slot, fixed, written in row.gprs:
+            r = fixed if slot is None else ops[slot]
+            if written and not term:
+                e.writes(r)
+            else:
+                e.touch(r)
+        if row.flags is not None:
             e.flags_set = True
-        elif m in (Mnemonic.ADD, Mnemonic.SUB, Mnemonic.AND, Mnemonic.OR,
-                   Mnemonic.XOR, Mnemonic.IMUL):
-            e.writes(ops[0])
-            e.touch(ops[1])
-            e.flags_set = True
-        elif m in (Mnemonic.CMPI,):
-            e.touch(ops[0])
-            e.flags_set = True
-        elif m in (Mnemonic.ADDI, Mnemonic.SUBI, Mnemonic.ANDI, Mnemonic.ORI,
-                   Mnemonic.XORI, Mnemonic.SHL, Mnemonic.SHR,
-                   Mnemonic.INC, Mnemonic.DEC):
-            e.writes(ops[0])
-            e.flags_set = True
-        elif m is Mnemonic.PUSH:
-            e.touch(ops[0])
-            e.writes(_RSP)
-        elif m is Mnemonic.POP:
-            e.writes(ops[0], _RSP)
-        elif m is Mnemonic.RET:
-            # The terminator updates g[4] directly after the spill, so
-            # rsp is read-only as a local.
-            e.touch(_RSP)
-        elif m in (Mnemonic.CALL_REG, Mnemonic.JMP_REG):
-            e.touch(ops[0])
-            if m is Mnemonic.CALL_REG:
-                e.touch(_RSP)
-        elif m is Mnemonic.CALL_REL:
-            e.touch(_RSP)
-        elif m in _XSTATE:
-            e.touch(ops[0])
-        elif m in _JCC_COND:
+        if row.reads_flags:
             e.flags_read = True
         if e.flags_set and first_set is None:
             first_set = i
-        if m in _MEM_OPS:
+        if row.mem is not None:
             e.uses_mem = True
             can_fault = True
             if first_fault is None:
                 first_fault = i
-        if m in _STORES:
-            has_store = True
-        if m in _GS_OPS:
+        if row.mem == "store" and not term:
+            has_store = True  # ``_e`` guards the side exits of stores
+        if row.gs:
             uses_gs = True
 
     # Entry flags must be in locals if a Jcc reads them un-set, or if a
@@ -596,11 +474,12 @@ def compile_block(mem, head, cost_table, xstate, max_len=None):
     guarded = False
     for k, (addr, insn) in enumerate(insns):
         m = insn.mnemonic
+        row = ROWS[m.op_index]
         ops = insn.operands
         retired = running
         running = running + costs[k]
-        is_term = k == n - 1 and m in _TERMINATORS
-        if m in _MEM_OPS:
+        is_term = row.block == "term"
+        if row.mem is not None:
             e.materialize()  # the fault path spills architectural flags
             fk = f"_F{k}"
             # A faulting terminator (ret/call) spills and charges its full
@@ -611,99 +490,7 @@ def compile_block(mem, head, cost_table, xstate, max_len=None):
         exit_cyc = repr(running)
         next_addr = addr + insn.length
 
-        if m is Mnemonic.NOP:
-            pass
-        elif m is Mnemonic.MOV_IMM64:
-            e.materialize_if_clobbers(ops[0])
-            e.emit(f"r{ops[0]} = {ops[1] & _M64}")
-        elif m is Mnemonic.MOV:
-            e.materialize_if_clobbers(ops[0])
-            e.emit(f"r{ops[0]} = r{ops[1]}")
-        elif m is Mnemonic.LEA:
-            e.materialize_if_clobbers(ops[0])
-            e.emit(f"r{ops[0]} = (r{ops[1]} + {ops[2]}) & {_M64}")
-        elif m is Mnemonic.LOAD:
-            e.emit(f"r{ops[0]} = mem.read_u64((r{ops[1]} + {ops[2]}) & {_M64})")
-        elif m is Mnemonic.LOAD8:
-            e.emit(f"r{ops[0]} = mem.read_u8((r{ops[1]} + {ops[2]}) & {_M64})")
-        elif m is Mnemonic.STORE:
-            e.emit(f"mem.write_u64((r{ops[0]} + {ops[1]}) & {_M64}, r{ops[2]})")
-            if k != n - 1:
-                _side_exit(e, exit_cyc, next_addr, k + 1)
-        elif m is Mnemonic.STORE8:
-            e.emit(f"mem.write_u8((r{ops[0]} + {ops[1]}) & {_M64}, r{ops[2]} & 0xFF)")
-            if k != n - 1:
-                _side_exit(e, exit_cyc, next_addr, k + 1)
-        elif m is Mnemonic.GSLOAD:
-            e.emit(f"r{ops[0]} = mem.read_u64((gs + {ops[1]}) & {_M64})")
-        elif m is Mnemonic.GSLOAD8:
-            e.emit(f"r{ops[0]} = mem.read_u8((gs + {ops[1]}) & {_M64})")
-        elif m is Mnemonic.GSSTORE:
-            e.emit(f"mem.write_u64((gs + {ops[0]}) & {_M64}, r{ops[1]})")
-            if k != n - 1:
-                _side_exit(e, exit_cyc, next_addr, k + 1)
-        elif m is Mnemonic.GSSTORE8:
-            e.emit(f"mem.write_u8((gs + {ops[0]}) & {_M64}, r{ops[1]} & 0xFF)")
-            if k != n - 1:
-                _side_exit(e, exit_cyc, next_addr, k + 1)
-        elif m is Mnemonic.PUSH:
-            e.emit(f"_v = r{ops[0]}")
-            e.emit(f"mem.write_u64((r4 - 8) & {_M64}, _v)")
-            e.emit(f"r4 = (r4 - 8) & {_M64}")
-            if k != n - 1:
-                _side_exit(e, exit_cyc, next_addr, k + 1)
-        elif m is Mnemonic.POP:
-            e.emit("_v = mem.read_u64(r4)")
-            e.emit(f"r4 = (r4 + 8) & {_M64}")
-            e.emit(f"r{ops[0]} = _v")
-        elif m in (Mnemonic.ADD, Mnemonic.SUB):
-            op = "+" if m is Mnemonic.ADD else "-"
-            e.emit(f"r{ops[0]} = (r{ops[0]} {op} r{ops[1]}) & {_M64}")
-            _flags(e, f"r{ops[0]}")
-        elif m in (Mnemonic.AND, Mnemonic.OR, Mnemonic.XOR):
-            op = {"AND": "&", "OR": "|", "XOR": "^"}[m.name]
-            e.emit(f"r{ops[0]} = r{ops[0]} {op} r{ops[1]}")
-            _flags(e, f"r{ops[0]}")
-        elif m is Mnemonic.IMUL:
-            e.emit(
-                f"r{ops[0]} = ({_signed(f'r{ops[0]}')} * "
-                f"{_signed(f'r{ops[1]}')}) & {_M64}"
-            )
-            _flags(e, f"r{ops[0]}")
-        elif m is Mnemonic.CMP:
-            # a <s b  <=>  (a ^ 2^63) <u (b ^ 2^63); equality is unaffected.
-            e.set_flags_from(
-                [f"zf = r{ops[0]} == r{ops[1]}",
-                 f"lt = (r{ops[0]} ^ {_SBIT}) < (r{ops[1]} ^ {_SBIT})"],
-                [ops[0], ops[1]],
-            )
-        elif m in (Mnemonic.ADDI, Mnemonic.SUBI):
-            op = "+" if m is Mnemonic.ADDI else "-"
-            e.emit(f"r{ops[0]} = (r{ops[0]} {op} {ops[1] & _M64}) & {_M64}")
-            _flags(e, f"r{ops[0]}")
-        elif m in (Mnemonic.ANDI, Mnemonic.ORI, Mnemonic.XORI):
-            op = {"ANDI": "&", "ORI": "|", "XORI": "^"}[m.name]
-            e.emit(f"r{ops[0]} = r{ops[0]} {op} {ops[1] & _M64}")
-            _flags(e, f"r{ops[0]}")
-        elif m is Mnemonic.CMPI:
-            e.set_flags_from(
-                [f"zf = r{ops[0]} == {ops[1] & _M64}",
-                 f"lt = (r{ops[0]} ^ {_SBIT}) < {(ops[1] & _M64) ^ _SBIT}"],
-                [ops[0]],
-            )
-        elif m is Mnemonic.SHL:
-            e.emit(f"r{ops[0]} = (r{ops[0]} << {ops[1] & 63}) & {_M64}")
-            _flags(e, f"r{ops[0]}")
-        elif m is Mnemonic.SHR:
-            e.emit(f"r{ops[0]} = r{ops[0]} >> {ops[1] & 63}")
-            _flags(e, f"r{ops[0]}")
-        elif m is Mnemonic.INC:
-            e.emit(f"r{ops[0]} = (r{ops[0]} + 1) & {_M64}")
-            _flags(e, f"r{ops[0]}")
-        elif m is Mnemonic.DEC:
-            e.emit(f"r{ops[0]} = (r{ops[0]} - 1) & {_M64}")
-            _flags(e, f"r{ops[0]}")
-        elif m in _XSTATE:
+        if m in _XSTATE:
             if not guarded:
                 # Nothing a block runs changes the count, so one guard
                 # covers every later xstate instruction.  k >= 1: no
@@ -722,36 +509,29 @@ def compile_block(mem, head, cost_table, xstate, max_len=None):
                     _side_exit(e, exit_cyc, next_addr, k + 1)
             else:
                 e.emit(f"_xrstor(regs, mem.read({area}, {XSAVE_AREA_SIZE}))")
-        elif is_term:
+            continue
+        lines, flag_lines, refs = render_tier2(row, ops, next_addr, is_term)
+        if is_term:
             e.materialize()
             for line in e.spill():
                 e.lines.append(line)
             e.emit(f"charge(task, {running!r})")
-            if m is Mnemonic.RET:
-                e.emit("_v = mem.read_u64(r4)")
-                e.emit(f"g[4] = (r4 + 8) & {_M64}")
-                e.emit("regs.rip = _v")
-            elif m is Mnemonic.JMP_REG:
-                e.emit(f"regs.rip = r{ops[0]}")
-            elif m is Mnemonic.CALL_REG:
-                e.emit(f"mem.write_u64((r4 - 8) & {_M64}, {next_addr})")
-                e.emit(f"g[4] = (r4 - 8) & {_M64}")
-                e.emit(f"regs.rip = r{ops[0]}" if ops[0] != _RSP
-                       else f"regs.rip = g[4]")
-            elif m is Mnemonic.CALL_REL:
-                e.emit(f"mem.write_u64((r4 - 8) & {_M64}, {next_addr})")
-                e.emit(f"g[4] = (r4 - 8) & {_M64}")
-                e.emit(f"regs.rip = {(next_addr + ops[0]) & _M64}")
-            elif m is Mnemonic.JMP_REL:
-                e.emit(f"regs.rip = {(next_addr + ops[0]) & _M64}")
-            else:  # Jcc
-                target = (next_addr + ops[0]) & _M64
-                e.emit(f"regs.rip = {target} if {_JCC_COND[m]} else {next_addr}")
+            for line in lines:
+                e.emit(line)
             e.emit(f"return {n}")
-        else:  # pragma: no cover - classification and emitters must agree
-            raise AssertionError(f"no emitter for {m.name}")
+            continue
+        if row.flags is None:
+            written = [fixed if slot is None else ops[slot]
+                       for slot, fixed, w in row.gprs if w]
+            e.materialize_if_clobbers(*written)
+        for line in lines:
+            e.emit(line)
+        if row.flags is not None:
+            e.set_flags_from(flag_lines, refs)
+        if row.mem == "store" and k != n - 1:
+            _side_exit(e, exit_cyc, next_addr, k + 1)
 
-    if insns[-1][1].mnemonic not in _TERMINATORS:
+    if ROWS[insns[-1][1].mnemonic.op_index].block != "term":
         # Fallthrough exit: the next instruction is not compilable (or the
         # cap was hit); the tier-1 path picks up at ``end_rip``.
         e.materialize()

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import given, settings, strategies as st
 
+from insn_corpus import CODE as CORPUS_CODE, LAYOUT, cases, machine
 from repro.arch.encode import Assembler
+from repro.arch.isa import Mnemonic
 from repro.arch.registers import MASK64, to_signed, to_unsigned
 from repro.cpu.core import BareTask, CPU, NullEnvironment
 from repro.mem.address_space import AddressSpace
@@ -122,3 +125,69 @@ def test_store_load_roundtrip(value, offset):
         [("rax", value)],
     )
     assert regs.read_name("rcx") == value
+
+
+#: Independent model of every flag-setting ALU op: result of ``(a, b)``
+#: with ``b`` the source register, the sign-extended immediate or the
+#: shift count as decoded.
+_ALU_MODEL = {
+    Mnemonic.ADD: lambda a, b: a + b,
+    Mnemonic.SUB: lambda a, b: a - b,
+    Mnemonic.AND: lambda a, b: a & b,
+    Mnemonic.OR: lambda a, b: a | b,
+    Mnemonic.XOR: lambda a, b: a ^ b,
+    Mnemonic.IMUL: lambda a, b: to_signed(a) * to_signed(b),
+    Mnemonic.ADDI: lambda a, b: a + b,
+    Mnemonic.SUBI: lambda a, b: a - b,
+    Mnemonic.ANDI: lambda a, b: a & to_unsigned(b),
+    Mnemonic.ORI: lambda a, b: a | to_unsigned(b),
+    Mnemonic.XORI: lambda a, b: a ^ to_unsigned(b),
+    Mnemonic.SHL: lambda a, b: a << (b & 63),
+    Mnemonic.SHR: lambda a, b: a >> (b & 63),
+    Mnemonic.INC: lambda a, b: a + 1,
+    Mnemonic.DEC: lambda a, b: a - 1,
+}
+
+
+@pytest.mark.parametrize("m", list(_ALU_MODEL), ids=lambda m: m.value)
+@settings(max_examples=40)
+@given(data=st.data())
+def test_alu_result_and_flags_match_model(m, data):
+    """Every flag-setting ALU op leaves the modelled result in its
+    destination and sets ``zf``/``lt`` from it, whatever they were."""
+    ops, regs, seed = data.draw(cases(m))
+    cpu, task, _env = machine(m, ops, regs, seed)
+    a = regs.gpr[ops[0]]
+    if len(ops) == 1:
+        b = None
+    elif LAYOUT[m][1] == "g":
+        b = regs.gpr[ops[1]]
+    else:
+        b = ops[1]
+    cpu.step(task)
+    result = _ALU_MODEL[m](a, b) & MASK64
+    assert task.regs.gpr[ops[0]] == result
+    assert task.regs.zf == (result == 0)
+    assert task.regs.lt == (to_signed(result) < 0)
+
+
+_JCC_MODEL = {
+    Mnemonic.JZ: lambda zf, lt: zf,
+    Mnemonic.JNZ: lambda zf, lt: not zf,
+    Mnemonic.JL: lambda zf, lt: lt,
+    Mnemonic.JG: lambda zf, lt: not lt and not zf,
+    Mnemonic.JGE: lambda zf, lt: not lt,
+    Mnemonic.JLE: lambda zf, lt: lt or zf,
+}
+
+
+@pytest.mark.parametrize("m", list(_JCC_MODEL), ids=lambda m: m.value)
+@settings(max_examples=40)
+@given(data=st.data())
+def test_jcc_takes_the_modelled_branch(m, data):
+    ops, regs, seed = data.draw(cases(m))
+    cpu, task, _env = machine(m, ops, regs, seed)
+    cpu.step(task)
+    nxt = CORPUS_CODE + 6  # jcc rel32
+    taken = (nxt + ops[0]) & MASK64
+    assert task.regs.rip == (taken if _JCC_MODEL[m](regs.zf, regs.lt) else nxt)
