@@ -39,8 +39,10 @@ keeps the plain decoder the reference the lockstep harnesses compare to.
 Execution itself dispatches through :data:`DISPATCH`, a dense list of
 per-mnemonic handler functions indexed by ``Mnemonic.op_index``; each cache
 entry carries its ``(handler, cost)`` pair so the steady-state step is
-fetch-check-generation -> charge -> call.  ``cost`` is ``None`` for
-xsave/xrstor, whose cost depends on the task's xstate component count.
+fetch-check-generation -> charge -> call.  ``cost`` comes from the cost
+model's one ``op_index`` table (:attr:`repro.cpu.costs.CostModel.op_costs`,
+which tier 2 and the nop slide read too); it is ``None`` for xsave/xrstor,
+whose cost depends on the task's xstate component count.
 The handlers are generated, in one ``compile`` at import, from the effect
 templates of the instruction table in :mod:`repro.cpu.ops` — the same
 table tier 2 emits its source from — and write ``task.regs.gpr``
@@ -84,7 +86,7 @@ class Environment(Protocol):
     def charge(self, task, cycles: float) -> None:
         """Account ``cycles`` of work performed by ``task``: a multiple of
         0.25 (instruction costs are quarter cycles; see
-        :meth:`repro.cpu.costs.CostModel.refresh_tables`)."""
+        :class:`repro.cpu.costs.CostModel`)."""
 
     def on_syscall(self, task) -> None:
         """A syscall instruction retired; rip already points past it."""
@@ -232,33 +234,12 @@ class CPU:
         #: retired; the scheduler counts them (see repro.cpu.superblock).
         self.slides = 0
         self.slid_insns = 0
-        #: Bumped by :meth:`refresh_cost_table`.  Compiled blocks bake
-        #: their cycle costs in, so every BlockCache snapshots this and
-        #: the scheduler drops stale caches at slice granularity.
-        self.cost_epoch = 0
         #: observability tracer; only consulted on the (rare) generation-
         #: mismatch branch, never on the per-instruction hit path.
         self.tracer = None
-        self.refresh_cost_table()
-
-    def refresh_cost_table(self) -> None:
-        """(Re)build the dense op_index -> cost table from ``self.costs``.
-
-        ``None`` marks xsave/xrstor, whose cost depends on the task's xstate
-        component count: tier 1 computes it at charge time, and a compiled
-        block bakes in ``costs.xsave_cost`` of the count it is specialised
-        on.  Call again after swapping or recalibrating ``self.costs``,
-        the xstate costs included: the bumped :attr:`cost_epoch` drops
-        every compiled block, baked costs and all.
-        """
-        table: list = []
-        for m in Mnemonic:
-            if m is Mnemonic.XSAVE or m is Mnemonic.XRSTOR:
-                table.append(None)
-            else:
-                table.append(self.costs.insn_cost(m))
-        self._cost_table = table
-        self.cost_epoch += 1
+        #: The cost model's dense ``op_index -> cost`` table (``None`` for
+        #: xsave/xrstor), read by both tiers and the nop slide.
+        self._cost_table = self.costs.op_costs
 
     # ------------------------------------------------------------ superblocks
     def compile_superblock(self, mem, head: int, task,

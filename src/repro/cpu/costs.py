@@ -2,11 +2,15 @@
 
 The paper measures *ratios* between interposition mechanisms on a 2.10 GHz
 Xeon.  We reproduce those ratios with a simple additive cost model: each
-instruction class has a cycle cost, and each kernel path (mode switch,
-interception check, SUD selector read, seccomp filter run, signal delivery,
-sigreturn, context switch) has a constant.  DESIGN.md §5 lists the identities
-the defaults satisfy; `tests/test_calibration.py` asserts them and
-EXPERIMENTS.md records the resulting paper-vs-measured ratios.
+instruction class has a cycle cost, each syscall a service cost, and each
+kernel or interposer path (mode switch, interception check, SUD selector
+read and write, seccomp filter run, signal delivery, sigreturn, context
+switch) a constant.  Every cycle the simulator charges comes from this
+module: :data:`DEFAULT_INSN_COSTS`, :data:`SERVICE_COSTS` and the fields of
+the immutable :class:`CostModel`.  DESIGN.md §5 lists the identities the
+defaults satisfy; `tests/test_calibration.py` asserts them,
+`tests/test_cost_sources.py` keeps cycle literals out of every other module,
+and EXPERIMENTS.md records the resulting paper-vs-measured ratios.
 
 The defaults are calibrated, not magic: e.g. ``xsave``/``xrstor`` at ~55
 cycles for the full x87+SSE+AVX state matches the Fig. 4 "xstate
@@ -15,11 +19,15 @@ preservation" component (2.38x − 1.66x over a ~164-cycle baseline loop).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import partial
+from types import MappingProxyType
+from typing import Mapping
 
 from repro.arch.isa import N_MNEMONICS, Mnemonic
 
 _M = Mnemonic
+_XSTATE = (_M.XSAVE, _M.XRSTOR)
 
 #: Default per-instruction cycle costs by mnemonic.  Quarter-cycle values
 #: are allowed: the trampoline sled's nops retire ~4 per cycle on the modelled
@@ -98,22 +106,74 @@ DEFAULT_INSN_COSTS: dict[Mnemonic, float] = {
     _M.HCALL: 18,
 }
 
+#: Kernel-side service cost per syscall (cycles), beyond the mode switch,
+#: keyed by Linux syscall name.  Tuned so that a small static HTTP request
+#: costs a realistic few tens of thousands of cycles (~60k req/s single
+#: worker at 2.1 GHz, Fig. 5 scale).
+SERVICE_COSTS: dict[str, int] = {
+    "read": 2800,
+    "write": 2800,
+    "readv": 3000,
+    "writev": 3000,
+    "pread64": 2400,
+    "pwrite64": 2400,
+    "open": 3200,
+    "openat": 3200,
+    "close": 1400,
+    "stat": 1600,
+    "fstat": 1100,
+    "lseek": 120,
+    "mmap": 600,
+    "mprotect": 600,
+    "munmap": 600,
+    "sendfile": 2600,
+    "socket": 1800,
+    "bind": 700,
+    "listen": 700,
+    "accept": 3600,
+    "accept4": 3600,
+    "connect": 3600,
+    "shutdown": 600,
+    "epoll_create1": 800,
+    "epoll_ctl": 900,
+    "epoll_wait": 3200,
+    "fork": 20000,
+    "vfork": 12000,
+    "clone": 9000,
+    "execve": 60000,
+    "wait4": 800,
+    "getdents64": 900,
+    "futex": 500,
+    "rt_sigaction": 300,
+    "rt_sigprocmask": 150,
+    "getrandom": 700,
+    # Fixed cost of a ring_enter crossing (header validation + ring setup);
+    # each drained entry additionally pays CostModel.uring_per_entry plus
+    # the entry's own service cost.
+    "ring_enter": 250,
+}
 
-@dataclass
+#: Service cost of every syscall :data:`SERVICE_COSTS` does not name.
+DEFAULT_SERVICE_COST = 60
+
+
+@dataclass(frozen=True)
 class CostModel:
     """Cycle costs for instructions and kernel paths.
 
     All times are in CPU cycles at the paper's 2.10 GHz clock; convert with
-    :meth:`cycles_to_seconds`.
+    :meth:`cycles_to_seconds`.  A model cannot change once built (compiled
+    blocks bake its costs in): build another one to recalibrate.
     """
 
     #: CPU frequency (Hz) used to convert cycles to time/throughput.
     frequency_hz: float = 2.10e9
 
     #: Per-mnemonic instruction costs (cycles; quarter-cycle multiples,
-    #: see :meth:`refresh_tables`).
-    insn_costs: dict[Mnemonic, float] = field(
-        default_factory=lambda: dict(DEFAULT_INSN_COSTS)
+    #: see :meth:`__post_init__`), one for every mnemonic.  The model keeps
+    #: a read-only copy.
+    insn_costs: Mapping[Mnemonic, float] = field(
+        default_factory=lambda: DEFAULT_INSN_COSTS
     )
 
     # ---- kernel syscall path ------------------------------------------------
@@ -121,8 +181,6 @@ class CostModel:
     syscall_entry_exit: int = 150
     #: Extra cost of dispatching an out-of-range syscall number (ENOSYS).
     nosys_penalty: int = 10
-    #: Per-syscall service cost floor for real (existing) syscalls.
-    syscall_service_floor: int = 60
     #: Kernel-side copy cost per byte moved between user and kernel buffers
     #: (read/write payloads).  Four bytes per cycle models a cache-cold
     #: copy_to_user on payload-sized buffers.
@@ -134,6 +192,10 @@ class CostModel:
     interception_check: int = 54
     #: Reading the user-space SUD selector byte from the kernel entry path.
     sud_selector_read: int = 15
+    #: One handler-side store to the SUD selector byte (ALLOW or BLOCK):
+    #: the plain SUD tool's handler pays it on entry and on exit,
+    #: lazypoline's SIGSYS slow path once.
+    sud_selector_write: int = 3
     #: Fixed cost of invoking the seccomp machinery on syscall entry.
     seccomp_fixed: int = 45
     #: Cost per executed classic-BPF instruction.
@@ -153,6 +215,10 @@ class CostModel:
     signal_delivery: int = 1640
     #: Kernel cost of rt_sigreturn (frame teardown + xstate reload).
     sigreturn_work: int = 1050
+    #: A signal-path tool (SUD, seccomp trap) applying an application's
+    #: nested rt_sigreturn to its outer SIGSYS frame, on top of the
+    #: ucontext copy.
+    nested_sigreturn_fixup: int = 20
 
     # ---- scheduling / ptrace ---------------------------------------------------
     #: One full context switch between tasks (ptrace tracer/tracee ping-pong).
@@ -181,8 +247,6 @@ class CostModel:
     code_patch_flush: int = 120
 
     # ---- lazypoline's host-side handlers (repro.interpose.lazypoline) ---------
-    #: SIGSYS slow path: switching the SUD selector to ALLOW.
-    lazypoline_sigsys_selector: int = 3
     #: SIGSYS slow path: REG_RIP redirection to the fast-path entry, with
     #: the emulated ``call rax`` push.
     lazypoline_sigsys_redirect: int = 10
@@ -207,13 +271,7 @@ class CostModel:
     xsave_per_component: int = 15
 
     def __post_init__(self) -> None:
-        self.refresh_tables()
-
-    def refresh_tables(self) -> None:
-        """Rebuild the precomputed lookup tables.
-
-        Call after mutating ``insn_costs`` / ``xsave_base`` /
-        ``xsave_per_component`` in place (tests do this to recalibrate).
+        """Copy ``insn_costs`` read-only and build :attr:`op_costs`.
 
         Every instruction cost must be a non-negative multiple of 0.25
         below 2**40 (``ValueError`` otherwise).  The tier-1 path charges
@@ -225,39 +283,42 @@ class CostModel:
         equals the sequential sum bit for bit.  All DEFAULT_INSN_COSTS
         qualify (integers plus the 0.25-cycle NOP).
         """
-        # Dense per-mnemonic cost list indexed by op_index; None marks
-        # mnemonics absent from insn_costs so lookups still raise KeyError.
+        insn_costs = MappingProxyType(dict(self.insn_costs))
         table: list[float | None] = [None] * N_MNEMONICS
-        for m, cost in self.insn_costs.items():
+        for m, cost in insn_costs.items():
             if not (0 <= cost < 1 << 40 and (cost * 4) % 1 == 0):
                 raise ValueError(
                     f"{m.name} cost {cost!r} is not a non-negative "
                     f"multiple of 0.25 below 2**40"
                 )
             table[m.op_index] = cost
-        self._insn_cost_table = table
-        # xsave/xrstor cost for the common component counts (0..3).
-        self._xsave_cost_table = tuple(
-            self._xsave_cost_uncached(n) for n in range(4)
-        )
+        if None in table:
+            raise KeyError(list(Mnemonic)[table.index(None)])
+        for m in _XSTATE:
+            table[m.op_index] = None
+        object.__setattr__(self, "insn_costs", insn_costs)
+        #: The dense ``op_index -> cost`` table both interpreter tiers and
+        #: the nop slide charge from.  ``None`` marks xsave/xrstor, whose
+        #: cost depends on the task's xstate component count: tier 1
+        #: computes it at charge time, and a compiled block bakes in
+        #: :meth:`xsave_cost` of the count it is specialised on.
+        object.__setattr__(self, "op_costs", tuple(table))
+
+    def __reduce__(self):
+        # A mappingproxy does not pickle: rebuild through the constructor.
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        values["insn_costs"] = dict(self.insn_costs)
+        return partial(CostModel, **values), ()
 
     # ------------------------------------------------------------------ helpers
     def insn_cost(self, mnemonic: Mnemonic) -> float:
-        cost = self._insn_cost_table[mnemonic.op_index]
-        if cost is None:
-            raise KeyError(mnemonic)
-        return cost
-
-    def _xsave_cost_uncached(self, component_count: int) -> int:
-        if component_count == 0:
-            return 2  # mask read, nothing to move
-        return self.xsave_base + self.xsave_per_component * component_count
+        return self.insn_costs[mnemonic]
 
     def xsave_cost(self, component_count: int) -> int:
         """Cost of xsave or xrstor covering ``component_count`` components."""
-        if component_count < 4:
-            return self._xsave_cost_table[component_count]
-        return self._xsave_cost_uncached(component_count)
+        if component_count == 0:
+            return 2  # mask read, nothing to move
+        return self.xsave_base + self.xsave_per_component * component_count
 
     def copy_cost(self, nbytes: int) -> int:
         """Kernel copy cost for an n-byte user/kernel data transfer."""

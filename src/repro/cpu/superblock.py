@@ -23,9 +23,9 @@ A superblock is a maximal straight-line run starting at a hot *head*:
 * registers the block touches are hoisted into Python locals and spilled
   back at every exit,
 * the per-instruction cycle charges are folded into one batched
-  ``charge`` call per exit (see
-  :meth:`repro.cpu.costs.CostModel.refresh_tables` for why the batched
-  float sum is bit-identical to per-step charging),
+  ``charge`` call per exit, read from the cost model's one
+  ``op_index`` table (see :meth:`repro.cpu.costs.CostModel.__post_init__`
+  for why the batched float sum is bit-identical to per-step charging),
 * anything that can observe or change machine state mid-run — syscalls,
   hcalls, hlt, ``wrgsbase``/``wrpkru``, vector/x87 arithmetic —
   terminates the block: those instructions always execute on the tier-1
@@ -82,7 +82,7 @@ machine state — plus four of its own:
   — slides without a step (the proof is in ``nop_run``);
 * exact cost: ``k`` charges of the ``nop`` cost sum exactly to one
   charge of ``k`` times it (a quarter-cycle multiple, which
-  :meth:`repro.cpu.costs.CostModel.refresh_tables` enforces).
+  :class:`repro.cpu.costs.CostModel` enforces at construction).
 
 Validity is keyed by the same per-page generation counters that guard the
 tier-1 cache: a block records ``(page, gen)`` for the one or two pages its
@@ -163,30 +163,18 @@ class BlockCache:
     ``heads`` holds the pre-compilation hotness counters, keyed by head
     address or, for a tail variant, by its ``(head, leftover)`` key (the
     same key it is cached under in ``blocks``); ``runs`` maps
-    an address to the nop run it lies in (see :meth:`nop_run`).
-    ``cost_epoch`` snapshots :attr:`CPU.cost_epoch` — blocks bake their
-    cycle costs in, so a recalibrated cost model drops the whole cache
-    (checked once per slice, never per instruction).  ``nop_cost`` is the
-    per-``nop`` charge a slide multiplies.
+    an address to the nop run it lies in (see :meth:`nop_run`).  Blocks
+    bake their cycle costs in, which is sound because a
+    :class:`~repro.cpu.costs.CostModel` never changes once built.
     """
 
-    __slots__ = ("blocks", "index", "heads", "runs", "cost_epoch", "nop_cost")
+    __slots__ = ("blocks", "index", "heads", "runs")
 
     def __init__(self):
         self.blocks: dict[int, SuperBlock] = {}
         self.index: dict[int, set] = {}
         self.heads: dict[int, int] = {}
         self.runs: dict[int, tuple[int, int, int]] = {}
-        self.cost_epoch = -1  # forces a reset() before first use
-        self.nop_cost = 0
-
-    def reset(self, cost_epoch: int, cost_table) -> None:
-        self.blocks.clear()
-        self.index.clear()
-        self.heads.clear()
-        self.runs.clear()
-        self.cost_epoch = cost_epoch
-        self.nop_cost = cost_table[Mnemonic.NOP.op_index]
 
     def nop_run(self, mem, addr: int):
         """Scan and record the nop run through ``addr``.
@@ -468,7 +456,7 @@ def compile_block(mem, head, cost_table, xstate, max_len=None):
 
     # Body.  ``running`` replays the exact cumulative charge the tier-1
     # path would have applied after each instruction (exact: see
-    # CostModel.refresh_tables).
+    # CostModel.__post_init__).
     running = 0
     n = len(insns)
     guarded = False

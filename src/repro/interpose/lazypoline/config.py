@@ -29,9 +29,6 @@ class LazypolineConfig:
     #: lazypoline to a plain (selector-only) SUD interposer.
     rewrite: bool = True
 
-    #: Wrap application signal handlers (Fig. 3 machinery).
-    wrap_signals: bool = True
-
     #: Re-install lazypoline automatically after a successful execve.
     reinstall_on_exec: bool = False
 

@@ -334,7 +334,7 @@ class Lazypoline:
         """
         if sysno == _NR_RT_SIGRETURN:
             return self._do_rt_sigreturn(hctx)
-        if sysno == _NR_RT_SIGACTION and self.config.wrap_signals:
+        if sysno == _NR_RT_SIGACTION:
             return self._do_rt_sigaction(hctx, args)
         if sysno in (_NR_CLONE, _NR_FORK, _NR_VFORK):
             return self._do_spawn(hctx, sysno, args)
@@ -599,7 +599,7 @@ class Lazypoline:
         self.slowpath_hits += 1
 
         gsrel.write_selector(mem, regs.gs_base, SELECTOR_ALLOW)
-        hctx.charge(hctx.kernel.costs.lazypoline_sigsys_selector)
+        hctx.charge(hctx.kernel.costs.sud_selector_write)
 
         siginfo = regs.read(RSI)
         uc = regs.read(RDX)

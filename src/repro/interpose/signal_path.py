@@ -204,5 +204,7 @@ class SignalPathTool:
         inner_uc = (app_rsp - 8) + FRAME_UCONTEXT
         blob = mem.read(inner_uc, UCONTEXT_SIZE, check=None)
         mem.write(uc_outer, blob, check=None)
-        hctx.charge(hctx.kernel.costs.copy_cost(UCONTEXT_SIZE) + 20)
+        costs = hctx.kernel.costs
+        hctx.charge(costs.copy_cost(UCONTEXT_SIZE)
+                    + costs.nested_sigreturn_fixup)
         return None

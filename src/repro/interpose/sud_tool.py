@@ -16,9 +16,6 @@ from repro.interpose.signal_path import SignalPathTool
 from repro.kernel.sud import SELECTOR_ALLOW, SELECTOR_BLOCK, SudState
 from repro.mem.pages import PAGE_SIZE
 
-#: Cycles for the handler's selector stores (one byte store each way).
-_SELECTOR_TOGGLE_COST = 3
-
 
 class SudTool(SignalPathTool):
     mechanism = "sud"
@@ -39,11 +36,11 @@ class SudTool(SignalPathTool):
 
     def _pre_interpose(self, hctx) -> None:
         hctx.task.mem.write_u8(self.selector_addr, SELECTOR_ALLOW, check=None)
-        hctx.charge(_SELECTOR_TOGGLE_COST)
+        hctx.charge(hctx.kernel.costs.sud_selector_write)
 
     def _post_interpose(self, hctx) -> None:
         hctx.task.mem.write_u8(self.selector_addr, SELECTOR_BLOCK, check=None)
-        hctx.charge(_SELECTOR_TOGGLE_COST)
+        hctx.charge(hctx.kernel.costs.sud_selector_write)
 
     def _after_spawn(self, hctx, child_task) -> None:
         """SUD does not survive fork/clone: re-arm the child.

@@ -45,6 +45,7 @@ from repro.kernel.task import Task, TaskState
 from repro.kernel.waits import DeadlockError, WouldBlock
 
 _NOP = Mnemonic.NOP
+_NOP_OP = _NOP.op_index
 
 
 class SchedulePolicy:
@@ -188,20 +189,18 @@ class Scheduler:
         # delivery point, boundary check and quantum edge that the
         # single-step loop would hit still lands on the same instruction.
         tier = cpu.superblocks and policy is None and not hooks
-        blocks = heads = gens = runs = nop_cost = None
+        blocks = heads = gens = runs = None
         try:
             mem = task.mem
             mem.active_pkru = task.regs.pkru
             epoch = self._nest_epoch
             if tier:
                 bcache = mem.block_cache
-                if (bcache.cost_epoch != cpu.cost_epoch
-                        or mem.block_flush_hook is None):
-                    self._tier_state(cpu, mem)
+                if mem.block_flush_hook is None:
+                    self._tier_state(mem)
                 blocks = bcache.blocks
                 heads = bcache.heads
                 runs = bcache.runs
-                nop_cost = bcache.nop_cost
                 gens = mem.exec_gen
             while executed < budget:
                 if task.state is not runnable:
@@ -228,8 +227,8 @@ class Scheduler:
                         self._bind_core(core, mem)
                     tier = cpu.superblocks and policy is None and not hooks
                     if tier:
-                        (bcache, blocks, heads, runs, nop_cost,
-                         gens) = self._tier_state(cpu, mem)
+                        (bcache, blocks, heads, runs,
+                         gens) = self._tier_state(mem)
                 addr = task.regs.rip
                 # Tier 2: one lookup per block entry runs the block at
                 # ``addr`` (or its tail variant when it overruns the
@@ -278,8 +277,7 @@ class Scheduler:
                             if (r is not None and r[0] > addr
                                     and gens.get(r[1], 0) == r[2]):
                                 executed += self._slide(
-                                    task, addr, r[0], budget - executed,
-                                    nop_cost)
+                                    task, addr, r[0], budget - executed)
                                 addr = None
                                 break
                         if b is None:
@@ -367,8 +365,7 @@ class Scheduler:
                         if (r is not None and r[0] > nrip
                                 and executed < budget):
                             executed += self._slide(
-                                task, nrip, r[0], budget - executed,
-                                nop_cost)
+                                task, nrip, r[0], budget - executed)
                     elif ((nrip != addr + insn.length
                            or ENDS_RUN[insn.mnemonic.op_index])
                           and nrip not in blocks):
@@ -391,8 +388,8 @@ class Scheduler:
                         self._bind_core(core, task.mem)
                     tier = cpu.superblocks and policy is None and not hooks
                     if tier and task.mem is not None:
-                        (bcache, blocks, heads, runs, nop_cost,
-                         gens) = self._tier_state(cpu, task.mem)
+                        (bcache, blocks, heads, runs,
+                         gens) = self._tier_state(task.mem)
         finally:
             self._active.discard(task.tid)
             core._depth -= 1
@@ -549,42 +546,38 @@ class Scheduler:
             mem.smp_shootdown = self._shootdown
 
     # ------------------------------------------------------------- tier 2
-    def _slide(self, task, start: int, end: int, room: int, cost) -> int:
+    def _slide(self, task, start: int, end: int, room: int) -> int:
         """Retire the nops from ``start`` toward ``end`` as one dispatch.
 
         At most ``room`` of them (the slice budget left): ``rip`` advances
-        by that many and one charge of that many nop costs is made.
-        Returns the count.
+        by that many and one charge of that many nop costs, read from the
+        cost model's table, is made.  Returns the count.
         """
         k = end - start
         if k > room:
             k = room
         task.regs.rip = start + k
         kernel = self.kernel
-        kernel.charge(task, k * cost)
         cpu = kernel.cpu
+        kernel.charge(task, k * cpu._cost_table[_NOP_OP])
         cpu.slides += 1
         cpu.slid_insns += k
         return k
 
-    def _tier_state(self, cpu, mem):
+    def _tier_state(self, mem):
         """Superblock bookkeeping for ``mem``'s bound cache.
 
-        Drops the cache wholesale if the CPU's cost tables were rebuilt
-        since it was filled (blocks bake costs in), and arms the flush
-        hook so eager invalidations surface as ``block_invalidate``
-        events.  A slice calls it on entry only when one of the two is
-        due, and again after a nested run or an execve rebinds ``mem``.
-        Returns the cache and the parts a slice keeps in locals:
-        ``(bcache, blocks, heads, runs, nop_cost, exec_gen)``.
+        Arms the flush hook so eager invalidations surface as
+        ``block_invalidate`` events.  A slice calls it on entry only when
+        the hook is not armed yet, and again after a nested run or an
+        execve rebinds ``mem``.  Returns the cache and the parts a
+        slice keeps in locals: ``(bcache, blocks, heads, runs, exec_gen)``.
         """
         bcache = mem.block_cache
-        if bcache.cost_epoch != cpu.cost_epoch:
-            bcache.reset(cpu.cost_epoch, cpu._cost_table)
         if mem.block_flush_hook is None:
             mem.block_flush_hook = self._block_flush
         return (bcache, bcache.blocks, bcache.heads, bcache.runs,
-                bcache.nop_cost, mem.exec_gen)
+                mem.exec_gen)
 
     def _block_flush(self, mem, pn: int, dropped: list) -> None:
         """Eager flush callback: blocks spanning page ``pn`` were dropped."""

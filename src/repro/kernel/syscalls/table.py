@@ -1,16 +1,19 @@
 """Syscall numbers (x86-64 Linux values) and the dispatch registry.
 
 Implementations register themselves with the :func:`syscall` decorator.
-Each entry carries a service cost — the kernel-side work of the call beyond
-the mode switch — so syscall-intensive workloads (the paper's web servers)
-cost realistic amounts relative to the interposition overhead being
-measured.
+Each entry carries its service cost from
+:data:`repro.cpu.costs.SERVICE_COSTS` — the kernel-side work of the call
+beyond the mode switch — so syscall-intensive workloads (the paper's web
+servers) cost realistic amounts relative to the interposition overhead
+being measured.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable
+
+from repro.cpu.costs import DEFAULT_SERVICE_COST, SERVICE_COSTS
 
 #: x86-64 syscall numbers (subset).
 NR = {
@@ -96,55 +99,6 @@ _NAME_BY_NR = {nr: name for name, nr in NR.items()}
 
 def syscall_name(nr: int) -> str:
     return _NAME_BY_NR.get(nr, f"sys_{nr}")
-
-
-#: Kernel-side service cost per syscall (cycles), beyond the mode switch.
-#: Tuned so that a small static HTTP request costs a realistic few tens of
-#: thousands of cycles (~60k req/s single worker at 2.1 GHz, Fig. 5 scale).
-SERVICE_COSTS = {
-    "read": 2800,
-    "write": 2800,
-    "readv": 3000,
-    "writev": 3000,
-    "pread64": 2400,
-    "pwrite64": 2400,
-    "open": 3200,
-    "openat": 3200,
-    "close": 1400,
-    "stat": 1600,
-    "fstat": 1100,
-    "lseek": 120,
-    "mmap": 600,
-    "mprotect": 600,
-    "munmap": 600,
-    "sendfile": 2600,
-    "socket": 1800,
-    "bind": 700,
-    "listen": 700,
-    "accept": 3600,
-    "accept4": 3600,
-    "connect": 3600,
-    "shutdown": 600,
-    "epoll_create1": 800,
-    "epoll_ctl": 900,
-    "epoll_wait": 3200,
-    "fork": 20000,
-    "vfork": 12000,
-    "clone": 9000,
-    "execve": 60000,
-    "wait4": 800,
-    "getdents64": 900,
-    "futex": 500,
-    "rt_sigaction": 300,
-    "rt_sigprocmask": 150,
-    "getrandom": 700,
-    # Fixed cost of a ring_enter crossing (header validation + ring setup);
-    # each drained entry additionally pays CostModel.uring_per_entry plus
-    # the entry's own service cost.
-    "ring_enter": 250,
-}
-
-DEFAULT_SERVICE_COST = 60
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,12 @@ calibration honest during development; the full measurement lives in
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.arch.isa import Mnemonic
-from repro.cpu.costs import CostModel
+from repro.cpu.costs import DEFAULT_INSN_COSTS, CostModel
 from repro.workloads.microbench import (
     NOSYS_SYSNO,
     build_syscall_loop,
@@ -105,6 +107,28 @@ def test_every_mnemonic_has_a_cost():
     model = CostModel()
     for mnemonic in Mnemonic:
         assert mnemonic in model.insn_costs, mnemonic
+
+
+def test_sud_handler_pays_two_selector_writes_per_syscall():
+    """The SUD tool's handler stores the selector byte twice per
+    interposed syscall (ALLOW on entry, BLOCK on exit), each store at
+    ``sud_selector_write``."""
+    default = measure_cycles_per_syscall("sud", iterations=ITER)
+    dearer = measure_cycles_per_syscall(
+        "sud", iterations=ITER,
+        costs=CostModel(sud_selector_write=CostModel().sud_selector_write + 100),
+    )
+    assert dearer - default == 2 * 100
+
+
+def test_cost_model_pickles():
+    """``machine_opts`` can carry a model across the cluster's process
+    boundary: it round-trips, table and all."""
+    model = CostModel(insn_costs={**DEFAULT_INSN_COSTS, Mnemonic.NOP: 1},
+                      xsave_base=12)
+    back = pickle.loads(pickle.dumps(model))
+    assert back == model and back != CostModel()
+    assert back.op_costs == model.op_costs
 
 
 def test_cycles_to_seconds():

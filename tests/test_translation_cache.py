@@ -11,6 +11,8 @@ must invalidate exactly the rewritten site.
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from repro.arch.encode import Assembler
@@ -546,34 +548,46 @@ def _slide_image(after=None, *, hot=None, threads=False, iters=24,
                                 text_perm=Perm.RWX if hot else Perm.RX), a
 
 
+#: A non-default cost model: tier 1, compiled blocks and nop slides must
+#: all charge from its one table, or the tiering identity below breaks.
+_CUSTOM_COSTS = {**DEFAULT_INSN_COSTS,
+                 Mnemonic.NOP: 2 * DEFAULT_INSN_COSTS[Mnemonic.NOP],
+                 Mnemonic.MOV: 2}
+
+
 def _slide_outcomes(image, *, cores=1, smc=False):
-    """Run ``image`` with tiering off and on; both outcomes and the tiered
-    machine's superblock stats."""
+    """Run ``image`` with tiering off and on, under a custom cost model and
+    the default one; the default model's outcome and the tiered machine's
+    superblock stats."""
     # Slid interior nops are never decoded, so after a patch the tiered
     # run reports fewer stale decodes; every other event must match.
     skip = {BLOCK_COMPILE, BLOCK_INVALIDATE}
     if smc:
         skip.add(CACHE_INVALIDATE)
-    out = {}
-    for sb in (False, True):
-        tracer = Tracer()
-        machine = Machine(CostModel(), superblocks=sb,
-                          tracer=tracer, cores=cores)
-        proc = machine.load(image)
-        machine.run(until=lambda: not proc.task.alive,
-                    max_instructions=1_000_000)
-        out[sb] = (
-            proc.exit_code,
-            proc.term_signal,
-            proc.task.regs.rip,
-            machine.clock,
-            machine.scheduler.total_instructions,
-            machine.scheduler.shootdowns,
-            [(e.ts, e.kind, e.tid, e.core, tuple(sorted(e.data.items())))
-             for e in tracer.events if e.kind not in skip],
-        )
-        stats = machine.superblock_stats()
-    assert out[False] == out[True]
+    clocks = []
+    for insn_costs in (_CUSTOM_COSTS, DEFAULT_INSN_COSTS):
+        out = {}
+        for sb in (False, True):
+            tracer = Tracer()
+            machine = Machine(CostModel(insn_costs=insn_costs),
+                              superblocks=sb, tracer=tracer, cores=cores)
+            proc = machine.load(image)
+            machine.run(until=lambda: not proc.task.alive,
+                        max_instructions=1_000_000)
+            out[sb] = (
+                proc.exit_code,
+                proc.term_signal,
+                proc.task.regs.rip,
+                machine.clock,
+                machine.scheduler.total_instructions,
+                machine.scheduler.shootdowns,
+                [(e.ts, e.kind, e.tid, e.core, tuple(sorted(e.data.items())))
+                 for e in tracer.events if e.kind not in skip],
+            )
+            stats = machine.superblock_stats()
+        assert out[False] == out[True], insn_costs is _CUSTOM_COSTS
+        clocks.append(machine.clock)
+    assert clocks[0] > clocks[1]  # the custom model's slid nops count
     return out[True], stats
 
 
@@ -873,14 +887,18 @@ def test_entry_just_below_a_recorded_run_gets_recorded():
 def test_cost_model_rejects_costs_a_batched_charge_cannot_sum_exactly():
     """Blocks and nop slides charge one precomputed total, which equals
     per-step charging only for quarter-cycle costs below 2**40: the cost
-    model refuses any other instruction cost, and every default passes."""
+    model refuses any other instruction cost, every default passes, and a
+    built model cannot be changed behind its table's back."""
     for bad in (0.1, -0.25, 2**40):
-        costs = CostModel()
-        costs.insn_costs[Mnemonic.NOP] = bad
-        with pytest.raises(ValueError):
-            costs.refresh_tables()
         with pytest.raises(ValueError):
             CostModel(insn_costs={**DEFAULT_INSN_COSTS, Mnemonic.NOP: bad})
-    costs = CostModel(insn_costs=dict(DEFAULT_INSN_COSTS))
+    insn_costs = dict(DEFAULT_INSN_COSTS)
+    costs = CostModel(insn_costs=insn_costs)
     for mnemonic, cost in DEFAULT_INSN_COSTS.items():
         assert costs.insn_cost(mnemonic) == cost
+    with pytest.raises(TypeError):
+        costs.insn_costs[Mnemonic.NOP] = 0.5
+    with pytest.raises(FrozenInstanceError):
+        costs.xsave_base = 1
+    insn_costs[Mnemonic.NOP] = 0.5  # the model keeps its own copy
+    assert costs.op_costs[Mnemonic.NOP.op_index] == DEFAULT_INSN_COSTS[Mnemonic.NOP]
