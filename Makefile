@@ -8,48 +8,48 @@ FAULT_SEEDS ?= 0:64
 .PHONY: test test-fast test-degrade test-superblock test-smp test-uring test-uring-async test-cluster test-chaos faults fuzz bench bench-sim bench-selftest perf trace
 
 test:
-	$(PYTHON) -m pytest -x -q
+	$(PYTHON) -m pytest -x
 
 test-fast:
-	$(PYTHON) -m pytest -x -q -m "not faults"
+	$(PYTHON) -m pytest -x -m "not faults"
 
 # Graceful-degradation tier: hostile mmap_min_addr, injected setup/rewrite
 # faults, %gs-stack exhaustion and EINTR-during-interposition coverage.
 test-degrade:
-	$(PYTHON) -m pytest -x -q -m degrade
+	$(PYTHON) -m pytest -x -m degrade
 
 # Superblock tier: Hypothesis lockstep equivalence (tiering on vs off must
 # be bit-identical in registers, memory, traces and simulated cycles) plus
 # the invalidation and cycle-identity matrices.
 test-superblock:
-	$(PYTHON) -m pytest -x -q -m superblock
+	$(PYTHON) -m pytest -x -m superblock
 
 # SMP tier: multi-core determinism, cross-core coherence (shootdowns),
 # the scaling curve and the SMP property checks.
 test-smp:
-	$(PYTHON) -m pytest -x -q -m smp
+	$(PYTHON) -m pytest -x -m smp
 
 # Syscall-aggregation tier: ring drain semantics, signal-interrupted drains,
 # and the batched-vs-unbatched identity matrix across tools and cores.
 test-uring:
-	$(PYTHON) -m pytest -x -q -m uring
+	$(PYTHON) -m pytest -x -m uring
 
 # Asynchronous ring-drain tier: kernel-side parked entries, out-of-order
 # completion posting, ring_wait, the sync/async/direct equivalence
 # properties, and the event-loop webserver + session-coupled cluster legs.
 test-uring-async:
-	$(PYTHON) -m pytest -x -q -m uring_async
+	$(PYTHON) -m pytest -x -m uring_async
 
 # Fleet-scale serving tier: balancer policies, multi-process shard fan-out,
 # cross-process determinism and the shards=1 byte-identity contract.
 test-cluster:
-	$(PYTHON) -m pytest -x -q -m cluster
+	$(PYTHON) -m pytest -x -m cluster
 
 # Fleet fault-tolerance tier: shard chaos injection (crash/hang/degraded/
 # hostile), health-checked failover balancing, circuit breakers, deadline/
 # retry machinery and the chaos-off byte-identity contract.
 test-chaos:
-	$(PYTHON) -m pytest -x -q -m chaos
+	$(PYTHON) -m pytest -x -m chaos
 
 faults:
 	$(PYTHON) -m repro.faults --seeds $(FAULT_SEEDS)
@@ -70,7 +70,7 @@ bench-sim:
 # sizes: manifest names, traced-vs-untraced identity, host-speed scaling
 # and compare verdicts, in a few seconds.
 bench-selftest:
-	$(PYTHON) -m pytest -x -q benchmarks/e2e/test_e2e.py
+	$(PYTHON) -m pytest -x benchmarks/e2e/test_e2e.py
 
 # Observability smoke: run a small workload matrix (microbench, ls, webserver
 # x lazypoline, zpoline) under the machine-wide tracer and sanity-check the
@@ -87,7 +87,7 @@ perf:
 	@if [ -f BENCH_interp.json ]; then cp BENCH_interp.json BENCH_interp.prev.json; fi
 	@if [ -f BENCH_uring.json ]; then cp BENCH_uring.json BENCH_uring.prev.json; fi
 	@if [ -f BENCH_cluster.json ]; then cp BENCH_cluster.json BENCH_cluster.prev.json; fi
-	$(PYTHON) -m pytest benchmarks/test_perf_interpreter.py benchmarks/test_perf_uring.py benchmarks/test_perf_cluster.py -m perf -q
+	$(PYTHON) -m pytest benchmarks/test_perf_interpreter.py benchmarks/test_perf_uring.py benchmarks/test_perf_cluster.py -m perf
 	$(PYTHON) benchmarks/check_regression.py
 	$(PYTHON) benchmarks/check_regression.py BENCH_uring.prev.json BENCH_uring.json
 	$(PYTHON) benchmarks/check_regression.py BENCH_cluster.prev.json BENCH_cluster.json

@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.interpose.api import SyscallContext
-from repro.interpose.lazypoline import Lazypoline, LazypolineConfig
+from repro.interpose import SyscallContext, attach
 from repro.kernel.syscalls.table import syscall_name
 
 
@@ -77,12 +76,8 @@ class MveeMonitor:
             process = machine.load(image, register_binary=variant == 0)
             self.processes.append(process)
             self.streams.append([])
-            tool = Lazypoline._install(
-                machine,
-                process,
-                self._make_interposer(variant),
-                LazypolineConfig(),
-            )
+            tool = attach(machine, process, "lazypoline",
+                          interposer=self._make_interposer(variant))
             self.tools.append(tool)
 
     # ------------------------------------------------------------- interposer

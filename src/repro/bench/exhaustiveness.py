@@ -12,10 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.bench.runner import format_table
-from repro.interpose.api import TraceInterposer
-from repro.kernel.machine import Machine
+from repro.faults.oracle import run_guest
 from repro.workloads import tcc
-from repro.workloads.runner import attach_mechanism
 
 MECHANISMS = ("sud", "zpoline", "lazypoline")
 
@@ -41,19 +39,17 @@ class ExhaustivenessResult:
 def run() -> ExhaustivenessResult:
     result = ExhaustivenessResult()
     for mechanism in MECHANISMS:
-        machine = Machine()
-        tcc.setup_fs(machine)
-        process = machine.load(tcc.build_tcc_image())
-        tracer = TraceInterposer()
-        tool = attach_mechanism(machine, process, mechanism,
-                                interposer=tracer)
-        code = machine.run_process(process)
-        if code != 0 or process.stdout != b"ok\n":
+        tools = []
+        report = run_guest(
+            tcc.build_tcc_image, mechanism, setup=tcc.setup_fs,
+            configure=lambda machine, process, tool: tools.append(tool),
+        )
+        if report.exit != 0 or report.stdout != b"ok\n":
             raise RuntimeError(f"tcc workload failed under {mechanism}")
-        result.traces[mechanism] = tracer.names
+        result.traces[mechanism] = [name for _, name in report.trace]
         if mechanism == "lazypoline":
-            result.slowpath_hits = tool.slowpath_hits
-            result.rewritten_sites = len(tool.rewritten)
+            result.slowpath_hits = tools[0].slowpath_hits
+            result.rewritten_sites = len(tools[0].rewritten)
     return result
 
 

@@ -19,10 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.bench.runner import format_table
-from repro.interpose.api import passthrough_interposer
-from repro.kernel.machine import Machine
-from repro.workloads.runner import attach_mechanism
-from repro.workloads.webserver import SERVERS, ServerWorkload
+from repro.workloads.runner import run_workload
 
 MECHANISMS = ("baseline", "zpoline", "lazypoline_noxstate", "lazypoline", "sud")
 
@@ -50,15 +47,6 @@ class Fig5Result:
         return table[server][size][mechanism] / table[server][size]["baseline"]
 
 
-def _measure_single(server: str, size: int, mechanism: str, *,
-                    requests: int, warmup: int) -> float:
-    machine = Machine()
-    workload = ServerWorkload(machine, SERVERS[server], file_size=size)
-    attach_mechanism(machine, workload.process, mechanism,
-                     interposer=passthrough_interposer)
-    return workload.benchmark(requests=requests, warmup=warmup)
-
-
 def run(
     *,
     servers: tuple[str, ...] = ("nginx", "lighttpd"),
@@ -72,11 +60,14 @@ def run(
         result.single[server] = {}
         result.multi[server] = {}
         for size in sizes:
-            single = {}
-            for mechanism in mechanisms:
-                single[mechanism] = _measure_single(
-                    server, size, mechanism, requests=requests, warmup=warmup
-                )
+            single = {
+                mechanism: run_workload(
+                    "webserver", server=server, tool=mechanism,
+                    file_size=size, requests=requests, warmup=warmup,
+                    connections=4,
+                )["requests_per_sec"]
+                for mechanism in mechanisms
+            }
             result.single[server][size] = single
             capacity = CLIENT_CAPACITY_FACTOR * single["baseline"]
             result.multi[server][size] = {

@@ -19,14 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.arch.registers import to_signed
 from repro.bench.runner import format_table
-from repro.interpose.api import TraceInterposer
-from repro.interpose.seccomp_bpf_tool import SeccompBpfTool
-from repro.kernel.machine import Machine
+from repro.faults.oracle import run_guest
 from repro.kernel.syscalls.table import NR
 from repro.workloads import tcc
 from repro.workloads.microbench import measure_cycles_per_syscall
-from repro.workloads.runner import attach_mechanism
 
 MECHANISMS = ("ptrace", "seccomp_bpf", "seccomp_user", "sud", "zpoline", "lazypoline")
 
@@ -88,38 +86,26 @@ def probe_expressiveness(mechanism: str) -> str:
     a.syscall()
     a.label("msg")
     a.db(b"probe!")
-    machine = Machine()
-    process = machine.load(image_from_assembler("probe", a, entry="_start"))
-    attach_mechanism(machine, process, mechanism, interposer=peek)
-    machine.run_process(process)
+    run_guest(image_from_assembler("probe", a, entry="_start"), mechanism,
+              interposer=peek)
     return "Full" if captured == [b"probe!"] else "Limited"
 
 
 def probe_exhaustiveness(mechanism: str) -> bool:
     """Does the mechanism still see the JIT-generated getpid?"""
-    machine = Machine()
-    tcc.setup_fs(machine)
-    process = machine.load(tcc.build_tcc_image())
     if mechanism == "seccomp_bpf":
         # In-kernel verdicts: make getpid fail and observe the effect on
         # the JIT-ed call's return value.
-        from repro.kernel.seccomp.core import SECCOMP_RET_ERRNO
-        from repro.kernel.seccomp.filter import FilterBuilder
-
-        SeccompBpfTool._install(
-            machine,
-            process,
-            FilterBuilder.deny_syscalls([NR["getpid"]], SECCOMP_RET_ERRNO | 38),
+        processes = []
+        run_guest(
+            tcc.build_tcc_image, mechanism, setup=tcc.setup_fs,
+            tool_opts={"denylist": [NR["getpid"]], "errno_value": 38},
+            configure=lambda machine, process, tool: processes.append(process),
         )
-        machine.run_process(process)
         # The JIT-ed getpid stored its result in r13: -38 when filtered.
-        from repro.arch.registers import to_signed
-
-        return to_signed(process.task.regs.read_name("r13")) == -38
-    tracer = TraceInterposer()
-    attach_mechanism(machine, process, mechanism, interposer=tracer)
-    machine.run_process(process)
-    return "getpid" in tracer.names
+        return to_signed(processes[0].task.regs.read_name("r13")) == -38
+    report = run_guest(tcc.build_tcc_image, mechanism, setup=tcc.setup_fs)
+    return any(name == "getpid" for _, name in report.trace)
 
 
 def efficiency_band(overhead: float) -> str:

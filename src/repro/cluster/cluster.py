@@ -73,7 +73,7 @@ from repro.cluster.balancer import POLICIES, LoadBalancer
 from repro.cluster.chaos import ChaosPlan
 from repro.cluster.health import DOWN, HealthModel, RetryPolicy
 from repro.cluster.shard import run_shard
-from repro.cpu.costs import CostModel
+from repro.cpu.costs import DEFAULT_COST_MODEL
 from repro.faults.rng import SplitMix64
 from repro.obs.tracer import COUNTERS, counter
 from repro.workloads.wrk import latency_percentiles
@@ -289,7 +289,7 @@ class Cluster:
         routable.  A non-empty chaos plan or a per-request deadline
         selects the faulted report (see the module docstring).
         """
-        freq = CostModel().frequency_hz
+        freq = DEFAULT_COST_MODEL.frequency_hz
         faulted = bool(self.chaos) or self.deadline_cycles is not None
         deadline = self.deadline_cycles
         retry = self.retry if self.retry is not None else RetryPolicy()

@@ -58,7 +58,7 @@ from typing import Protocol
 from repro.arch.decode import decode_cached, decode_one
 from repro.arch.isa import MAX_INSN_LEN, Instruction, Mnemonic
 from repro.arch.registers import MASK64, MASK128, XComponent
-from repro.cpu.costs import CostModel
+from repro.cpu.costs import DEFAULT_COST_MODEL, CostModel
 from repro.cpu.ops import dispatch
 from repro.errors import BreakpointTrap, InvalidOpcode
 from repro.mem.pages import PAGE_SHIFT
@@ -216,7 +216,7 @@ class CPU:
         superblocks: bool = True,
     ):
         self.env = env
-        self.costs = cost_model or CostModel()
+        self.costs = cost_model or DEFAULT_COST_MODEL
         self.hooks: list = []
         self.translation_cache = translation_cache
         #: Tier 2: compile hot straight-line runs into superblocks (see

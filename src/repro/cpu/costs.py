@@ -327,3 +327,8 @@ class CostModel:
     def cycles_to_seconds(self, cycles: int | float) -> float:
         return cycles / self.frequency_hz
 
+
+#: The model every :class:`~repro.kernel.machine.Machine`, ``Kernel`` and
+#: ``CPU`` built without one shares: a model never changes once built, so
+#: one instance serves them all.
+DEFAULT_COST_MODEL = CostModel()

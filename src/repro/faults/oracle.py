@@ -9,6 +9,10 @@ reports are observationally equivalent — same exit status, same output,
 same filesystem effects and (for full-expressiveness mechanisms) the same
 per-thread syscall name sequence.
 
+Tools attach through :func:`repro.workloads.runner.attach_mechanism`,
+the path every benchmark measures, so the fault corpus can run any
+mechanism or ablation name the benchmarks can.
+
 Traces are compared per thread by *name only*: pointer arguments and
 cross-thread interleaving legitimately differ between mechanisms (stack
 layouts shift, emulation order varies), but the sequence of syscalls each
@@ -21,20 +25,8 @@ import hashlib
 from dataclasses import dataclass, field
 
 from repro.errors import GuestCrash
-from repro.interpose.lazypoline import Lazypoline
-from repro.interpose.ptrace_tool import PtraceTool
-from repro.interpose.seccomp_user_tool import SeccompUserTool
-from repro.interpose.sud_tool import SudTool
-from repro.interpose.zpoline import Zpoline
 from repro.kernel.machine import Machine
-
-TOOLS = {
-    "zpoline": Zpoline,
-    "lazypoline": Lazypoline,
-    "sud": SudTool,
-    "seccomp_user": SeccompUserTool,
-    "ptrace": PtraceTool,
-}
+from repro.workloads.runner import attach_mechanism
 
 #: Tool pairs with full expressiveness (Table I) — these must observe the
 #: *identical* per-thread syscall stream, not merely preserve behaviour.
@@ -104,30 +96,30 @@ def run_guest(
     configure=None,
     cores: int = 1,
     smp_seed: int = 0,
-    mmap_min_addr: int = 0,
     tool_opts: dict | None = None,
     machine_opts: dict | None = None,
 ) -> GuestReport:
     """Run ``image`` under ``tool`` with optional schedule/fault harnessing.
 
-    ``image`` may be a :class:`ProgramImage` or a zero-argument callable
-    producing one (so corpus entries rebuild fresh per run).  ``setup`` runs
-    against the bare machine (seed the fs, register execve binaries);
-    ``configure(machine, process, tool_instance)`` runs after the tool is
-    installed but before execution — the hook where explorer windows are
-    derived from the installed tool's blob addresses.  ``cores``/``smp_seed``
-    run the guest on a deterministic SMP machine: guest-visible behaviour
-    must not depend on them — that is exactly what the oracle checks.
-    ``mmap_min_addr`` makes the machine hostile to VA-0 tools, and
-    ``tool_opts`` passes extra keywords (e.g. ``degrade_policy=...``) to the
-    tool's ``_install`` — together they drive the graceful-degradation
-    scenarios.  ``machine_opts`` forwards extra keywords to
-    :class:`Machine` (e.g. ``superblocks=False`` to pin the interpreter to
-    one tier for a lockstep comparison).
+    ``tool`` takes any :func:`~repro.workloads.runner.attach_mechanism`
+    name (``None``/``"baseline"`` attach nothing), attached exactly as the
+    benchmarks attach it.  ``image`` may be a :class:`ProgramImage` or a
+    zero-argument callable producing one (so corpus entries rebuild fresh
+    per run).  ``setup`` runs against the bare machine (seed the fs,
+    register execve binaries); ``configure(machine, process,
+    tool_instance)`` runs after the tool is installed but before
+    execution — the hook where explorer windows are derived from the
+    installed tool's blob addresses.  ``cores``/``smp_seed`` run the guest
+    on a deterministic SMP machine: guest-visible behaviour must not
+    depend on them — that is exactly what the oracle checks.
+    ``tool_opts`` passes extra keywords (e.g. ``degrade_policy=...``) to
+    the tool and ``machine_opts`` to :class:`Machine` (e.g.
+    ``mmap_min_addr=`` to make the machine hostile to VA-0 tools, or
+    ``superblocks=False`` to pin the interpreter to one tier for a
+    lockstep comparison).
     """
     machine = Machine(
         policy=policy, cores=cores, smp_seed=smp_seed,
-        mmap_min_addr=mmap_min_addr,
         **(machine_opts or {}),
     )
     if injector is not None:
@@ -138,11 +130,9 @@ def run_guest(
         image = image()
     process = machine.load(image, argv)
     tracer = interposer if interposer is not None else TidTracer()
-    tool_instance = None
-    if tool is not None:
-        tool_instance = TOOLS[tool]._install(
-            machine, process, tracer, **(tool_opts or {})
-        )
+    tool_instance = attach_mechanism(
+        machine, process, tool, interposer=tracer, tool_opts=tool_opts
+    )
     if configure is not None:
         configure(machine, process, tool_instance)
     crashed = False

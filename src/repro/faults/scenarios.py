@@ -31,8 +31,7 @@ from repro.faults.explorer import (
     lazypoline_windows,
 )
 from repro.faults.injector import FaultInjector, FaultRule
-from repro.interpose.api import TraceInterposer
-from repro.interpose.lazypoline import Lazypoline
+from repro.interpose import TraceInterposer, attach
 from repro.kernel import errno
 from repro.kernel.machine import Machine
 from repro.kernel.signals import SA_NODEFER, SIGSEGV, SIGUSR1, SIGUSR2
@@ -417,7 +416,7 @@ def _lazypoline_two_signal(policy, injector):
     machine = Machine(policy=policy)
     machine.kernel.fault_injector = injector
     process = machine.load(build_two_signal_guest())
-    tool = Lazypoline._install(machine, process, TraceInterposer())
+    tool = attach(machine, process, "lazypoline", interposer=TraceInterposer())
     machine.run(until=lambda: not process.alive, max_instructions=400_000)
     problems = []
     if process.alive:
@@ -550,7 +549,7 @@ def rewrite_window(seed, policy):
     machine = Machine()
     image = build_two_signal_guest()
     process = machine.load(image)
-    tool = Lazypoline._install(machine, process, TraceInterposer())
+    tool = attach(machine, process, "lazypoline", interposer=TraceInterposer())
 
     windows = lazypoline_windows(tool)
     boundaries: list[int] = []
@@ -707,7 +706,7 @@ def sled_denied(seed, policy):
             build_two_signal_guest,
             tool,
             policy=policy(),
-            mmap_min_addr=min_addr,
+            machine_opts={"mmap_min_addr": min_addr},
             configure=keep if tool == "lazypoline" else None,
             max_instructions=400_000,
         )

@@ -1,20 +1,26 @@
 """Syscall interposition tools.
 
 Every tool attaches through the same entry point —
-``attach(machine, process, tool="lazypoline", interposer=...)`` — and drives
-the same user-facing interposer callable (see :mod:`repro.interpose.api`),
-so the paper's comparisons run the *identical* "dummy interposition
-function" under every mechanism:
+``attach(machine, process, tool="lazypoline", interposer=...)``, the only
+code that turns a tool name into a tool (benchmark names such as
+``baseline`` or the lazypoline ablations go through
+:func:`repro.workloads.runner.attach_mechanism`, which calls it) — and
+drives the same user-facing interposer callable (see
+:mod:`repro.interpose.api`), so the paper's comparisons run the
+*identical* "dummy interposition function" under every mechanism:
 
 * :mod:`repro.interpose.ptrace_tool` — tracer-process syscall stops,
 * :mod:`repro.interpose.seccomp_bpf_tool` — in-kernel cBPF filtering,
 * :mod:`repro.interpose.seccomp_user_tool` — SECCOMP_RET_TRAP to user space,
+* :mod:`repro.interpose.usernotif_tool` — a SECCOMP_RET_USER_NOTIF supervisor,
+* :mod:`repro.interpose.preload_tool` — LD_PRELOAD-style libc wrapper hooks,
 * :mod:`repro.interpose.sud_tool` — the typical Syscall User Dispatch setup,
 * :mod:`repro.interpose.zpoline` — pure static binary rewriting,
 * :mod:`repro.interpose.lazypoline` — the paper's hybrid contribution.
 
 Graceful degradation (hostile environments, resource exhaustion) is
-configured per-attach with ``attach(..., degrade_policy=...)``; the policy
+configured per-attach with ``attach(..., "lazypoline",
+degrade_policy=...)`` (any other tool rejects the keyword); the policy
 types :class:`DegradePolicy` and :class:`Mode` are re-exported here lazily
 from :mod:`repro.interpose.lazypoline.degrade` so importing this package
 stays cheap.
@@ -27,7 +33,7 @@ from repro.interpose.api import (
     TraceInterposer,
     passthrough_interposer,
 )
-from repro.interpose.registry import attach, available_tools, register_tool
+from repro.interpose.registry import attach, available_tools
 
 __all__ = [
     "AttachError",
@@ -39,7 +45,6 @@ __all__ = [
     "attach",
     "available_tools",
     "passthrough_interposer",
-    "register_tool",
 ]
 
 

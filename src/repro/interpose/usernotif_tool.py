@@ -25,14 +25,9 @@ from repro.interpose.api import (
     SyscallContext,
     passthrough_interposer,
 )
-from repro.kernel.seccomp.bpf import BpfProgram
+from repro.kernel.seccomp.bpf import BPF_K, BPF_RET, BpfProgram, stmt
 from repro.kernel.seccomp.core import SECCOMP_RET_USER_NOTIF
 from repro.kernel.seccomp.filter import FilterBuilder
-from repro.kernel.seccomp.bpf import BPF_K, BPF_RET, stmt
-
-
-def _notify_all_filter() -> BpfProgram:
-    return BpfProgram([stmt(BPF_RET | BPF_K, SECCOMP_RET_USER_NOTIF)])
 
 
 class UserNotifTool:
@@ -52,25 +47,21 @@ class UserNotifTool:
         process,
         interposer: Interposer | None = None,
         *,
-        filter_program: BpfProgram | None = None,
+        sysnos: list[int] | None = None,
     ) -> "UserNotifTool":
-        """Install the notify-filter and register the supervisor."""
+        """Install the notify-filter and register the supervisor.
+
+        With ``sysnos`` only those syscalls notify; everything else runs
+        natively.
+        """
         tool = cls(machine, interposer or passthrough_interposer)
-        process.task.seccomp_filters.append(
-            filter_program or _notify_all_filter()
-        )
+        if sysnos is None:
+            program = BpfProgram([stmt(BPF_RET | BPF_K, SECCOMP_RET_USER_NOTIF)])
+        else:
+            program = FilterBuilder.deny_syscalls(sysnos, SECCOMP_RET_USER_NOTIF)
+        process.task.seccomp_filters.append(program)
         machine.kernel.usernotif_supervisor = tool._on_notification
         return tool
-
-    @classmethod
-    def _install_for_syscalls(
-        cls, machine, process, sysnos: list[int],
-        interposer: Interposer | None = None,
-    ) -> "UserNotifTool":
-        """Notify only for ``sysnos``; everything else runs natively."""
-        program = FilterBuilder.deny_syscalls(sysnos, SECCOMP_RET_USER_NOTIF)
-        return cls._install(machine, process, interposer,
-                            filter_program=program)
 
     # ------------------------------------------------------------- supervisor
     def _on_notification(self, kernel, task, sysno, args) -> int | None:

@@ -34,7 +34,7 @@ from repro.arch.registers import (
     to_signed,
 )
 from repro.cpu.core import CPU
-from repro.cpu.costs import CostModel
+from repro.cpu.costs import DEFAULT_COST_MODEL, CostModel
 from repro.errors import BreakpointTrap, InvalidOpcode, PageFault
 from repro.kernel import errno
 from repro.kernel.ptrace import TraceeControl
@@ -127,7 +127,7 @@ class Kernel:
         translation_cache: bool = True,
         superblocks: bool = True,
     ):
-        self.costs = costs or CostModel()
+        self.costs = costs or DEFAULT_COST_MODEL
         self.clock = 0
         self.cpu = CPU(
             self, self.costs,

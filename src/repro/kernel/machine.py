@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.cpu.costs import CostModel
+from repro.cpu.costs import DEFAULT_COST_MODEL, CostModel
 from repro.errors import GuestCrash
 from repro.kernel.kernel import Kernel
 from repro.kernel.scheduler import Scheduler
@@ -74,7 +74,7 @@ class Machine:
         mmap_min_addr: int = 0,
         ring_park_timeout: int | None = None,
     ):
-        self.costs = costs or CostModel()
+        self.costs = costs or DEFAULT_COST_MODEL
         self.kernel = Kernel(
             self.costs,
             translation_cache=translation_cache,

@@ -8,9 +8,11 @@ Subcommands::
     smoke  (3 workloads x 2 tools, one line each — the ``make trace`` target)
     tools  (list attachable tool names)
 
-``run`` builds the chosen workload on a fresh machine, attaches the chosen
-tool with the passthrough interposer and a machine-wide tracer, runs to
-completion, and emits the trace in the requested format.
+``run`` runs the chosen workload the way the benchmarks do — a guest
+through :func:`repro.faults.oracle.run_guest`, the server through
+``run_workload("webserver", ...)`` — with the chosen tool attached
+(passthrough interposer) and a machine-wide tracer, then emits the
+trace in the requested format.
 """
 
 from __future__ import annotations
@@ -19,11 +21,13 @@ import argparse
 import json
 import sys
 
-from repro.interpose import attach, available_tools
-from repro.kernel.machine import Machine
+from repro.errors import GuestCrash
+from repro.faults.oracle import run_guest
+from repro.interpose import available_tools, passthrough_interposer
 from repro.obs.export import export_chrome, export_jsonl, render_strace
 from repro.obs.metrics import convergence_curve, path_ratio
 from repro.obs.tracer import Tracer
+from repro.workloads.runner import run_workload
 
 WORKLOADS = ("microbench", "webserver", "ls", "tcc")
 
@@ -33,70 +37,39 @@ SMOKE_TOOLS = ("lazypoline", "zpoline")
 
 
 # ------------------------------------------------------------------ workloads
-def _run_microbench(machine: Machine, tool: str, args) -> None:
-    from repro.workloads.microbench import build_syscall_loop
+def _run(workload: str, tool: str, tracer: Tracer, *, iterations: int,
+         requests: int) -> float:
+    """Run ``workload`` under ``tool`` traced by ``tracer``; return the
+    final simulated clock."""
+    if workload == "webserver":
+        return run_workload(
+            "webserver", tool=tool, tracer=tracer, requests=requests,
+            warmup=0, file_size=4096, connections=4,
+        )["cycles"]
+    from repro.workloads import coreutils, microbench, tcc
 
-    process = machine.load(build_syscall_loop(args.iterations))
-    _attach(machine, process, tool)
-    machine.run_process(process)
-
-
-def _run_ls(machine: Machine, tool: str, args) -> None:
-    from repro.workloads.coreutils import build_coreutil, setup_fs
-
-    setup_fs(machine)
-    process = machine.load(build_coreutil("ls"))
-    _attach(machine, process, tool)
-    machine.run_process(process)
-
-
-def _run_tcc(machine: Machine, tool: str, args) -> None:
-    from repro.workloads import tcc
-
-    tcc.setup_fs(machine)
-    process = machine.load(tcc.build_tcc_image())
-    _attach(machine, process, tool)
-    machine.run_process(process)
-
-
-def _run_webserver(machine: Machine, tool: str, args) -> None:
-    from repro.workloads.webserver import NGINX, ServerWorkload
-    from repro.workloads.wrk import WrkClient
-
-    workload = ServerWorkload(machine, NGINX, file_size=4096)
-    _attach(machine, workload.process, tool)
-    workload.run_until_listening()
-    client = WrkClient(machine.kernel, 8080, connections=4, response_size=4096)
-    client.start()
-    machine.run(
-        until=lambda: client.stats.completed >= args.requests,
-        max_instructions=200_000_000,
+    image, setup = {
+        "microbench": (lambda: microbench.build_syscall_loop(iterations), None),
+        "ls": (lambda: coreutils.build_coreutil("ls"), coreutils.setup_fs),
+        "tcc": (tcc.build_tcc_image, tcc.setup_fs),
+    }[workload]
+    report = run_guest(
+        image, tool, setup=setup, interposer=passthrough_interposer,
+        max_instructions=50_000_000, machine_opts={"tracer": tracer},
     )
-    client.stop()
-
-
-def _attach(machine: Machine, process, tool: str) -> None:
-    # No explicit interposer: tools that take one get the passthrough,
-    # seccomp_bpf (which rejects interposers by design, Table I) gets none.
-    attach(machine, process, tool)
-
-
-_RUNNERS = {
-    "microbench": _run_microbench,
-    "webserver": _run_webserver,
-    "ls": _run_ls,
-    "tcc": _run_tcc,
-}
+    if report.crashed:
+        raise GuestCrash(f"{workload} did not exit under {tool}")
+    return report.cycles
 
 
 # ------------------------------------------------------------------- rendering
-def _summary(tracer: Tracer, machine: Machine) -> str:
+def _summary(tracer: Tracer, clock: float) -> str:
     lines = [
         f"events: {sum(tracer.counts.values())}"
         + (f" ({tracer.dropped} dropped)" if tracer.dropped else ""),
         "by kind: "
         + ", ".join(f"{k}={n}" for k, n in sorted(tracer.counts.items())),
-        f"simulated cycles: {machine.clock:.0f}",
+        f"simulated cycles: {clock:.0f}",
     ]
     slow, fast, fraction = path_ratio(tracer)
     if slow or fast:
@@ -127,9 +100,9 @@ def _summary(tracer: Tracer, machine: Machine) -> str:
     return "\n".join(lines)
 
 
-def _render(fmt: str, tracer: Tracer, machine: Machine, args) -> str:
+def _render(fmt: str, tracer: Tracer, clock: float, args) -> str:
     if fmt == "summary":
-        return _summary(tracer, machine)
+        return _summary(tracer, clock)
     if fmt == "jsonl":
         return export_jsonl(tracer)
     if fmt == "chrome":
@@ -151,9 +124,9 @@ def cmd_run(args) -> int:
         )
         return 2
     tracer = Tracer(max_events=args.max_events)
-    machine = Machine(tracer=tracer)
-    _RUNNERS[args.workload](machine, args.tool, args)
-    text = _render(args.format, tracer, machine, args)
+    clock = _run(args.workload, args.tool, tracer,
+                 iterations=args.iterations, requests=args.requests)
+    text = _render(args.format, tracer, clock, args)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
@@ -168,10 +141,8 @@ def cmd_smoke(args) -> int:
     for workload in SMOKE_WORKLOADS:
         for tool in SMOKE_TOOLS:
             tracer = Tracer()
-            machine = Machine(tracer=tracer)
-            ns = argparse.Namespace(iterations=50, requests=10)
             try:
-                _RUNNERS[workload](machine, tool, ns)
+                _run(workload, tool, tracer, iterations=50, requests=10)
             except Exception as exc:  # pragma: no cover - smoke diagnostics
                 failures += 1
                 print(f"FAIL  {workload:<10s} {tool:<10s} {exc}")

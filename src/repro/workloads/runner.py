@@ -14,8 +14,10 @@ cluster shard worker (:mod:`repro.cluster`) and the benchmarks call the
 same entry point, so there is exactly one place where ``degrade_policy``
 (via ``tool_opts``), ``superblocks``/``translation_cache``/``costs`` (via
 ``machine_opts``) and the ring options (``batched=``) are threaded through.
-Benchmarks that drive a guest by hand attach tools through the same
-:func:`attach_mechanism` path.
+:func:`attach_mechanism` is the one place that turns a benchmark name
+into a tool; the fault oracle's ``run_guest``, the paper harnesses and
+the ``python -m repro.obs`` CLI attach through it too, so every caller
+runs the attach path the benchmarks measure.
 
 Two measurement helpers stay on top of it, because each hides the
 two-run differencing that cancels guest startup cost:
@@ -77,14 +79,16 @@ def attach_mechanism(
 ):
     """Attach ``mechanism`` to ``process`` through the unified registry.
 
-    The shared setup path for every runner and benchmark: accepts plain
-    registry tool names (``lazypoline``, ``zpoline``, ``ptrace``, ...),
-    the benchmark pseudo-mechanisms (``baseline``/``none``/``None``,
-    ``sud_enabled_allow``) and the lazypoline ablation names
-    (``lazypoline_noxstate``, ``lazypoline_nosud``, ``lazypoline_pkey``,
-    ``lazypoline_xstate_*``).  Everything ultimately goes through
-    :func:`repro.interpose.attach`; ``tool_opts`` (e.g. ``degrade_policy``,
-    ``mode`` for zpoline) pass straight through to it.
+    The shared setup path for every runner, benchmark and the fault
+    oracle: accepts plain registry tool names (``lazypoline``,
+    ``zpoline``, ``ptrace``, ...), the benchmark pseudo-mechanisms
+    (``baseline``/``none``/``None``, ``sud_enabled_allow``) and the
+    lazypoline ablation names (``lazypoline_noxstate``,
+    ``lazypoline_nosud``, ``lazypoline_pkey``, ``lazypoline_xstate_*``).
+    Everything ultimately goes through :func:`repro.interpose.attach`,
+    looked up at call time; ``tool_opts`` (e.g. ``degrade_policy``,
+    ``mode`` for zpoline) pass straight through to it.  ``seccomp_bpf``
+    runs no interposer, so ``interposer`` is not passed to it.
 
     Returns the tool object, or ``None`` when nothing was attached.
     """
@@ -110,7 +114,7 @@ def attach_mechanism(
     from repro.interpose import attach
 
     if mechanism == "seccomp_bpf":
-        # cBPF runs in kernel space: no interposer (the registry enforces it).
+        # cBPF runs in kernel space: no interposer (the tool enforces it).
         return attach(machine, process, "seccomp_bpf", **opts)
     if mechanism.startswith("lazypoline") and mechanism != "lazypoline":
         opts.setdefault("config", _lazypoline_config(mechanism))

@@ -12,7 +12,8 @@ import pickle
 import pytest
 
 from repro.arch.isa import Mnemonic
-from repro.cpu.costs import DEFAULT_INSN_COSTS, CostModel
+from repro.cpu.costs import DEFAULT_COST_MODEL, DEFAULT_INSN_COSTS, CostModel
+from repro.kernel.machine import Machine
 from repro.workloads.microbench import (
     NOSYS_SYSNO,
     build_syscall_loop,
@@ -129,6 +130,20 @@ def test_cost_model_pickles():
     back = pickle.loads(pickle.dumps(model))
     assert back == model and back != CostModel()
     assert back.op_costs == model.op_costs
+
+
+def test_default_cost_model_is_shared():
+    """Machines built without a model share the one default instance;
+    a model passed in is kept, and the shared one still pickles."""
+    a, b = Machine(), Machine()
+    assert a.costs is b.costs is DEFAULT_COST_MODEL
+    assert a.kernel.costs is a.kernel.cpu.costs is DEFAULT_COST_MODEL
+    custom = CostModel(xsave_base=12)
+    c = Machine(custom)
+    assert c.costs is c.kernel.costs is c.kernel.cpu.costs is custom
+    back = pickle.loads(pickle.dumps(DEFAULT_COST_MODEL))
+    assert back == DEFAULT_COST_MODEL == CostModel()
+    assert back.op_costs == DEFAULT_COST_MODEL.op_costs
 
 
 def test_cycles_to_seconds():

@@ -13,8 +13,6 @@ on resource exhaustion).
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 from repro.errors import AttachError
@@ -86,17 +84,20 @@ def test_as_degrade_policy_coercions():
         as_degrade_policy({"depth_overflow": "explode"})
 
 
-def test_registry_warns_and_drops_policy_for_unaware_tools():
+def test_degrade_policy_is_rejected_by_tools_without_it():
     machine = Machine()
     setup_fs(machine)
     process = machine.load(build_coreutil("cat"))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    regions = process.task.mem.regions()
+    with pytest.raises(TypeError, match="degrade_policy"):
         attach(machine, process, tool="sud", degrade_policy="sud_only")
-    assert any(
-        "no graceful-degradation support" in str(w.message) for w in caught
-    )
-    assert machine.run_process(process) == 0  # the attach itself still worked
+    # the rejected attach left the process untouched: nothing mapped, no
+    # selector armed, no filter, no handler registered
+    assert process.task.mem.regions() == regions
+    assert process.task.sud is None
+    assert process.task.seccomp_filters == []
+    assert not machine.kernel._hcalls
+    assert machine.run_process(process) == 0
 
 
 # ------------------------------------------------------ hostile attach ladder
@@ -327,7 +328,7 @@ def test_hostile_matrix_guest_identical_to_bare(cores):
     hostile = run_guest(
         build_two_signal_guest,
         "lazypoline",
-        mmap_min_addr=PAGE_SIZE,
+        machine_opts={"mmap_min_addr": PAGE_SIZE},
         cores=cores,
         max_instructions=400_000,
     )

@@ -85,28 +85,6 @@ def test_seccomp_unotify_sysnos_opt():
     assert process.stdout == b"hello\n"
 
 
-def test_register_tool_extension_point():
-    from repro.interpose import register_tool
-
-    seen = {}
-
-    def fake_attach(machine, process, interposer=None, **opts):
-        seen["opts"] = opts
-        return "fake-tool"
-
-    register_tool("faketool", fake_attach)
-    try:
-        machine = Machine()
-        process = machine.load(hello_image())
-        assert "faketool" in available_tools()
-        assert attach(machine, process, "faketool", depth=3) == "fake-tool"
-        assert seen["opts"] == {"depth": 3}
-    finally:
-        from repro.interpose import registry
-
-        registry._REGISTRY.pop("faketool", None)
-
-
 # ---------------------------------------------- attach replaces install
 def test_attach_replaces_lazypoline_install():
     machine = Machine()

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.faults.oracle import run_guest
+from repro.interpose import available_tools
 from repro.kernel.machine import Machine
 from repro.workloads.runner import (
     RunContext,
@@ -19,6 +21,8 @@ from repro.workloads.runner import (
     run_workload,
     workload_names,
 )
+
+from tests.conftest import hello_image
 
 
 # ----------------------------------------------------------------- registry
@@ -102,6 +106,18 @@ def test_attach_mechanism_registry_tools():
     tool = attach_mechanism(machine, process, "seccomp_bpf")
     assert process.task.seccomp_filters
     assert tool is not None
+
+
+@pytest.mark.parametrize(
+    "tool",
+    [*available_tools(), "baseline", "sud_enabled_allow", "lazypoline_noxstate"],
+)
+def test_run_guest_attaches_every_mechanism_name(tool):
+    """The fault oracle speaks the benchmarks' whole tool vocabulary."""
+    report = run_guest(hello_image, tool)
+    assert not report.crashed
+    assert report.exit == 0
+    assert report.stdout == run_guest(hello_image, None).stdout == b"hello\n"
 
 
 # ------------------------------------------------------ differenced workloads

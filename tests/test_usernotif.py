@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.interpose.api import TraceInterposer
+from repro.interpose import TraceInterposer, attach
 from repro.interpose.usernotif_tool import UserNotifTool
 from repro.kernel import errno
 from repro.kernel.syscalls.table import NR
@@ -69,7 +69,8 @@ def test_selective_notification(machine):
     a.label("p")
     a.db(b"/sel\x00")
     proc = machine.load(finish(a))
-    tool = UserNotifTool._install_for_syscalls(machine, proc, [NR["mkdir"]], tr)
+    tool = attach(machine, proc, "seccomp_unotify", interposer=tr,
+                  sysnos=[NR["mkdir"]])
     machine.run_process(proc)
     # Only mkdir notified; getpid and exit ran natively.
     assert tr.names == ["mkdir"]
