@@ -5,7 +5,7 @@ export PYTHONPATH
 FUZZ_MINUTES ?= 5
 FAULT_SEEDS ?= 0:64
 
-.PHONY: test test-fast test-degrade test-superblock test-smp test-uring test-uring-async test-cluster test-chaos faults fuzz bench bench-sim bench-selftest perf trace
+.PHONY: test test-fast test-degrade test-superblock test-smp test-uring test-uring-async test-cluster test-chaos faults fuzz bench bench-sim bench-selftest perf trace examples
 
 test:
 	$(PYTHON) -m pytest -x
@@ -77,6 +77,12 @@ bench-selftest:
 # event streams.
 trace:
 	$(PYTHON) -m repro.obs smoke
+
+# Run every script in examples/ (~7 s) and fail on the first non-zero exit.
+examples:
+	@set -e; for script in examples/*.py; do \
+		echo "== $$script"; $(PYTHON) $$script > /dev/null; \
+	done
 
 # Perf baselines: snapshot the previous BENCH_*.json files, remeasure, then
 # fail on a >15% regression on any workload (guest MIPS for the interpreter

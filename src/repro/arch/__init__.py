@@ -9,7 +9,9 @@ bit-identical to real x86-64:
 * ``nop``      = ``90`` (one byte) — the trampoline sled,
 * rel32 jumps/calls are five bytes — too large to replace a syscall in place.
 
-Everything else lives in a ``48``-prefixed namespace with explicit lengths.
+Everything else lives in a ``48``-prefixed namespace, one row per
+instruction in :data:`repro.arch.isa.EXT_ROWS`, with lengths computed from
+the row; the decoder, the assembler and the text assembler all read it.
 """
 
 from repro.arch.registers import (

@@ -33,6 +33,7 @@ import re
 from dataclasses import dataclass
 
 from repro.arch.encode import Assembler
+from repro.arch.isa import EXT_ROWS, Mnemonic
 from repro.arch.registers import GPR_INDEX, XMM_INDEX
 from repro.errors import AssemblerError
 
@@ -137,24 +138,61 @@ def _unescape(raw: str) -> bytes:
     return raw.encode("utf-8").decode("unicode_escape").encode("latin-1")
 
 
-_SIMPLE = {
-    "nop": "nop", "ret": "ret", "hlt": "hlt", "int3": "int3",
-    "syscall": "syscall", "sysenter": "sysenter", "ud2": "ud2",
-    "fld1": "fld1", "faddp": "faddp",
+def _signature(kinds: str) -> str:
+    """The text operand signature of a row's decoded field kinds: a ``g``
+    base followed by its ``d`` is one ``[mem]`` (``m``), ``u`` is
+    ``gs:[disp]`` (``s``), and ``i``, ``c`` and ``h`` are immediates."""
+    return (kinds.replace("gd", "m").replace("u", "s")
+            .replace("c", "i").replace("h", "i"))
+
+
+def _ext_form(mnemonic: Mnemonic):
+    return lambda asm, *args: asm._ext(mnemonic, *args)
+
+
+#: ``(text name, operand signature)`` -> ``emit(asm, *args)``.  Signature
+#: letters: ``g`` register, ``x`` xmm register, ``m`` ``[mem]``, ``s``
+#: ``gs:[disp]``, ``i`` immediate, ``l`` label.  Only the fixed x86
+#: encodings are listed by hand; every ``48``-namespace form is a row.
+_FORMS = {
+    **{(m, ""): getattr(Assembler, m) for m in
+       ("nop", "ret", "hlt", "int3", "syscall", "sysenter", "ud2")},
+    ("push", "g"): Assembler.push,
+    ("pop", "g"): Assembler.pop,
+    ("call", "g"): Assembler.call_reg,
+    ("call", "l"): Assembler.call,
+    ("jmp", "g"): Assembler.jmp_reg,
+    ("jmp", "l"): Assembler.jmp,
+    **{(m, "l"): getattr(Assembler, m) for m in
+       ("jz", "jnz", "jl", "jg", "jge", "jle")},
+    ("je", "l"): Assembler.jz,
+    ("jne", "l"): Assembler.jnz,
+    ("mov", "gi"): Assembler.mov_imm,
+    ("mov", "gl"): Assembler.mov_imm,
 }
-_ONE_GPR = {
-    "push": "push", "pop": "pop", "inc": "inc", "dec": "dec",
-    "rdgsbase": "rdgsbase", "wrgsbase": "wrgsbase",
-    "rdpkru": "rdpkru", "wrpkru": "wrpkru",
-}
-_ALU_RR = {"add": "add", "sub": "sub", "cmp": "cmp", "and": "and_",
-           "or": "or_", "xor": "xor", "imul": "imul"}
-_ALU_RI = {"add": "addi", "sub": "subi", "cmp": "cmpi", "and": "andi",
-           "or": "ori", "xor": "xori"}
-_XMM_RR = {"movaps": "movaps", "punpcklqdq": "punpcklqdq", "xorps": "xorps",
-           "vaddpd": "vaddpd"}
-_JCC = {"jz": "jz", "je": "jz", "jnz": "jnz", "jne": "jnz", "jl": "jl",
-        "jg": "jg", "jge": "jge", "jle": "jle"}
+for _row in EXT_ROWS:
+    _key = (_row.text, _signature(_row.kinds))
+    assert _key not in _FORMS, f"two text forms {_key}"
+    _FORMS[_key] = _ext_form(_row.mnemonic)
+del _row, _key
+
+_SIG_LETTER = {Gpr: "g", Xmm: "x", Mem: "m", GsMem: "s", Imm: "i",
+               LabelRef: "l"}
+_SIG_WORDS = {"g": "register", "x": "xmm register", "m": "[mem]",
+              "s": "gs:[disp]", "i": "immediate", "l": "label"}
+
+
+def _args(op) -> tuple:
+    """An operand's Assembler arguments (``[mem]`` is base and disp)."""
+    if isinstance(op, Mem):
+        return op.base, op.disp
+    if isinstance(op, (Gpr, Xmm)):
+        return (op.index,)
+    if isinstance(op, GsMem):
+        return (op.disp,)
+    if isinstance(op, Imm):
+        return (op.value,)
+    return (op.name,)
 
 
 class _Line:
@@ -168,156 +206,16 @@ class _Line:
 
 def _emit(asm: Assembler, mnemonic: str, ops: list, line: _Line) -> None:
     m = mnemonic.lower()
-
-    if m in _SIMPLE:
-        if ops:
-            raise line.error(f"{m} takes no operands")
-        getattr(asm, _SIMPLE[m])()
+    form = _FORMS.get((m, "".join(_SIG_LETTER[type(op)] for op in ops)))
+    if form is not None:
+        form(asm, *(arg for op in ops for arg in _args(op)))
         return
-    if m in _ONE_GPR:
-        if len(ops) == 1 and isinstance(ops[0], Gpr):
-            getattr(asm, _ONE_GPR[m])(ops[0].index)
-            return
-        if m == "wrpkru" and len(ops) == 1 and isinstance(ops[0], GsMem):
-            asm.gswrpkru(ops[0].disp)  # the memory-sourced form
-            return
-        raise line.error(f"{m} needs one register operand")
-    if m == "call":
-        if len(ops) == 1 and isinstance(ops[0], Gpr):
-            asm.call_reg(ops[0].index)
-            return
-        if len(ops) == 1 and isinstance(ops[0], LabelRef):
-            asm.call(ops[0].name)
-            return
-        raise line.error("call needs a register or label")
-    if m == "jmp":
-        if len(ops) == 1 and isinstance(ops[0], GsMem):
-            asm.gsjmp(ops[0].disp)
-            return
-        if len(ops) == 1 and isinstance(ops[0], Gpr):
-            asm.jmp_reg(ops[0].index)
-            return
-        if len(ops) == 1 and isinstance(ops[0], LabelRef):
-            asm.jmp(ops[0].name)
-            return
-        raise line.error("jmp needs a register, label, or gs:[disp]")
-    if m in _JCC:
-        if len(ops) == 1 and isinstance(ops[0], LabelRef):
-            getattr(asm, _JCC[m])(ops[0].name)
-            return
-        raise line.error(f"{m} needs a label")
-    if m in ("shl", "shr"):
-        if len(ops) == 2 and isinstance(ops[0], Gpr) and isinstance(ops[1], Imm):
-            getattr(asm, m)(ops[0].index, ops[1].value)
-            return
-        raise line.error(f"{m} needs register, immediate")
-    if m == "lea":
-        if len(ops) == 2 and isinstance(ops[0], Gpr) and isinstance(ops[1], Mem):
-            asm.lea(ops[0].index, ops[1].base, ops[1].disp)
-            return
-        raise line.error("lea needs register, [mem]")
-    if m == "hcall":
-        if len(ops) == 1 and isinstance(ops[0], Imm):
-            asm.hcall(ops[0].value)
-            return
-        raise line.error("hcall needs an immediate")
-    if m in ("xsave", "xrstor"):
-        if len(ops) == 1 and isinstance(ops[0], Mem):
-            getattr(asm, m)(ops[0].base, ops[0].disp)
-            return
-        raise line.error(f"{m} needs a [mem] operand")
-    if m in ("fld", "fstp"):
-        if len(ops) == 1 and isinstance(ops[0], Mem):
-            method = "fld_mem" if m == "fld" else "fstp_mem"
-            getattr(asm, method)(ops[0].base, ops[0].disp)
-            return
-        raise line.error(f"{m} needs a [mem] operand")
-    if m == "movb":
-        _emit_movb(asm, ops, line)
-        return
-    if m == "movq":
-        if len(ops) == 2 and isinstance(ops[0], Xmm) and isinstance(ops[1], Gpr):
-            asm.movq_xg(ops[0].index, ops[1].index)
-            return
-        if len(ops) == 2 and isinstance(ops[0], Gpr) and isinstance(ops[1], Xmm):
-            asm.movq_gx(ops[0].index, ops[1].index)
-            return
-        raise line.error("movq moves between a gpr and an xmm register")
-    if m == "movups":
-        if len(ops) == 2 and isinstance(ops[0], Xmm) and isinstance(ops[1], Mem):
-            asm.movups_load(ops[0].index, ops[1].base, ops[1].disp)
-            return
-        if len(ops) == 2 and isinstance(ops[0], Mem) and isinstance(ops[1], Xmm):
-            asm.movups_store(ops[0].base, ops[0].disp, ops[1].index)
-            return
-        raise line.error("movups moves between an xmm register and memory")
-    if m in _XMM_RR:
-        if len(ops) == 2 and isinstance(ops[0], Xmm) and isinstance(ops[1], Xmm):
-            getattr(asm, _XMM_RR[m])(ops[0].index, ops[1].index)
-            return
-        raise line.error(f"{m} needs two xmm registers")
-    if m == "mov":
-        _emit_mov(asm, ops, line)
-        return
-    if m in _ALU_RR:
-        if len(ops) == 2 and isinstance(ops[0], Gpr) and isinstance(ops[1], Gpr):
-            getattr(asm, _ALU_RR[m])(ops[0].index, ops[1].index)
-            return
-        if len(ops) == 2 and isinstance(ops[0], Gpr) and isinstance(ops[1], Imm):
-            getattr(asm, _ALU_RI[m])(ops[0].index, ops[1].value)
-            return
-        raise line.error(f"{m} needs register,register or register,immediate")
-    raise line.error(f"unknown mnemonic {mnemonic!r}")
-
-
-def _emit_movb(asm: Assembler, ops: list, line: _Line) -> None:
-    if len(ops) != 2:
-        raise line.error("movb needs two operands")
-    dst, src = ops
-    if isinstance(dst, GsMem) and isinstance(src, GsMem):
-        asm.gscopy8(dst.disp, src.disp)
-        return
-    if isinstance(dst, GsMem) and isinstance(src, Gpr):
-        asm.gsstore8(dst.disp, src.index)
-        return
-    if isinstance(dst, Gpr) and isinstance(src, GsMem):
-        asm.gsload8(dst.index, src.disp)
-        return
-    if isinstance(dst, Mem) and isinstance(src, Gpr):
-        asm.store8(dst.base, dst.disp, src.index)
-        return
-    if isinstance(dst, Gpr) and isinstance(src, Mem):
-        asm.load8(dst.index, src.base, src.disp)
-        return
-    raise line.error("unsupported movb operand combination")
-
-
-def _emit_mov(asm: Assembler, ops: list, line: _Line) -> None:
-    if len(ops) != 2:
-        raise line.error("mov needs two operands")
-    dst, src = ops
-    if isinstance(dst, Gpr) and isinstance(src, Gpr):
-        asm.mov(dst.index, src.index)
-        return
-    if isinstance(dst, Gpr) and isinstance(src, Imm):
-        asm.mov_imm(dst.index, src.value)
-        return
-    if isinstance(dst, Gpr) and isinstance(src, LabelRef):
-        asm.mov_imm(dst.index, src.name)
-        return
-    if isinstance(dst, Gpr) and isinstance(src, Mem):
-        asm.load(dst.index, src.base, src.disp)
-        return
-    if isinstance(dst, Mem) and isinstance(src, Gpr):
-        asm.store(dst.base, dst.disp, src.index)
-        return
-    if isinstance(dst, Gpr) and isinstance(src, GsMem):
-        asm.gsload(dst.index, src.disp)
-        return
-    if isinstance(dst, GsMem) and isinstance(src, Gpr):
-        asm.gsstore(src=src.index, disp=dst.disp)
-        return
-    raise line.error("unsupported mov operand combination")
+    sigs = [sig for name, sig in _FORMS if name == m]
+    if not sigs:
+        raise line.error(f"unknown mnemonic {mnemonic!r}")
+    raise line.error(f"{m} takes " + " or ".join(
+        ", ".join(_SIG_WORDS[c] for c in sig) or "no operands"
+        for sig in sigs))
 
 
 def _emit_directive(asm: Assembler, directive: str, rest: str, line: _Line) -> None:

@@ -5,56 +5,27 @@ single source of truth for instruction semantics shared by the CPU, the
 linear-sweep disassembler, and the binary rewriters.  ``decode_cached`` is
 the CPU's front end to it: a process-wide memo keyed on the fetched bytes.
 
-Operand tuple layouts by mnemonic:
-
-=================  =======================================================
-mnemonic           operands
-=================  =======================================================
-no-operand insns   ``()``
-push/pop/inc/dec   ``(reg,)``
-call_reg/jmp_reg   ``(reg,)``
-rel jumps/calls    ``(rel,)`` — signed displacement from the *next* insn
-mov_imm64          ``(reg, imm)`` — also used for the 5-byte imm32 form
-reg-reg ALU/mov    ``(dst, src)``
-shl/shr            ``(dst, imm8)``
-imm ALU            ``(dst, imm)`` — imm decoded as signed 32-bit
-load/lea           ``(dst, base, disp)``
-store              ``(base, disp, src)``
-movq_xg            ``(xmm, gpr)``;  movq_gx: ``(gpr, xmm)``
-movups_load        ``(xmm, base, disp)``; movups_store: ``(base, disp, xmm)``
-xmm-xmm ops        ``(dst_xmm, src_xmm)``
-fld_mem/fstp_mem   ``(base, disp)``
-xsave/xrstor       ``(base, disp)``
-rdgsbase/wrgsbase  ``(reg,)``
-gsload/gsload8     ``(dst, disp)`` — disp unsigned 32-bit
-gsstore/gsstore8   ``(disp, src)``
-gsjmp/gswrpkru     ``(disp,)`` — disp unsigned 32-bit
-gscopy8            ``(dst, src)`` — both gs displacements, unsigned 32-bit
-rdpkru/wrpkru      ``(reg,)``
-hcall              ``(hook_id,)``
-=================  =======================================================
-
-The instruction table in :mod:`repro.cpu.ops` names these operands and
-gives each its role (register read or written, immediate, displacement).
+Operand tuple layouts: the fixed x86 encodings decode inline below —
+``(reg,)`` for push/pop and call/jmp through a register, ``(rel,)`` (the
+signed displacement from the *next* instruction) for relative jumps and
+calls, ``(reg, imm)`` for ``mov_imm64`` in both its 5- and 10-byte forms.
+Every ``48 <sub>`` instruction decodes through its row in
+:data:`repro.arch.isa.EXT_ROWS`, which lists its operand fields in byte
+order with each field's position in the operand tuple.  The instruction
+table in :mod:`repro.cpu.ops` names these operands and gives each its
+role (register read or written, immediate, displacement).
 """
 
 from __future__ import annotations
 
 import struct
 
-from repro.arch.isa import (
-    EXT,
-    JCC8,
-    JCC32,
-    Instruction,
-    Mnemonic,
-)
+from repro.arch.isa import EXT, JCC8, JCC32, Instruction, Mnemonic
 from repro.errors import InvalidOpcode
 
 _S32 = struct.Struct("<i")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
-_U16 = struct.Struct("<H")
 
 
 #: Entries in the decode memo before a wholesale clear (as for the CPU's
@@ -197,63 +168,15 @@ def decode_one(buf: bytes, off: int = 0, addr: int = 0) -> Instruction:
             _need(buf, off, 10, addr)
             (imm,) = _U64.unpack_from(buf, off + 2)
             return Instruction(Mnemonic.MOV_IMM64, (sub - 0xB8, imm), 10)
-        if sub not in EXT:
+        row = EXT.get(sub)
+        if row is None:
             raise InvalidOpcode(addr, op)
-        mnemonic, length = EXT[sub]
-        _need(buf, off, length, addr)
-        body = buf[off + 2 : off + length]
-        return Instruction(mnemonic, _ext_operands(mnemonic, body, addr), length)
+        _need(buf, off, row.length, addr)
+        fields = row.struct.unpack_from(buf, off + 2)
+        operands = tuple([fields[i] for i in row.gather])
+        for slot in row.regs:  # only 16 registers exist (#UD else)
+            if operands[slot] >= 16:
+                raise InvalidOpcode(addr, operands[slot])
+        return Instruction(row.mnemonic, operands, row.length)
 
     raise InvalidOpcode(addr, op)
-
-
-def _reg(byte: int, addr: int) -> int:
-    """Validate a register-field byte: only 16 registers exist (#UD else)."""
-    if byte >= 16:
-        raise InvalidOpcode(addr, byte)
-    return byte
-
-
-def _ext_operands(mnemonic: Mnemonic, body: bytes, addr: int) -> tuple:
-    """Decode the operand bytes of a 48-namespace instruction."""
-    m = Mnemonic
-    if mnemonic in (m.FLD1, m.FADDP):
-        return ()
-    if mnemonic in (m.INC, m.DEC, m.RDGSBASE, m.WRGSBASE, m.RDPKRU, m.WRPKRU):
-        return (_reg(body[0], addr),)
-    if mnemonic in (m.SHL, m.SHR):  # second byte is a shift count, not a reg
-        return (_reg(body[0], addr), body[1])
-    if mnemonic in (
-        m.MOV, m.ADD, m.SUB, m.CMP, m.AND, m.OR, m.XOR, m.IMUL,
-        m.MOVQ_XG, m.MOVQ_GX, m.MOVAPS, m.PUNPCKLQDQ, m.XORPS, m.VADDPD,
-    ):
-        return (_reg(body[0], addr), _reg(body[1], addr))
-    if mnemonic in (m.LOAD, m.LOAD8, m.LEA, m.MOVUPS_LOAD):
-        (disp,) = _S32.unpack_from(body, 2)
-        return (_reg(body[0], addr), _reg(body[1], addr), disp)
-    if mnemonic in (m.STORE, m.STORE8, m.MOVUPS_STORE):
-        (disp,) = _S32.unpack_from(body, 2)
-        return (_reg(body[1], addr), disp, _reg(body[0], addr))
-    if mnemonic in (m.FLD_MEM, m.FSTP_MEM, m.XSAVE, m.XRSTOR):
-        (disp,) = _S32.unpack_from(body, 1)
-        return (_reg(body[0], addr), disp)
-    if mnemonic in (m.ADDI, m.SUBI, m.CMPI, m.ANDI, m.ORI, m.XORI):
-        (imm,) = _S32.unpack_from(body, 1)
-        return (_reg(body[0], addr), imm)
-    if mnemonic in (m.GSLOAD, m.GSLOAD8):
-        (disp,) = _U32.unpack_from(body, 1)
-        return (_reg(body[0], addr), disp)
-    if mnemonic in (m.GSSTORE, m.GSSTORE8):
-        (disp,) = _U32.unpack_from(body, 1)
-        return (disp, _reg(body[0], addr))
-    if mnemonic in (m.GSJMP, m.GSWRPKRU):
-        (disp,) = _U32.unpack_from(body, 0)
-        return (disp,)
-    if mnemonic is m.GSCOPY8:
-        (dst,) = _U32.unpack_from(body, 0)
-        (src,) = _U32.unpack_from(body, 4)
-        return (dst, src)
-    if mnemonic is m.HCALL:
-        (hook_id,) = _U16.unpack_from(body, 0)
-        return (hook_id,)
-    raise AssertionError(f"unhandled extended mnemonic {mnemonic}")

@@ -24,11 +24,11 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from repro.arch.isa import EXT_SUB, JCC32_OP, Mnemonic
+from repro.arch.isa import EXT_ROW, JCC32_OP, Mnemonic
 from repro.arch.registers import GPR_INDEX, XMM_INDEX
 from repro.errors import AssemblerError
 
-_U16 = struct.Struct("<H")
+M = Mnemonic
 _S32 = struct.Struct("<i")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
@@ -54,6 +54,15 @@ def _xmm(reg: int | str) -> int:
     if not 0 <= reg < 16:
         raise AssemblerError(f"xmm index out of range: {reg}")
     return reg
+
+
+def _same(value: int) -> int:
+    return value
+
+
+#: How each register or count field of a row takes its operand; the
+#: other fields pack the operand as given.
+_FIELD_VALUE = {"g": _gpr, "x": _xmm, "c": lambda count: count & 0xFF}
 
 
 @dataclass
@@ -257,159 +266,155 @@ class Assembler:
             return self._emit(0x48, 0xB8 + r, _U64.pack(value))
         return self._emit(0x49, 0xB8 + r - 8, _U64.pack(value))
 
-    # ------------------------------------------------------ 48-namespace ALU
-    def _rr(self, mnemonic: Mnemonic, dst: int, src: int) -> "Assembler":
-        return self._emit(0x48, EXT_SUB[mnemonic], dst, src)
+    # -------------------------------------------------------- 48 namespace
+    def _ext(self, mnemonic: Mnemonic, *operands) -> "Assembler":
+        """Emit the ``48 <sub>`` instruction ``mnemonic``; ``operands``
+        are in decoded order and are packed through its row."""
+        row = EXT_ROW[mnemonic]
+        fields = [_FIELD_VALUE.get(kind, _same)(operands[slot])
+                  for kind, slot in row.fields]
+        self._code += bytes((0x48, row.sub)) + row.struct.pack(*fields)
+        return self
 
     def mov(self, dst: int | str, src: int | str) -> "Assembler":
-        return self._rr(Mnemonic.MOV, _gpr(dst), _gpr(src))
+        return self._ext(M.MOV, dst, src)
 
     def add(self, dst: int | str, src: int | str) -> "Assembler":
-        return self._rr(Mnemonic.ADD, _gpr(dst), _gpr(src))
+        return self._ext(M.ADD, dst, src)
 
     def sub(self, dst: int | str, src: int | str) -> "Assembler":
-        return self._rr(Mnemonic.SUB, _gpr(dst), _gpr(src))
+        return self._ext(M.SUB, dst, src)
 
     def cmp(self, dst: int | str, src: int | str) -> "Assembler":
-        return self._rr(Mnemonic.CMP, _gpr(dst), _gpr(src))
+        return self._ext(M.CMP, dst, src)
 
     def and_(self, dst: int | str, src: int | str) -> "Assembler":
-        return self._rr(Mnemonic.AND, _gpr(dst), _gpr(src))
+        return self._ext(M.AND, dst, src)
 
     def or_(self, dst: int | str, src: int | str) -> "Assembler":
-        return self._rr(Mnemonic.OR, _gpr(dst), _gpr(src))
+        return self._ext(M.OR, dst, src)
 
     def xor(self, dst: int | str, src: int | str) -> "Assembler":
-        return self._rr(Mnemonic.XOR, _gpr(dst), _gpr(src))
+        return self._ext(M.XOR, dst, src)
 
     def imul(self, dst: int | str, src: int | str) -> "Assembler":
-        return self._rr(Mnemonic.IMUL, _gpr(dst), _gpr(src))
+        return self._ext(M.IMUL, dst, src)
 
     def shl(self, dst: int | str, count: int) -> "Assembler":
-        return self._emit(0x48, EXT_SUB[Mnemonic.SHL], _gpr(dst), count & 0xFF)
+        return self._ext(M.SHL, dst, count)
 
     def shr(self, dst: int | str, count: int) -> "Assembler":
-        return self._emit(0x48, EXT_SUB[Mnemonic.SHR], _gpr(dst), count & 0xFF)
-
-    def _ri(self, mnemonic: Mnemonic, dst: int, imm: int) -> "Assembler":
-        return self._emit(0x48, EXT_SUB[mnemonic], dst, _S32.pack(imm))
+        return self._ext(M.SHR, dst, count)
 
     def addi(self, dst: int | str, imm: int) -> "Assembler":
-        return self._ri(Mnemonic.ADDI, _gpr(dst), imm)
+        return self._ext(M.ADDI, dst, imm)
 
     def subi(self, dst: int | str, imm: int) -> "Assembler":
-        return self._ri(Mnemonic.SUBI, _gpr(dst), imm)
+        return self._ext(M.SUBI, dst, imm)
 
     def cmpi(self, dst: int | str, imm: int) -> "Assembler":
-        return self._ri(Mnemonic.CMPI, _gpr(dst), imm)
+        return self._ext(M.CMPI, dst, imm)
 
     def andi(self, dst: int | str, imm: int) -> "Assembler":
-        return self._ri(Mnemonic.ANDI, _gpr(dst), imm)
+        return self._ext(M.ANDI, dst, imm)
 
     def ori(self, dst: int | str, imm: int) -> "Assembler":
-        return self._ri(Mnemonic.ORI, _gpr(dst), imm)
+        return self._ext(M.ORI, dst, imm)
 
     def xori(self, dst: int | str, imm: int) -> "Assembler":
-        return self._ri(Mnemonic.XORI, _gpr(dst), imm)
+        return self._ext(M.XORI, dst, imm)
 
     def inc(self, reg: int | str) -> "Assembler":
-        return self._emit(0x48, EXT_SUB[Mnemonic.INC], _gpr(reg))
+        return self._ext(M.INC, reg)
 
     def dec(self, reg: int | str) -> "Assembler":
-        return self._emit(0x48, EXT_SUB[Mnemonic.DEC], _gpr(reg))
+        return self._ext(M.DEC, reg)
 
     # --------------------------------------------------------------- memory
-    def _mem(self, mnemonic: Mnemonic, reg: int, base: int, disp: int) -> "Assembler":
-        return self._emit(0x48, EXT_SUB[mnemonic], reg, base, _S32.pack(disp))
-
     def load(self, dst: int | str, base: int | str, disp: int = 0) -> "Assembler":
-        return self._mem(Mnemonic.LOAD, _gpr(dst), _gpr(base), disp)
+        return self._ext(M.LOAD, dst, base, disp)
 
     def store(self, base: int | str, disp: int, src: int | str) -> "Assembler":
-        return self._mem(Mnemonic.STORE, _gpr(src), _gpr(base), disp)
+        return self._ext(M.STORE, base, disp, src)
 
     def load8(self, dst: int | str, base: int | str, disp: int = 0) -> "Assembler":
-        return self._mem(Mnemonic.LOAD8, _gpr(dst), _gpr(base), disp)
+        return self._ext(M.LOAD8, dst, base, disp)
 
     def store8(self, base: int | str, disp: int, src: int | str) -> "Assembler":
-        return self._mem(Mnemonic.STORE8, _gpr(src), _gpr(base), disp)
+        return self._ext(M.STORE8, base, disp, src)
 
     def lea(self, dst: int | str, base: int | str, disp: int = 0) -> "Assembler":
-        return self._mem(Mnemonic.LEA, _gpr(dst), _gpr(base), disp)
+        return self._ext(M.LEA, dst, base, disp)
 
     # --------------------------------------------------------------- vector
     def movq_xg(self, xmm: int | str, gpr: int | str) -> "Assembler":
-        return self._emit(0x48, EXT_SUB[Mnemonic.MOVQ_XG], _xmm(xmm), _gpr(gpr))
+        return self._ext(M.MOVQ_XG, xmm, gpr)
 
     def movq_gx(self, gpr: int | str, xmm: int | str) -> "Assembler":
-        return self._emit(0x48, EXT_SUB[Mnemonic.MOVQ_GX], _gpr(gpr), _xmm(xmm))
+        return self._ext(M.MOVQ_GX, gpr, xmm)
 
     def movups_load(self, xmm: int | str, base: int | str, disp: int = 0) -> "Assembler":
-        return self._mem(Mnemonic.MOVUPS_LOAD, _xmm(xmm), _gpr(base), disp)
+        return self._ext(M.MOVUPS_LOAD, xmm, base, disp)
 
     def movups_store(self, base: int | str, disp: int, xmm: int | str) -> "Assembler":
-        return self._mem(Mnemonic.MOVUPS_STORE, _xmm(xmm), _gpr(base), disp)
+        return self._ext(M.MOVUPS_STORE, base, disp, xmm)
 
     def movaps(self, dst: int | str, src: int | str) -> "Assembler":
-        return self._emit(0x48, EXT_SUB[Mnemonic.MOVAPS], _xmm(dst), _xmm(src))
+        return self._ext(M.MOVAPS, dst, src)
 
     def punpcklqdq(self, dst: int | str, src: int | str) -> "Assembler":
-        return self._emit(0x48, EXT_SUB[Mnemonic.PUNPCKLQDQ], _xmm(dst), _xmm(src))
+        return self._ext(M.PUNPCKLQDQ, dst, src)
 
     def xorps(self, dst: int | str, src: int | str) -> "Assembler":
-        return self._emit(0x48, EXT_SUB[Mnemonic.XORPS], _xmm(dst), _xmm(src))
+        return self._ext(M.XORPS, dst, src)
 
     def vaddpd(self, dst: int | str, src: int | str) -> "Assembler":
-        return self._emit(0x48, EXT_SUB[Mnemonic.VADDPD], _xmm(dst), _xmm(src))
+        return self._ext(M.VADDPD, dst, src)
 
     # ------------------------------------------------------------------ x87
     def fld1(self) -> "Assembler":
-        return self._emit(0x48, EXT_SUB[Mnemonic.FLD1])
+        return self._ext(M.FLD1)
 
     def faddp(self) -> "Assembler":
-        return self._emit(0x48, EXT_SUB[Mnemonic.FADDP])
+        return self._ext(M.FADDP)
 
     def fld_mem(self, base: int | str, disp: int = 0) -> "Assembler":
-        return self._emit(
-            0x48, EXT_SUB[Mnemonic.FLD_MEM], _gpr(base), _S32.pack(disp)
-        )
+        return self._ext(M.FLD_MEM, base, disp)
 
     def fstp_mem(self, base: int | str, disp: int = 0) -> "Assembler":
-        return self._emit(
-            0x48, EXT_SUB[Mnemonic.FSTP_MEM], _gpr(base), _S32.pack(disp)
-        )
+        return self._ext(M.FSTP_MEM, base, disp)
 
     # --------------------------------------------------------------- xstate
     def xsave(self, base: int | str, disp: int = 0) -> "Assembler":
-        return self._emit(0x48, EXT_SUB[Mnemonic.XSAVE], _gpr(base), _S32.pack(disp))
+        return self._ext(M.XSAVE, base, disp)
 
     def xrstor(self, base: int | str, disp: int = 0) -> "Assembler":
-        return self._emit(0x48, EXT_SUB[Mnemonic.XRSTOR], _gpr(base), _S32.pack(disp))
+        return self._ext(M.XRSTOR, base, disp)
 
     # ------------------------------------------------------------------- gs
     def rdgsbase(self, dst: int | str) -> "Assembler":
-        return self._emit(0x48, EXT_SUB[Mnemonic.RDGSBASE], _gpr(dst))
+        return self._ext(M.RDGSBASE, dst)
 
     def wrgsbase(self, src: int | str) -> "Assembler":
-        return self._emit(0x48, EXT_SUB[Mnemonic.WRGSBASE], _gpr(src))
+        return self._ext(M.WRGSBASE, src)
 
     def gsload(self, dst: int | str, disp: int) -> "Assembler":
-        return self._emit(0x48, EXT_SUB[Mnemonic.GSLOAD], _gpr(dst), _U32.pack(disp))
+        return self._ext(M.GSLOAD, dst, disp)
 
     def gsstore(self, disp: int, src: int | str) -> "Assembler":
-        return self._emit(0x48, EXT_SUB[Mnemonic.GSSTORE], _gpr(src), _U32.pack(disp))
+        return self._ext(M.GSSTORE, disp, src)
 
     def gsload8(self, dst: int | str, disp: int) -> "Assembler":
-        return self._emit(0x48, EXT_SUB[Mnemonic.GSLOAD8], _gpr(dst), _U32.pack(disp))
+        return self._ext(M.GSLOAD8, dst, disp)
 
     def gsstore8(self, disp: int, src: int | str) -> "Assembler":
-        return self._emit(0x48, EXT_SUB[Mnemonic.GSSTORE8], _gpr(src), _U32.pack(disp))
+        return self._ext(M.GSSTORE8, disp, src)
 
     def rdpkru(self, dst: int | str) -> "Assembler":
-        return self._emit(0x48, EXT_SUB[Mnemonic.RDPKRU], _gpr(dst))
+        return self._ext(M.RDPKRU, dst)
 
     def wrpkru(self, src: int | str) -> "Assembler":
-        return self._emit(0x48, EXT_SUB[Mnemonic.WRPKRU], _gpr(src))
+        return self._ext(M.WRPKRU, src)
 
     def gswrpkru(self, disp: int) -> "Assembler":
         """Load PKRU from ``gs:[disp]`` without touching any register.
@@ -417,18 +422,16 @@ class Assembler:
         Models the ERIM-style domain-close gadget (register spill to
         protected scratch + wrpkru) as one instruction.
         """
-        return self._emit(0x48, EXT_SUB[Mnemonic.GSWRPKRU], _U32.pack(disp))
+        return self._ext(M.GSWRPKRU, disp)
 
     def gsjmp(self, disp: int) -> "Assembler":
         """Jump to the address stored at ``gs:[disp]`` (clobbers nothing)."""
-        return self._emit(0x48, EXT_SUB[Mnemonic.GSJMP], _U32.pack(disp))
+        return self._ext(M.GSJMP, disp)
 
     def gscopy8(self, dst_disp: int, src_disp: int) -> "Assembler":
         """Byte move ``gs:[dst] <- gs:[src]`` without touching registers."""
-        return self._emit(
-            0x48, EXT_SUB[Mnemonic.GSCOPY8], _U32.pack(dst_disp), _U32.pack(src_disp)
-        )
+        return self._ext(M.GSCOPY8, dst_disp, src_disp)
 
     # ------------------------------------------------------------ host calls
     def hcall(self, hook_id: int) -> "Assembler":
-        return self._emit(0x48, EXT_SUB[Mnemonic.HCALL], _U16.pack(hook_id))
+        return self._ext(M.HCALL, hook_id)

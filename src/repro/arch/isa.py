@@ -33,9 +33,12 @@ instruction               bytes                      length
 ``mov r, imm64``          ``49 B8+(r-8) iq``         10
 ========================  =========================  ======
 
-Everything else lives in the ``48 <sub>`` extended namespace with an explicit
-per-sub-opcode length (see ``EXT``); register operands are raw bytes, and
-immediates/displacements are little-endian.  This is a deliberate
+Everything else lives in the ``48 <sub>`` extended namespace: one row per
+instruction in ``EXT_ROWS`` gives its sub-opcode, mnemonic, text name and
+operand fields, and the decoder, the :class:`~repro.arch.encode.Assembler`
+and the text assembler all read it, with lengths computed from the row.
+Register operands are raw bytes, and immediates/displacements are
+little-endian.  This is a deliberate
 simplification of ModRM — the properties the paper depends on (two-byte
 syscall, five-byte arbitrary jump, byte-searchable code) are preserved.
 """
@@ -43,6 +46,7 @@ syscall, five-byte arbitrary jump, byte-searchable code) are preserved.
 from __future__ import annotations
 
 import enum
+import struct
 from dataclasses import dataclass
 
 
@@ -136,10 +140,11 @@ N_MNEMONICS = len(Mnemonic)
 class Instruction:
     """One decoded instruction.
 
-    ``operands`` is a tuple whose meaning depends on the mnemonic; see the
-    decoder for the exact layout per mnemonic.  ``length`` is the encoded
-    size in bytes, which the CPU uses to advance ``rip`` and the rewriters
-    use to check in-place-patchability.
+    ``operands`` is a tuple whose meaning depends on the mnemonic: a
+    ``48``-namespace instruction's layout is its row in ``EXT_ROWS``, and
+    :mod:`repro.cpu.ops` names and types every mnemonic's operands.
+    ``length`` is the encoded size in bytes, which the CPU uses to advance
+    ``rip`` and the rewriters use to check in-place-patchability.
 
     An instruction is a pure value of its bytes: frozen, with no execution
     state attached.  That is what lets :func:`repro.arch.decode.decode_cached`
@@ -157,61 +162,106 @@ class Instruction:
         return f"{self.mnemonic.value} {ops}".strip()
 
 
-# Extended (0x48-prefixed) sub-opcodes: sub -> (mnemonic, total_length).
-# Operand layouts are documented in decode.py next to each branch.
-EXT: dict[int, tuple[Mnemonic, int]] = {
-    0x01: (Mnemonic.MOV, 4),
-    0x02: (Mnemonic.LOAD, 8),
-    0x03: (Mnemonic.STORE, 8),
-    0x04: (Mnemonic.ADD, 4),
-    0x05: (Mnemonic.SUB, 4),
-    0x06: (Mnemonic.CMP, 4),
-    0x07: (Mnemonic.AND, 4),
-    0x08: (Mnemonic.OR, 4),
-    0x09: (Mnemonic.XOR, 4),
-    0x0A: (Mnemonic.IMUL, 4),
-    0x0B: (Mnemonic.SHL, 4),
-    0x0C: (Mnemonic.SHR, 4),
-    0x10: (Mnemonic.ADDI, 7),
-    0x11: (Mnemonic.SUBI, 7),
-    0x12: (Mnemonic.CMPI, 7),
-    0x13: (Mnemonic.ANDI, 7),
-    0x14: (Mnemonic.ORI, 7),
-    0x15: (Mnemonic.XORI, 7),
-    0x16: (Mnemonic.INC, 3),
-    0x17: (Mnemonic.DEC, 3),
-    0x18: (Mnemonic.LEA, 8),
-    0x19: (Mnemonic.LOAD8, 8),
-    0x1A: (Mnemonic.STORE8, 8),
-    0x20: (Mnemonic.MOVQ_XG, 4),
-    0x21: (Mnemonic.MOVQ_GX, 4),
-    0x22: (Mnemonic.MOVUPS_LOAD, 8),
-    0x23: (Mnemonic.MOVUPS_STORE, 8),
-    0x24: (Mnemonic.PUNPCKLQDQ, 4),
-    0x25: (Mnemonic.XORPS, 4),
-    0x26: (Mnemonic.MOVAPS, 4),
-    0x27: (Mnemonic.VADDPD, 4),
-    0x28: (Mnemonic.FLD1, 2),
-    0x2A: (Mnemonic.FADDP, 2),
-    0x2C: (Mnemonic.FSTP_MEM, 7),
-    0x2D: (Mnemonic.FLD_MEM, 7),
-    0x30: (Mnemonic.XSAVE, 7),
-    0x31: (Mnemonic.XRSTOR, 7),
-    0x32: (Mnemonic.RDGSBASE, 3),
-    0x33: (Mnemonic.WRGSBASE, 3),
-    0x34: (Mnemonic.GSLOAD, 7),
-    0x35: (Mnemonic.GSSTORE, 7),
-    0x36: (Mnemonic.GSLOAD8, 7),
-    0x37: (Mnemonic.GSSTORE8, 7),
-    0x38: (Mnemonic.GSJMP, 6),
-    0x3A: (Mnemonic.GSCOPY8, 10),
-    0x3C: (Mnemonic.RDPKRU, 3),
-    0x3D: (Mnemonic.WRPKRU, 3),
-    0x3E: (Mnemonic.GSWRPKRU, 6),
-    0x40: (Mnemonic.HCALL, 4),
-}
+#: The ``struct`` code of each operand field kind.
+_FIELD_CODES = {"g": "B", "x": "B", "c": "B", "i": "i", "d": "i", "u": "I",
+                "h": "H"}
 
-EXT_SUB: dict[Mnemonic, int] = {mn: sub for sub, (mn, _len) in EXT.items()}
+
+class Encoding:
+    """One ``48 <sub>`` instruction: its bytes and its text form.
+
+    ``fields`` are the operand fields in byte order, as ``(kind, slot)``
+    pairs: ``slot`` is the field's position in the decoded operand tuple.
+    Field kinds are ``g``/``x`` (a GPR or xmm register byte, 0..15), ``c``
+    (a shift-count byte), ``i`` (a signed 32-bit immediate), ``d`` (a
+    signed 32-bit displacement after its base register), ``u`` (an
+    unsigned 32-bit ``gs`` displacement) and ``h`` (a 16-bit host-call
+    id).  The length is the two opcode bytes plus the fields.
+    """
+
+    __slots__ = ("sub", "mnemonic", "text", "fields", "kinds", "struct",
+                 "length", "gather", "regs")
+
+    def __init__(self, sub: int, mnemonic: Mnemonic, text: str, fields: str):
+        self.sub = sub
+        self.mnemonic = mnemonic
+        #: The Intel text name (``mov``, ``movb``, ``add``, ``fld``, ...).
+        self.text = text
+        self.fields = tuple((f[0], int(f[1:])) for f in fields.split())
+        #: Byte-order index of each decoded operand, and the field kinds
+        #: in decoded order.
+        self.gather = tuple(sorted(range(len(self.fields)),
+                                   key=lambda i: self.fields[i][1]))
+        assert [self.fields[i][1] for i in self.gather] == list(
+            range(len(self.fields))), f"{mnemonic}: slots are not 0..n-1"
+        self.kinds = "".join(self.fields[i][0] for i in self.gather)
+        self.struct = struct.Struct(
+            "<" + "".join(_FIELD_CODES[k] for k, _ in self.fields))
+        self.length = 2 + self.struct.size
+        #: Decoded positions of the register operands, in decoded order.
+        self.regs = tuple(i for i, k in enumerate(self.kinds) if k in "gx")
+
+
+M = Mnemonic
+#: Every ``48 <sub>`` instruction, one row each: sub-opcode, mnemonic, text
+#: name and fields (see :class:`Encoding`).
+EXT_ROWS: tuple[Encoding, ...] = tuple(Encoding(*row) for row in (
+    (0x01, M.MOV, "mov", "g0 g1"),
+    (0x02, M.LOAD, "mov", "g0 g1 d2"),
+    (0x03, M.STORE, "mov", "g2 g0 d1"),
+    (0x04, M.ADD, "add", "g0 g1"),
+    (0x05, M.SUB, "sub", "g0 g1"),
+    (0x06, M.CMP, "cmp", "g0 g1"),
+    (0x07, M.AND, "and", "g0 g1"),
+    (0x08, M.OR, "or", "g0 g1"),
+    (0x09, M.XOR, "xor", "g0 g1"),
+    (0x0A, M.IMUL, "imul", "g0 g1"),
+    (0x0B, M.SHL, "shl", "g0 c1"),
+    (0x0C, M.SHR, "shr", "g0 c1"),
+    (0x10, M.ADDI, "add", "g0 i1"),
+    (0x11, M.SUBI, "sub", "g0 i1"),
+    (0x12, M.CMPI, "cmp", "g0 i1"),
+    (0x13, M.ANDI, "and", "g0 i1"),
+    (0x14, M.ORI, "or", "g0 i1"),
+    (0x15, M.XORI, "xor", "g0 i1"),
+    (0x16, M.INC, "inc", "g0"),
+    (0x17, M.DEC, "dec", "g0"),
+    (0x18, M.LEA, "lea", "g0 g1 d2"),
+    (0x19, M.LOAD8, "movb", "g0 g1 d2"),
+    (0x1A, M.STORE8, "movb", "g2 g0 d1"),
+    (0x20, M.MOVQ_XG, "movq", "x0 g1"),
+    (0x21, M.MOVQ_GX, "movq", "g0 x1"),
+    (0x22, M.MOVUPS_LOAD, "movups", "x0 g1 d2"),
+    (0x23, M.MOVUPS_STORE, "movups", "x2 g0 d1"),
+    (0x24, M.PUNPCKLQDQ, "punpcklqdq", "x0 x1"),
+    (0x25, M.XORPS, "xorps", "x0 x1"),
+    (0x26, M.MOVAPS, "movaps", "x0 x1"),
+    (0x27, M.VADDPD, "vaddpd", "x0 x1"),
+    (0x28, M.FLD1, "fld1", ""),
+    (0x2A, M.FADDP, "faddp", ""),
+    (0x2C, M.FSTP_MEM, "fstp", "g0 d1"),
+    (0x2D, M.FLD_MEM, "fld", "g0 d1"),
+    (0x30, M.XSAVE, "xsave", "g0 d1"),
+    (0x31, M.XRSTOR, "xrstor", "g0 d1"),
+    (0x32, M.RDGSBASE, "rdgsbase", "g0"),
+    (0x33, M.WRGSBASE, "wrgsbase", "g0"),
+    (0x34, M.GSLOAD, "mov", "g0 u1"),
+    (0x35, M.GSSTORE, "mov", "g1 u0"),
+    (0x36, M.GSLOAD8, "movb", "g0 u1"),
+    (0x37, M.GSSTORE8, "movb", "g1 u0"),
+    (0x38, M.GSJMP, "jmp", "u0"),
+    (0x3A, M.GSCOPY8, "movb", "u0 u1"),
+    (0x3C, M.RDPKRU, "rdpkru", "g0"),
+    (0x3D, M.WRPKRU, "wrpkru", "g0"),
+    (0x3E, M.GSWRPKRU, "wrpkru", "u0"),
+    (0x40, M.HCALL, "hcall", "h0"),
+))
+del M
+
+#: ``48 <sub>`` -> its row, and mnemonic -> its row.
+EXT: dict[int, Encoding] = {row.sub: row for row in EXT_ROWS}
+EXT_ROW: dict[Mnemonic, Encoding] = {row.mnemonic: row for row in EXT_ROWS}
+assert len(EXT) == len(EXT_ROW) == len(EXT_ROWS), "one row per sub, mnemonic"
 
 #: Conditional-jump short opcodes: opcode -> mnemonic.
 JCC8: dict[int, Mnemonic] = {
@@ -237,6 +287,7 @@ JCC32_OP: dict[Mnemonic, int] = {mn: op for op, mn in JCC32.items()}
 
 #: Maximum encoded instruction length (mov r, imm64).
 MAX_INSN_LEN = 10
+assert max(row.length for row in EXT_ROWS) <= MAX_INSN_LEN
 
 #: The two-byte encodings central to the paper.
 SYSCALL_BYTES = bytes((0x0F, 0x05))

@@ -4,13 +4,15 @@
 Each :class:`Mnemonic` has one :class:`Row`, which states once:
 
 * **operands**: a name and a role for each decoder operand, in decoder
-  order (see :mod:`repro.arch.decode`), plus the implicit ones (``rsp``
-  of the stack ops, the x87 stack ``st``).  Register roles are a kind —
-  ``g`` (GPR), ``x`` (xmm), ``xy`` (xmm plus its ymm high half), ``st`` —
-  and an access, ``r``, ``w`` or ``rw``.  Value roles are ``imm`` (a
-  signed immediate, used as its 64-bit two's complement), ``count`` (a
-  shift count, used mod 64), ``disp`` (a signed displacement), ``rel``
-  (a branch displacement, used as the absolute target) and ``id``;
+  order (see :mod:`repro.arch.decode`; a ``48``-namespace instruction's
+  order is its row in :data:`repro.arch.isa.EXT_ROWS`), plus the implicit
+  ones (``rsp`` of the stack ops, the x87 stack ``st``).  Register roles
+  are a kind — ``g`` (GPR), ``x`` (xmm), ``xy`` (xmm plus its ymm high
+  half), ``st`` — and an access, ``r``, ``w`` or ``rw``.  Value roles
+  are ``imm`` (a signed immediate, used as its 64-bit two's complement),
+  ``count`` (a shift count, used mod 64), ``disp`` (a signed
+  displacement), ``rel`` (a branch displacement, used as the absolute
+  target) and ``id``;
 * **effect**: a template over the operand names, one statement per line;
 * **flags**: ``None``, ``"result"`` (``zf``/``lt`` of the value left in
   ``d``) or ``"cmp"`` (the signed comparison of ``d`` with ``s``);
@@ -47,8 +49,11 @@ traps (``int3``, ``ud2``), xsave/xrstor (their cost and the tier-2 guard
 depend on the task's xstate components) and ``faddp``.  Their handlers
 live in :mod:`repro.cpu.core`, and tier 2 emits xsave/xrstor by hand.
 
-Adding an ALU op is one row here plus one encoder line in
-:mod:`repro.arch.encode` (and its decode entry in :mod:`repro.arch.isa`).
+Adding an ALU op is a :class:`Mnemonic` member, a cost entry in
+:mod:`repro.cpu.costs`, one row here, one encoding row in
+:data:`repro.arch.isa.EXT_ROWS` and one ``Assembler`` one-liner in
+:mod:`repro.arch.encode`; the decoder and the text assembler need no
+edit.
 """
 
 from __future__ import annotations

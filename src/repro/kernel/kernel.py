@@ -105,12 +105,10 @@ class HcallContext:
         Python stack, so any number of tasks may be parked simultaneously —
         the primitive lockstep monitors need.
         """
-        from repro.arch.isa import EXT, Mnemonic
+        from repro.arch.isa import EXT_ROW, Mnemonic
         from repro.kernel.task import TaskState
 
-        hcall_len = EXT[0x40][1]
-        assert EXT[0x40][0] is Mnemonic.HCALL
-        self.task.regs.rip -= hcall_len
+        self.task.regs.rip -= EXT_ROW[Mnemonic.HCALL].length
         self.task.state = TaskState.BLOCKED
         self.task.blocked_reason = predicate
         self.task.blocked_interruptible = False

@@ -20,8 +20,6 @@ Two usage styles:
   see :data:`repro.kernel.uring.RING_ENTER_ASYNC`), then ``wait(n)``
   blocks until at least ``n`` CQEs have posted — the event-loop shape:
   one task keeps many I/Os in flight and harvests completions in bulk.
-  Host-side completion callbacks registered with ``on_completion(slot,
-  emit)`` are emitted by ``emit_completions()`` after a wait.
 
 Example::
 
@@ -124,7 +122,6 @@ class GuestRing:
         self.tag = tag
         self._next_slot = 0
         self._label_seq = 0
-        self._callbacks: dict[int, object] = {}
 
     # ------------------------------------------------------------------ setup
     def emit_mmap(self) -> "GuestRing":
@@ -293,48 +290,12 @@ class GuestRing:
         for off in (HDR_SQ_HEAD, HDR_CQ_HEAD, HDR_CQ_TAIL):
             a.store(self.base, self.disp + off, s)
 
-    def flush_async(self, n: int | None = None, *,
-                    min_complete: int = 0) -> None:
-        """Async counterpart of :meth:`flush`: rewind the cursors and
-        re-submit slots ``0..n-1`` through the asynchronous drain."""
-        if n is None:
-            n = self._next_slot
-        a, s = self.asm, self.scratch
-        a.mov_imm(s, 0)
-        a.store(self.base, self.disp + HDR_SQ_HEAD, s)
-        a.store(self.base, self.disp + HDR_CQ_HEAD, s)
-        a.store(self.base, self.disp + HDR_CQ_TAIL, s)
-        a.mov_imm(s, n)
-        a.store(self.base, self.disp + HDR_SQ_TAIL, s)
-        self._enter_loop(n, min_complete=min_complete,
-                         flags=RING_ENTER_ASYNC)
-
     # ------------------------------------------------------------- completion
-    def on_completion(self, slot: int, emit) -> None:
-        """Register a host-side completion callback for CQ ``slot``.
-
-        ``emit(asm, ring, slot)`` is invoked by :meth:`emit_completions`
-        to generate the guest code consuming that completion — the
-        assembly-level analogue of an event loop's per-request callback.
-        """
-        self._callbacks[slot] = emit
-
-    def emit_completions(self) -> None:
-        """Emit every registered completion callback, in slot order.
-
-        Call after a :meth:`wait` (or ``submit_async(min_complete=...)``)
-        that guarantees the slots' CQEs have posted.
-        """
-        for slot in sorted(self._callbacks):
-            self._callbacks[slot](self.asm, self, slot)
-
     def load_result(self, dst: str, slot: int) -> None:
         """Load CQ slot ``slot``'s result (u64 two's complement) into ``dst``."""
         self.asm.load(dst, self.base,
                       self.disp + cqe_offset(self.entries, slot))
 
     def reset(self) -> None:
-        """Forget pushed slots and registered completion callbacks
-        (host-side only; guest memory untouched)."""
+        """Forget pushed slots (host-side only; guest memory untouched)."""
         self._next_slot = 0
-        self._callbacks.clear()

@@ -3,17 +3,23 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from repro.arch.asmtext import assemble_text
 from repro.arch.decode import decode_one
 from repro.arch.encode import Assembler
 from repro.arch.isa import (
     CALL_RAX_BYTES,
+    EXT_ROWS,
+    Instruction,
     MAX_INSN_LEN,
     Mnemonic,
     SYSCALL_BYTES,
 )
+from repro.arch.registers import GPR_NAMES
+from repro.cpu.ops import ROWS
 from repro.errors import AssemblerError
+from tests import insn_corpus
 
 
 def roundtrip(build, mnemonic, operands):
@@ -283,3 +289,73 @@ def test_every_assembled_instruction_decodes():
         count += 1
     assert off == len(code)
     assert count >= 60
+
+
+# ------------------------------------------ one row per 48-namespace instruction
+#: The row field kinds as ``insn_corpus.LAYOUT`` names them (kept apart
+#: from the rows on purpose) and as the roles of ``repro.cpu.ops``.
+_LAYOUT_KIND = {"g": "g", "x": "x", "c": "u8", "i": "s32", "d": "s32",
+                "u": "u32", "h": "u16"}
+_OPS_ROLES = {"g": {"g"}, "x": {"x", "xy"}, "c": {"count"}, "i": {"imm"},
+              "d": {"disp"}, "u": {"disp"}, "h": {"id"}}
+_ROW_IDS = [row.mnemonic.value for row in EXT_ROWS]
+
+
+def test_rows_cover_every_mnemonic_outside_the_fixed_encodings():
+    fixed = {Mnemonic.NOP, Mnemonic.RET, Mnemonic.HLT, Mnemonic.INT3,
+             Mnemonic.SYSCALL, Mnemonic.SYSENTER, Mnemonic.UD2,
+             Mnemonic.PUSH, Mnemonic.POP, Mnemonic.CALL_REG,
+             Mnemonic.JMP_REG, Mnemonic.CALL_REL, Mnemonic.JMP_REL,
+             Mnemonic.JZ, Mnemonic.JNZ, Mnemonic.JL, Mnemonic.JG,
+             Mnemonic.JGE, Mnemonic.JLE, Mnemonic.MOV_IMM64}
+    assert {row.mnemonic for row in EXT_ROWS} == set(Mnemonic) - fixed
+
+
+@pytest.mark.parametrize("row", EXT_ROWS, ids=_ROW_IDS)
+def test_row_kinds_agree_with_corpus_layout_and_ops_roles(row):
+    m = row.mnemonic
+    assert tuple(_LAYOUT_KIND[k] for k in row.kinds) == insn_corpus.LAYOUT[m]
+    roles = [kind for _name, kind, _acc, slot in ROWS[m.op_index].operands
+             if slot is not None]
+    assert len(roles) == len(row.kinds)
+    for k, role in zip(row.kinds, roles):
+        assert role in _OPS_ROLES[k], (m, k, role)
+
+
+@pytest.mark.parametrize("row", EXT_ROWS, ids=_ROW_IDS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_row_roundtrips_full_range_operands(row, data):
+    """Every row's public Assembler method and ``_ext`` emit the same
+    bytes, which decode back to exactly the operands."""
+    ops = data.draw(insn_corpus.operands(row.mnemonic))
+    code = insn_corpus.encode(row.mnemonic, ops)
+    assert code == Assembler()._ext(row.mnemonic, *ops).assemble()
+    assert len(code) == row.length
+    assert decode_one(code) == Instruction(row.mnemonic, ops, row.length)
+
+
+def _text_operands(kinds: str, ops: tuple) -> list[str]:
+    out, i = [], 0
+    while i < len(kinds):
+        k, v = kinds[i], ops[i]
+        if kinds[i:i + 2] == "gd":
+            disp = ops[i + 1]
+            sign = "+" if disp >= 0 else "-"
+            out.append(f"[{GPR_NAMES[v]}{sign}{abs(disp)}]")
+            i += 2
+            continue
+        out.append(GPR_NAMES[v] if k == "g" else f"xmm{v}" if k == "x"
+                   else f"gs:[{v}]" if k == "u" else str(v))
+        i += 1
+    return out
+
+
+@pytest.mark.parametrize("row", EXT_ROWS, ids=_ROW_IDS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_row_text_form_assembles_like_the_builder(row, data):
+    ops = data.draw(insn_corpus.operands(row.mnemonic))
+    text = f"{row.text} {', '.join(_text_operands(row.kinds, ops))}"
+    assert assemble_text(text).assemble() == insn_corpus.encode(
+        row.mnemonic, ops), text
