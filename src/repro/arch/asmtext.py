@@ -214,8 +214,8 @@ def _emit(asm: Assembler, mnemonic: str, ops: list, line: _Line) -> None:
     if not sigs:
         raise line.error(f"unknown mnemonic {mnemonic!r}")
     raise line.error(f"{m} takes " + " or ".join(
-        ", ".join(_SIG_WORDS[c] for c in sig) or "no operands"
-        for sig in sigs))
+        f"({', '.join(_SIG_WORDS[c] for c in sig)})" if sig
+        else "no operands" for sig in sigs))
 
 
 def _emit_directive(asm: Assembler, directive: str, rest: str, line: _Line) -> None:
