@@ -11,6 +11,7 @@ must invalidate exactly the rewritten site.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -33,6 +34,8 @@ from repro.mem.address_space import AddressSpace
 from repro.mem.pages import PAGE_SIZE, Perm
 from repro.obs.events import BLOCK_COMPILE, BLOCK_INVALIDATE, CACHE_INVALIDATE
 from repro.obs.tracer import Tracer
+from repro.workloads.runner import attach_mechanism
+from repro.workloads.webserver import SERVERS, ServerWorkload
 
 from tests.conftest import asm, emit_exit, emit_syscall, finish, hello_image
 
@@ -366,6 +369,7 @@ def test_machine_equivalence_cached_vs_uncached():
 # Tier-2 blocks are keyed by the same per-page generation counters as the
 # decoded-instruction cache, and every invalidation path that retires a
 # stale decode must also retire every compiled block spanning the page.
+# Every test from here on is in the ``superblock`` tier.
 
 def _hot_loop_code():
     a = Assembler(base=CODE)
@@ -390,6 +394,7 @@ def _compiled(perm: Perm = Perm.RX):
     return cpu, task.mem, head, block
 
 
+@pytest.mark.superblock
 def test_superblock_write_mid_block_invalidates():
     """A store landing in the middle of a compiled block's page drops it."""
     cpu, mem, head, block = _compiled(perm=Perm.RWX)
@@ -402,12 +407,14 @@ def test_superblock_write_mid_block_invalidates():
     assert again.g0 == block.g0 + 1
 
 
+@pytest.mark.superblock
 def test_superblock_mprotect_invalidates():
     cpu, mem, head, _ = _compiled()
     mem.protect(CODE, PAGE_SIZE, Perm.RW)
     assert head not in mem.block_cache.blocks
 
 
+@pytest.mark.superblock
 def test_superblock_munmap_invalidates():
     cpu, mem, head, _ = _compiled()
     mem.unmap(CODE, PAGE_SIZE)
@@ -419,6 +426,7 @@ def test_superblock_munmap_invalidates():
     assert head not in mem.block_cache.blocks
 
 
+@pytest.mark.superblock
 def test_superblock_unrelated_page_write_keeps_block():
     """Negative control: stores to other pages must not invalidate."""
     cpu, mem, head, block = _compiled()
@@ -427,6 +435,7 @@ def test_superblock_unrelated_page_write_keeps_block():
     assert cpu.blocks_invalidated == 0
 
 
+@pytest.mark.superblock
 def test_superblock_fork_isolation():
     """fork_copy starts the child with an empty block cache, and child-side
     SMC never reaches back into the parent's blocks."""
@@ -438,6 +447,7 @@ def test_superblock_fork_isolation():
     assert mem.block_cache.blocks.get(head) is block
 
 
+@pytest.mark.superblock
 def test_superblock_lazypoline_rewrite_forces_recompile():
     """Full stack: a hot syscall loop tiers up, then lazypoline's SIGSYS
     rewrite patches `syscall` -> `call rax` inside the loop body — every
@@ -555,15 +565,44 @@ _CUSTOM_COSTS = {**DEFAULT_INSN_COSTS,
                  Mnemonic.MOV: 2}
 
 
-def _slide_outcomes(image, *, cores=1, smc=False):
-    """Run ``image`` with tiering off and on, under a custom cost model and
-    the default one; the default model's outcome and the tiered machine's
-    superblock stats."""
+def _recording_until(machine, stop):
+    """An ``until()`` for ``machine`` that returns ``stop()`` and records
+    the ``(clock, total_instructions)`` state it was consulted in."""
+    seen = []
+    sched = machine.scheduler
+
+    def until():
+        seen.append((machine.clock, sched.total_instructions))
+        return stop()
+
+    return until, seen
+
+
+def _events(tracer, skip):
+    return [(e.ts, e.kind, e.tid, e.core, tuple(sorted(e.data.items())))
+            for e in tracer.events if e.kind not in skip]
+
+
+def _tier_skip(smc):
+    """Event kinds only one side of a tiering identity can emit."""
     # Slid interior nops are never decoded, so after a patch the tiered
     # run reports fewer stale decodes; every other event must match.
     skip = {BLOCK_COMPILE, BLOCK_INVALIDATE}
     if smc:
         skip.add(CACHE_INVALIDATE)
+    return skip
+
+
+def _slide_outcomes(image, *, cores=1, smc=False, event_at=None,
+                    deadline=None):
+    """Run ``image`` with tiering off and on, under a custom cost model and
+    the default one; the default model's outcome and the tiered machine's
+    superblock stats.  An outcome holds the tracer event stream and the
+    states ``until()`` was consulted in.  ``event_at`` posts an event for
+    that clock which records the clock and ``rip`` when it fires;
+    ``deadline`` also stops the run once the clock reaches it (the
+    fleet's deadline form)."""
+    skip = _tier_skip(smc)
     clocks = []
     for insn_costs in (_CUSTOM_COSTS, DEFAULT_INSN_COSTS):
         out = {}
@@ -572,8 +611,15 @@ def _slide_outcomes(image, *, cores=1, smc=False):
             machine = Machine(CostModel(insn_costs=insn_costs),
                               superblocks=sb, tracer=tracer, cores=cores)
             proc = machine.load(image)
-            machine.run(until=lambda: not proc.task.alive,
-                        max_instructions=1_000_000)
+            fired = []
+            if event_at is not None:
+                kernel = machine.kernel
+                kernel.post_event(event_at, lambda: fired.append(
+                    (kernel.clock, proc.task.regs.rip)))
+            until, seen = _recording_until(
+                machine, lambda: not proc.task.alive or (
+                    deadline is not None and machine.clock >= deadline))
+            machine.run(until=until, max_instructions=1_000_000)
             out[sb] = (
                 proc.exit_code,
                 proc.term_signal,
@@ -581,8 +627,9 @@ def _slide_outcomes(image, *, cores=1, smc=False):
                 machine.clock,
                 machine.scheduler.total_instructions,
                 machine.scheduler.shootdowns,
-                [(e.ts, e.kind, e.tid, e.core, tuple(sorted(e.data.items())))
-                 for e in tracer.events if e.kind not in skip],
+                _events(tracer, skip),
+                seen,
+                fired,
             )
             stats = machine.superblock_stats()
         assert out[False] == out[True], insn_costs is _CUSTOM_COSTS
@@ -591,6 +638,7 @@ def _slide_outcomes(image, *, cores=1, smc=False):
     return out[True], stats
 
 
+@pytest.mark.superblock
 def test_slide_plain_run_is_identical_and_slides():
     image, _ = _slide_image()
     (code, sig, *_), stats = _slide_outcomes(image)
@@ -600,6 +648,7 @@ def test_slide_plain_run_is_identical_and_slides():
     assert stats["slid_insns"] >= 24 * (PAGE_SIZE + PAGE_SIZE - RUN_AT - 3)
 
 
+@pytest.mark.superblock
 def test_slide_stops_at_page_end_before_non_executable_page():
     """The run reaches its page end and the next page has lost X: the
     fetch fault lands exactly on the next page's first byte."""
@@ -610,6 +659,7 @@ def test_slide_stops_at_page_end_before_non_executable_page():
     assert stats["slides"] >= 1
 
 
+@pytest.mark.superblock
 def test_slide_after_mprotect_drops_x():
     """mprotect(PROT_READ) of a page the task already slid through."""
     image, a = _slide_image(
@@ -618,6 +668,7 @@ def test_slide_after_mprotect_drops_x():
     assert sig == SIGSEGV and rip == a.address_of("page_p")
 
 
+@pytest.mark.superblock
 def test_slide_after_munmap():
     image, a = _slide_image(
         lambda a: emit_syscall(a, "munmap", "page_p", PAGE_SIZE))
@@ -629,6 +680,7 @@ def test_slide_after_munmap():
     (b"\x0f\x0b", SIGILL, 0),   # ud2
     (b"\xcc", SIGTRAP, 1),      # int3 traps after executing
 ])
+@pytest.mark.superblock
 def test_slide_smc_into_hot_run(patch, signal, past):
     """SMC writes a trapping opcode into the middle of a hot run: the
     next pass slides exactly up to it and traps there."""
@@ -644,6 +696,7 @@ def test_slide_smc_into_hot_run(patch, signal, past):
     assert stats["slides"] >= 12
 
 
+@pytest.mark.superblock
 def test_slide_fork_isolation():
     """A forked child patches its copy of a run the parent slid through;
     the parent keeps sliding its own, unpatched run."""
@@ -668,6 +721,7 @@ def test_slide_fork_isolation():
     assert (code, sig) == (0, None)
 
 
+@pytest.mark.superblock
 def test_slide_revalidates_run_at_slice_start():
     """A thread patches the run while its sibling is cut mid-run by the
     quantum: the sibling's next slice must not resume on its record of
@@ -684,6 +738,7 @@ def test_slide_revalidates_run_at_slice_start():
     assert sig == SIGILL
 
 
+@pytest.mark.superblock
 def test_slide_cross_core_shootdown_identity():
     """Two CLONE_VM threads on two cores slide through one page; a store
     into it on one core must shoot down the other core's decodes with the
@@ -698,11 +753,38 @@ def test_slide_cross_core_shootdown_identity():
         a.store8("r8", 50, "r9")
 
     image, _ = _slide_image(hot=hot, threads=True, iters=40, entry="edge")
-    (code, sig, _, _, _, shootdowns, _), stats = _slide_outcomes(
+    (code, sig, _, _, _, shootdowns, *_), stats = _slide_outcomes(
         image, cores=2, smc=True)
     assert (code, sig) == (0, None)
     assert shootdowns >= 1
     assert stats["slides"] >= 2 * 2 * 40
+
+
+def _in_run(a, rip):
+    """Whether ``rip`` lies strictly inside the slide image's nop run."""
+    return a.address_of("run") < rip < a.address_of("page_q") + 5
+
+
+@pytest.mark.superblock
+def test_slide_event_due_mid_run_fires_at_the_same_boundary():
+    """An event falls due while the task is cut mid-run: it fires at the
+    same slice boundary, clock and ``rip`` as with single-stepping."""
+    image, a = _slide_image()
+    (code, sig, *_, fired), stats = _slide_outcomes(image, event_at=10_000)
+    assert (code, sig) == (0, None)
+    [(clock, rip)] = fired
+    assert clock >= 10_000 and _in_run(a, rip)
+    assert stats["slides"] >= 3 * 24
+
+
+@pytest.mark.superblock
+def test_slide_deadline_stops_inside_a_run():
+    """``until()`` stops the run on ``clock >= X`` while the task is
+    mid-run: it stops at the same quantum edge as single-stepping."""
+    image, a = _slide_image()
+    (code, sig, rip, clock, *_), _ = _slide_outcomes(image, deadline=13_000)
+    assert code is None and sig is None
+    assert clock >= 13_000 and _in_run(a, rip)
 
 
 # ------------------------------------------------- sled entries (tier 2)
@@ -761,15 +843,19 @@ def _sled_image(*, threads=False, patch_sled=False, iters=48):
     return finish(a, "sled")
 
 
-def _sled_outcomes(image, *, cores=1):
+def _sled_outcomes(image, *, cores=1, smc=False):
     """Run ``image`` under lazypoline with tiering off and on; assert every
-    outcome matches, and return, for the tiered run, the generation of
-    the sled page at each nop stepped at the sled entry, and the stats."""
+    outcome matches (the tracer event stream and the states ``until()``
+    was consulted in included), and return, for the tiered run, the
+    generation of the sled page at each nop stepped at the sled entry,
+    and the stats."""
+    skip = _tier_skip(smc)
     out = {}
     entry_steps = []
     for sb in (False, True):
+        tracer = Tracer()
         machine = Machine(CostModel(), superblocks=sb, cores=cores,
-                          smp_seed=5)
+                          smp_seed=5, tracer=tracer)
         proc = machine.load(image)
         Lazypoline._install(machine, proc, TraceInterposer())
         cpu = machine.kernel.cpu
@@ -784,8 +870,8 @@ def _sled_outcomes(image, *, cores=1):
             return insn
 
         cpu.step = spy
-        machine.run(until=lambda: not proc.task.alive,
-                    max_instructions=2_000_000)
+        until, seen = _recording_until(machine, lambda: not proc.task.alive)
+        machine.run(until=until, max_instructions=2_000_000)
         out[sb] = (
             proc.exit_code,
             proc.term_signal,
@@ -793,12 +879,15 @@ def _sled_outcomes(image, *, cores=1):
             machine.scheduler.total_instructions,
             machine.scheduler.shootdowns,
             [core.shootdowns for core in machine.scheduler.cores],
+            _events(tracer, skip),
+            seen,
         )
         stats = machine.superblock_stats()
     assert out[False] == out[True]
     return out[True], entry_steps, stats
 
 
+@pytest.mark.superblock
 def test_sled_entry_slides_without_a_step():
     """After warm-up the sled entry is a sentinel with a recorded run:
     nearly every interposed getpid slides from it without a step."""
@@ -810,6 +899,7 @@ def test_sled_entry_slides_without_a_step():
     assert len(entry_steps) <= 2 * 16 < iters
 
 
+@pytest.mark.superblock
 def test_sled_entry_two_cores_keep_ipi_charges_identical():
     """Two threads on two cores enter the sled; both rewrite their shared
     getpid site and patch the sled page mid-run, each patch shooting down
@@ -818,20 +908,22 @@ def test_sled_entry_two_cores_keep_ipi_charges_identical():
     entry only until its sentinel compiles, before and after the patch."""
     iters = 96
     outcome, entry_steps, stats = _sled_outcomes(
-        _sled_image(threads=True, patch_sled=True, iters=iters), cores=2)
-    code, _, _, _, shootdowns, per_core = outcome
+        _sled_image(threads=True, patch_sled=True, iters=iters), cores=2,
+        smc=True)
+    code, _, _, _, shootdowns, per_core, *_ = outcome
     assert code == 0
     assert shootdowns >= 2 and all(per_core)
     assert len(entry_steps) <= 2 * 2 * 16 < 2 * iters
 
 
+@pytest.mark.superblock
 def test_sled_entry_after_sled_patch_falls_back_to_stepping():
     """An SMC patch of the sled page drops the entry's sentinel and makes
     its run record stale: the next entries step the first nop again (at
     the new generation), then slide once the run is rescanned."""
     iters = 96
     (code, *_), entry_steps, _ = _sled_outcomes(
-        _sled_image(patch_sled=True, iters=iters))
+        _sled_image(patch_sled=True, iters=iters), smc=True)
     assert code == 0
     before = [g for g in entry_steps if g == 0]
     after = [g for g in entry_steps if g > 0]
@@ -839,6 +931,7 @@ def test_sled_entry_after_sled_patch_falls_back_to_stepping():
     assert len(entry_steps) < iters
 
 
+@pytest.mark.superblock
 def test_entry_just_below_a_recorded_run_gets_recorded():
     """A run first entered one byte in, then at its first nop: stepping
     that nop finds the rest of the run recorded, and records the nop too,
@@ -884,6 +977,57 @@ def test_entry_just_below_a_recorded_run_gets_recorded():
     assert len(steps) <= HOT_THRESHOLD < 64
 
 
+# --------------------------------------- nginx under every sled (pinned)
+# sha256 over nginx x {lazypoline, zpoline, none} serving 60 requests:
+# the tracer event stream and counts, the clock, superblock_stats(), busy
+# cycles and the states ``until()`` was consulted in (consecutive repeats
+# collapsed).  Re-pin with ``PYTHONPATH=src:. python
+# tests/test_translation_cache.py`` only for an intended change.
+NGINX_PIN = "01ce5d8304e2014326f86f31e2fcb016fb6b1893ab46907a557e78c2df44fbfe"
+
+
+def _nginx_run(tool):
+    """Serve 60 nginx requests under ``tool``; (digest parts, states)."""
+    tracer = Tracer()
+    machine = Machine(tracer=tracer)
+    server = ServerWorkload(machine, SERVERS["nginx"], file_size=1024)
+    attach_mechanism(machine, server.process, tool)
+    states = []
+    run = machine.run
+
+    def recorded(*, until, **kw):
+        until, seen = _recording_until(machine, until)
+        run(until=until, **kw)
+        states.extend(seen)
+
+    machine.run = recorded
+    server.benchmark(requests=60, warmup=6)
+    collapsed = [s for i, s in enumerate(states) if not i or s != states[i - 1]]
+    parts = (
+        _events(tracer, ()),
+        sorted(tracer.counts.items()),
+        machine.clock,
+        sorted(machine.superblock_stats().items()),
+        [core.busy_cycles for core in machine.scheduler.cores],
+        collapsed,
+    )
+    return parts, states
+
+
+def _nginx_digest():
+    h = hashlib.sha256()
+    for tool in ("lazypoline", "zpoline", None):
+        parts, _ = _nginx_run(tool)
+        h.update(repr((tool, parts)).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.superblock
+def test_nginx_under_every_sled_matches_pinned_digest():
+    assert _nginx_digest() == NGINX_PIN
+
+
+@pytest.mark.superblock
 def test_cost_model_rejects_costs_a_batched_charge_cannot_sum_exactly():
     """Blocks and nop slides charge one precomputed total, which equals
     per-step charging only for quarter-cycle costs below 2**40: the cost
@@ -902,3 +1046,7 @@ def test_cost_model_rejects_costs_a_batched_charge_cannot_sum_exactly():
         costs.xsave_base = 1
     insn_costs[Mnemonic.NOP] = 0.5  # the model keeps its own copy
     assert costs.op_costs[Mnemonic.NOP.op_index] == DEFAULT_INSN_COSTS[Mnemonic.NOP]
+
+
+if __name__ == "__main__":
+    print(f'NGINX_PIN = "{_nginx_digest()}"')
