@@ -72,7 +72,13 @@ machine state — plus four of its own:
 * no interior boundary: a ``nop`` retires no syscall, hcall or fault;
 * page- and quantum-bounded: a run ends at its page's end, and the slide
   at the slice budget, so the next page's fetch fault and every slice
-  boundary land where single-stepping puts them;
+  boundary land where single-stepping puts them.  When a slide is cut
+  at the budget and its task runs alone on one core, the scheduler
+  slides the run's next whole quanta without a new round
+  (``Scheduler._slide_quanta``); each stays a slice of its own, with
+  its tracer events, counters and ``until()`` call, and it stops at the
+  first quantum an event, signal, new task or stale record could tell
+  apart;
 * generation-checked: :meth:`BlockCache.nop_run` records each run under
   its page's exec generation, so SMC, ``mprotect`` and ``munmap`` of the
   page fall back to a fresh scan and exact single-step semantics.  A

@@ -183,7 +183,12 @@ class Machine:
         until=None,
         raise_on_deadlock: bool = True,
     ) -> None:
-        """Run the scheduler until everything exits (or a bound is hit)."""
+        """Run the scheduler until everything exits (or a bound is hit).
+
+        ``until()`` is consulted once after each slice (or fused quantum
+        of a nop slide), and again before a round only after events
+        fired or time advanced.
+        """
         self.scheduler.run(
             max_instructions=max_instructions,
             until=until,

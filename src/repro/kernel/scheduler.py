@@ -21,7 +21,14 @@ end.  Elapsed machine time is the *frontier* — the maximum core clock — so
 work spread over N cores genuinely takes ~1/N the simulated time.
 
 One outer loop (:meth:`Scheduler.run`) serves every core count; only the
-round body forks on it, because the core count is observable.  One core
+round body forks on it, because the core count is observable.  ``until()``
+is consulted once after each slice, and again at the top of a round only
+when an event fired or time advanced since (an SMP round always consults
+it, because it ends by moving the clock to the frontier).  With one core,
+a slice that a nop slide cut at its budget is followed by the run's next
+whole quanta in a tight loop (:meth:`Scheduler._slide_quanta`): each
+fused quantum is the slide-only slice a new round would run, tracer
+events, counters and one ``until()`` included, without the round.  One core
 runs its round inline over the kernel's task list; many cores run
 :meth:`Scheduler._smp_round`, which swaps clocks and decode caches per
 slice.  Routing one core through the SMP round as well costs about a
@@ -101,6 +108,11 @@ class Scheduler:
         #: scheduler invocation (Kernel.wait_until from inside an hcall) ran
         #: another task, which may share this address space.
         self._nest_epoch = 0
+        #: Set by :meth:`_slide` when a slide stops at the slice budget
+        #: with more of its run left; the one-core round then tries
+        #: :meth:`_slide_quanta`.  One attribute test per slice for a
+        #: workload that never slides.
+        self._cut = False
         self.total_instructions = 0
         self._last_tid: int | None = None  # for ctx_switch trace events
         #: SMP state.  With ``cores == 1`` (``self.smp`` False) the run
@@ -136,6 +148,25 @@ class Scheduler:
         if ret is not None:
             task.regs.write(RAX, ret & MASK64)
 
+    def _open_slice(self, task: Task) -> None:
+        """Start a slice of ``task``: bump the nest epoch, trace it."""
+        self._nest_epoch += 1
+        tracer = self.kernel.tracer
+        if tracer is not None:
+            clock = self.kernel.clock
+            if self._last_tid != task.tid:
+                tracer.ctx_switch(clock, self._last_tid, task.tid)
+                self._last_tid = task.tid
+            tracer.slice_start(clock, task.tid)
+
+    def _close_slice(self, task: Task, executed: int) -> None:
+        """End a slice of ``task`` that retired ``executed`` instructions."""
+        task.insn_count += executed
+        self.total_instructions += executed
+        tracer = self.kernel.tracer
+        if tracer is not None:
+            tracer.slice_end(self.kernel.clock, task.tid, executed)
+
     def run_task_slice(self, task: Task, quantum: int | None = None) -> int:
         """Run up to ``quantum`` instructions of ``task``; returns how many."""
         kernel = self.kernel
@@ -158,13 +189,7 @@ class Scheduler:
             if not task.alive:
                 return 0
         self._active.add(task.tid)
-        self._nest_epoch += 1
-        tracer = kernel.tracer
-        if tracer is not None:
-            if self._last_tid != task.tid:
-                tracer.ctx_switch(kernel.clock, self._last_tid, task.tid)
-                self._last_tid = task.tid
-            tracer.slice_start(kernel.clock, task.tid)
+        self._open_slice(task)
         # Invariants hoisted out of the per-instruction body: the CPU step
         # and fault handler bindings, and the protection-key rights load
         # (per-thread PKRU) — a slice is the task-switch point, so PKRU is
@@ -398,10 +423,7 @@ class Scheduler:
                 # the slice (including nested same-core work, which lands
                 # on the same timeline) counts as busy time.
                 core.busy_cycles += kernel.clock - slice_t0
-        task.insn_count += executed
-        self.total_instructions += executed
-        if tracer is not None:
-            tracer.slice_end(kernel.clock, task.tid, executed)
+        self._close_slice(task, executed)
         if policy is not None:
             policy.record_slice(task, executed)
         return executed
@@ -417,16 +439,24 @@ class Scheduler:
         """Run until all tasks exit, ``until()`` is true, or the budget ends.
 
         One loop for any core count; only the round body forks on it.
+        ``until()`` runs once after each slice or fused slide quantum, and
+        again before a round only after events fired or time advanced.
         """
         kernel = self.kernel
         start = self.total_instructions
+        limit = None if max_instructions is None else start + max_instructions
         if self.smp and kernel.clock > max(c.clock for c in self.cores):
             # Cycles charged outside any slice (a tool attached before the
             # run) have elapsed on every core: start the first round there.
             for core in self.cores:
                 core.clock = kernel.clock
+        # True while until() has already said no in the current machine
+        # state: the one-core round's last post-slice call, with nothing
+        # fired and no time advanced since.  (An SMP round ends by moving
+        # the clock to the frontier, so it never sets it.)
+        checked = False
         while True:
-            if until is not None and until():
+            if until is not None and not checked and until():
                 return
             # live_tasks() is a snapshot rebuilt only after a task is created
             # or terminated, never a scan of the task table (which keeps
@@ -434,10 +464,7 @@ class Scheduler:
             round_tasks = kernel.live_tasks()
             if not round_tasks:
                 return
-            if (
-                max_instructions is not None
-                and self.total_instructions - start >= max_instructions
-            ):
+            if limit is not None and self.total_instructions >= limit:
                 return
             if self.smp:
                 progress, stopped = self._smp_round(until=until)
@@ -457,9 +484,18 @@ class Scheduler:
                     progress += self.run_task_slice(task)
                     if until is not None and until():
                         return
-            kernel.fire_due_events()
+                    checked = True
+                    if self._cut:
+                        fused = self._slide_quanta(task, until, limit)
+                        self._cut = False
+                        if fused is None:
+                            return
+                        progress += fused
+            if kernel.fire_due_events():
+                checked = False
             if progress == 0:
                 if self._advance_time():
+                    checked = False
                     continue
                 # No instruction ran and no event is pending.
                 still_live = kernel.live_tasks()
@@ -556,6 +592,7 @@ class Scheduler:
         k = end - start
         if k > room:
             k = room
+            self._cut = True
         task.regs.rip = start + k
         kernel = self.kernel
         cpu = kernel.cpu
@@ -563,6 +600,63 @@ class Scheduler:
         cpu.slides += 1
         cpu.slid_insns += k
         return k
+
+    def _slide_quanta(self, task: Task, until, limit: int | None):
+        """Slide whole quanta of the nop run ``task`` was cut in, with no
+        scheduler round and no :meth:`run_task_slice` call for each.
+
+        The one-core round calls this after a slice of ``task`` that a
+        slide ended, and after that slice's ``until()``.  Each fused
+        quantum is the slide-only slice the next round would run: a
+        ``_nest_epoch`` bump, tracer ``slice_start``/``slice_end`` at the
+        same clocks, one :meth:`_slide` of a quantum of nops, the same
+        instruction and busy-cycle counts, and one ``until()``.  A quantum
+        is fused only while nothing could tell the difference: ``task`` is
+        the only live task *now* (the round's snapshot goes stale on a
+        clone), no policy, CPU hook or nested scheduler frame is in play,
+        the generation-checked record at ``rip`` holds a whole quantum and
+        no block starts there, no event is due, the task is runnable with
+        no pending signal, no ring waiter and the same ``mem``, and the
+        run's instruction ``limit`` is not reached.  Returns the
+        instructions retired, or None when ``until()`` stopped the run.
+        """
+        kernel = self.kernel
+        cpu = kernel.cpu
+        core = self._current_core
+        live = kernel.live_tasks()
+        # Policy, hooks, tiering and depth are checked once: only until()
+        # runs between fused quanta, at this same depth.
+        if (len(live) != 1 or live[0] is not task or self.policy is not None
+                or cpu.hooks or not cpu.superblocks or core._depth):
+            return 0
+        mem = task.mem
+        regs = task.regs
+        runs = mem.block_cache.runs  # one core never rebinds the cache
+        blocks = mem.block_cache.blocks
+        gens = mem.exec_gen
+        q = self.quantum
+        runnable = TaskState.RUNNABLE
+        done = 0
+        while True:
+            rip = regs.rip
+            r = runs.get(rip)
+            at = kernel.next_event_time()
+            if (r is None or r[0] - rip < q or gens.get(r[1], 0) != r[2]
+                    or rip in blocks
+                    or (at is not None and at <= kernel.clock)
+                    or (limit is not None and self.total_instructions >= limit)
+                    or task.state is not runnable or task.pending
+                    or task.ring_waiters or task.mem is not mem
+                    or kernel.live_tasks() is not live):
+                return done
+            self._open_slice(task)
+            t0 = kernel.clock
+            self._slide(task, rip, r[0], q)
+            core.busy_cycles += kernel.clock - t0
+            self._close_slice(task, q)
+            done += q
+            if until is not None and until():
+                return None
 
     def _tier_state(self, mem):
         """Superblock bookkeeping for ``mem``'s bound cache.

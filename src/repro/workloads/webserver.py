@@ -320,7 +320,10 @@ def build_async_server_image(
     req0 = connfd + 8 * depth  # per-connection request buffers
     filebuf = (req0 + 256 * depth + 63) & ~63
     ring_off = filebuf + CHUNK
-    entries = 6 * depth  # one read + five response entries per connection
+    # One read plus the response tail per connection: open, fstat, header
+    # write, close, and sendfile (nginx) or read + write (lighttpd).
+    tail = 5 if spec.delivery == "sendfile" else 6
+    entries = (1 + tail) * depth
     bufsize = ring_off + ring_region_size(entries)
 
     def sys(name):

@@ -986,22 +986,28 @@ def test_entry_just_below_a_recorded_run_gets_recorded():
 NGINX_PIN = "01ce5d8304e2014326f86f31e2fcb016fb6b1893ab46907a557e78c2df44fbfe"
 
 
+def _repeats(states):
+    return [s for i, s in enumerate(states) if i and s == states[i - 1]]
+
+
 def _nginx_run(tool):
-    """Serve 60 nginx requests under ``tool``; (digest parts, states)."""
+    """Serve 60 nginx requests under ``tool``; the digest parts, and the
+    states each ``machine.run``'s ``until()`` was consulted in."""
     tracer = Tracer()
     machine = Machine(tracer=tracer)
     server = ServerWorkload(machine, SERVERS["nginx"], file_size=1024)
     attach_mechanism(machine, server.process, tool)
-    states = []
+    runs = []
     run = machine.run
 
     def recorded(*, until, **kw):
         until, seen = _recording_until(machine, until)
+        runs.append(seen)
         run(until=until, **kw)
-        states.extend(seen)
 
     machine.run = recorded
     server.benchmark(requests=60, warmup=6)
+    states = [s for seen in runs for s in seen]
     collapsed = [s for i, s in enumerate(states) if not i or s != states[i - 1]]
     parts = (
         _events(tracer, ()),
@@ -1011,13 +1017,15 @@ def _nginx_run(tool):
         [core.busy_cycles for core in machine.scheduler.cores],
         collapsed,
     )
-    return parts, states
+    return parts, runs
 
 
 def _nginx_digest():
     h = hashlib.sha256()
     for tool in ("lazypoline", "zpoline", None):
-        parts, _ = _nginx_run(tool)
+        parts, runs = _nginx_run(tool)
+        # one run consults its until() once per machine state
+        assert not any(_repeats(seen) for seen in runs), tool
         h.update(repr((tool, parts)).encode())
     return h.hexdigest()
 

@@ -349,6 +349,38 @@ def test_async_webserver_beats_sync_batched_when_clients_are_instant():
     assert tracer.ring_enters > 0
 
 
+def test_async_lighttpd_serves_wrk_requests_with_correct_bytes(monkeypatch):
+    """lighttpd's response tail (open, fstat, read, two writes, close)
+    takes one ring entry more per connection than nginx's sendfile tail:
+    the async image sizes its ring from the delivery, and every response
+    arrives as the header followed by the file."""
+    from repro.workloads.webserver import (
+        FILE_PATH, HEADER_SIZE, LIGHTTPD, ServerWorkload)
+    from repro.workloads.wrk import WrkClient
+
+    received: dict[int, bytearray] = {}
+    on_data = WrkClient._on_data
+
+    def record(self, idx, data):
+        received.setdefault(idx, bytearray()).extend(data)
+        on_data(self, idx, data)
+
+    monkeypatch.setattr(WrkClient, "_on_data", record)
+    machine = Machine()
+    workload = ServerWorkload(machine, LIGHTTPD, file_size=1024,
+                              batched="async")
+    body = bytes(range(256)) * 4
+    machine.fs.create(FILE_PATH, body)
+    assert workload.benchmark(requests=24, warmup=4, connections=4) > 0
+    stats = workload.last_client.stats
+    assert stats.completed == 28 and stats.errors == 0
+    header = b"HTTP/1.1 200 OK\r\nServer: lighttpd\r\n\r\n"
+    response = header.ljust(HEADER_SIZE, b"\x00") + body
+    assert sum(len(b) for b in received.values()) == 28 * len(response)
+    for stream in received.values():
+        assert stream == response * (len(stream) // len(response))
+
+
 # --------------------------------------- RET_TRAP re-arm (regression fix)
 def build_retrap_rearm_guest():
     """A SIGSYS handler that *retries* the trapped entry.
