@@ -601,7 +601,8 @@ class Scheduler:
         cpu.slid_insns += k
         return k
 
-    def _slide_quanta(self, task: Task, until, limit: int | None):
+    def _slide_quanta(self, task: Task, until,
+                      limit: int | None) -> int | None:
         """Slide whole quanta of the nop run ``task`` was cut in, with no
         scheduler round and no :meth:`run_task_slice` call for each.
 
