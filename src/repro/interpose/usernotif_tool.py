@@ -12,10 +12,13 @@ API:
 
 * return an integer — the syscall is *not* executed; that value (or
   negative errno) goes back to the tracee,
-* return ``None`` — the kernel "continues" the syscall
-  (``SECCOMP_USER_NOTIF_FLAG_CONTINUE``) and executes it normally,
+* return ``None`` without executing it — the kernel "continues" the
+  syscall (``SECCOMP_USER_NOTIF_FLAG_CONTINUE``) and executes it normally,
 * re-issue it itself via ``ctx.do_syscall()`` — the addfd/emulation style,
-  charged as supervisor work.
+  charged as supervisor work.  The call then runs exactly once: a ``None``
+  result (``rt_sigreturn``, ``exit_group``) leaves the registers as the
+  call left them.  A blocking call waits in ``Kernel.dispatch_blocking``,
+  so a deliverable signal aborts it with ``-EINTR`` like any other tool.
 """
 
 from __future__ import annotations
@@ -64,20 +67,17 @@ class UserNotifTool:
         return tool
 
     # ------------------------------------------------------------- supervisor
-    def _on_notification(self, kernel, task, sysno, args) -> int | None:
+    def _on_notification(self, kernel, task, sysno, args) -> int | str | None:
         self.notifications += 1
+        executed = False
 
         def supervisor_do(nr, a):
             # The supervisor executes the call on the tracee's behalf; the
             # notifying filter does not re-run (the call is attributed to
             # the supervisor's context, like addfd/continue semantics).
-            from repro.kernel.waits import WouldBlock
-
-            while True:
-                try:
-                    return kernel.dispatch(task, nr, a)
-                except WouldBlock as block:
-                    kernel.wait_until(task, block.ready)
+            nonlocal executed
+            executed = True
+            return kernel.dispatch_blocking(task, nr, a)
 
         ctx = SyscallContext(
             kernel,
@@ -87,4 +87,9 @@ class UserNotifTool:
             mechanism="seccomp-unotify",
             do_syscall=supervisor_do,
         )
-        return self.interposer(ctx)
+        ret = self.interposer(ctx)
+        if ret is None and executed:
+            # Already ran (rt_sigreturn, exit_group): continuing would
+            # execute it a second time.
+            return "handled"
+        return ret

@@ -64,7 +64,7 @@ from repro.kernel.signals import (
 )
 from repro.kernel.sud import SELECTOR_ALLOW
 from repro.kernel.task import Task, TaskState
-from repro.kernel.waits import DeadlockError, WouldBlock
+from repro.kernel.waits import WouldBlock
 from repro.errors import KernelError
 
 
@@ -101,18 +101,14 @@ class HcallContext:
         The guest rip is rewound over the hcall instruction and the task
         blocks until ``predicate`` holds; the scheduler then re-runs the
         hcall (the handler sees the same event again).  Unlike
-        ``Kernel.wait_until`` this never nests scheduler invocations on the
-        Python stack, so any number of tasks may be parked simultaneously —
-        the primitive lockstep monitors need.
+        ``Scheduler.wait_until`` this never nests scheduler invocations on
+        the Python stack, so any number of tasks may be parked
+        simultaneously — the primitive lockstep monitors need.
         """
         from repro.arch.isa import EXT_ROW, Mnemonic
-        from repro.kernel.task import TaskState
 
         self.task.regs.rip -= EXT_ROW[Mnemonic.HCALL].length
-        self.task.state = TaskState.BLOCKED
-        self.task.blocked_reason = predicate
-        self.task.blocked_interruptible = False
-        self.task.in_syscall_restart = None
+        self.task.park(predicate, interruptible=False)
 
 
 class Kernel:
@@ -315,31 +311,35 @@ class Kernel:
             if gate != "allow":
                 return  # handled (signal delivered / killed)
 
-        skip_exit_stop = False
         if task.tracer is not None:
             self.charge(task, 2 * self.costs.context_switch)
             ctl = TraceeControl(self, task)
             task.tracer.on_syscall_enter(ctl)
             if ctl._skip_retval is not None:
-                regs.write(RAX, ctl._skip_retval & MASK64)
-                skip_exit_stop = True
-            else:
-                sysno = to_signed(regs.read(RAX))
-                args = tuple(regs.read(r) for r in SYSCALL_ARG_REGS)
-
-        if not skip_exit_stop:
-            try:
-                ret = self.dispatch(task, sysno, args)
-            except WouldBlock as block:
-                # Park the task; the scheduler restarts the syscall later.
-                task.state = TaskState.BLOCKED
-                task.blocked_reason = block.ready
-                task.blocked_interruptible = block.interruptible
-                task.in_syscall_restart = (sysno, args)
+                self.complete_syscall(task, ctl._skip_retval)
                 return
-            if ret is not None:
-                regs.write(RAX, ret & MASK64)
+            sysno = to_signed(regs.read(RAX))
+            args = tuple(regs.read(r) for r in SYSCALL_ARG_REGS)
+        self.run_syscall(task, sysno, args)
 
+    def run_syscall(self, task: Task, sysno: int, args: tuple[int, ...]) -> None:
+        """Dispatch a guest syscall: park the task if it would block, else
+        complete it.  Serves the first dispatch and every restart."""
+        try:
+            ret = self.dispatch(task, sysno, args)
+        except WouldBlock as block:
+            task.park(block.ready, interruptible=block.interruptible,
+                      restart=(sysno, args))
+            return
+        self.complete_syscall(task, ret)
+
+    def complete_syscall(self, task: Task, ret: int | None) -> None:
+        """The one tail of a guest syscall: the result goes to rax (None
+        leaves the registers alone, as ``rt_sigreturn`` needs), then a
+        tracer gets its exit stop.  A syscall that blocked ends here once,
+        on the dispatch that completed it or on its -EINTR wake."""
+        if ret is not None:
+            task.regs.write(RAX, ret & MASK64)
         if task.tracer is not None and task.alive:
             self.charge(task, 2 * self.costs.context_switch)
             task.tracer.on_syscall_exit(TraceeControl(self, task))
@@ -352,7 +352,8 @@ class Kernel:
 
         * ``None`` — nothing armed, proceed on the fast kernel entry,
         * ``"allow"`` — armed but permitted, proceed,
-        * ``"handled"`` — syscall aborted (signal delivered / task killed),
+        * ``"handled"`` — syscall aborted (signal delivered / task killed)
+          or already executed by the user-notif supervisor,
         * ``("ret", value)`` — syscall aborted with a result the caller
           must surface (seccomp RET_ERRNO, user-notif verdict).
 
@@ -428,7 +429,9 @@ class Kernel:
         """SECCOMP_RET_USER_NOTIF: wake a host-level supervisor.
 
         Charged as two context switches each way, like the real notifier
-        fd ping-pong.
+        fd ping-pong.  The supervisor answers with a result, ``None``
+        (continue: the kernel executes the call) or ``"handled"`` (it
+        executed the call itself, which returned no result).
         """
         if self.usernotif_supervisor is None:
             return ("ret", -errno.ENOSYS)
@@ -437,6 +440,8 @@ class Kernel:
         self.charge(task, 2 * self.costs.context_switch)
         if verdict is None:
             return "allow"  # supervisor says: let the kernel execute it
+        if verdict == "handled":
+            return verdict  # the supervisor executed it; nothing to write
         return ("ret", verdict)
 
     # ------------------------------------------------------------- dispatching
@@ -476,8 +481,8 @@ class Kernel:
 
         This is what interposer tools use to re-issue the original syscall:
         it pays the mode switch and any armed interception-check costs, and
-        it *blocks cooperatively* (scheduling other tasks / advancing time)
-        instead of raising WouldBlock.
+        it blocks through :meth:`dispatch_blocking` instead of raising
+        WouldBlock.
         """
         args = tuple(args) + (0,) * (6 - len(args))
         self.charge(task, self.costs.syscall_entry_exit)
@@ -494,26 +499,26 @@ class Kernel:
     ) -> int | None:
         """Dispatch ``sysno``, blocking *cooperatively* instead of raising.
 
-        Shared by interposer-issued syscalls (:meth:`do_syscall`) and the
-        ring drain (``repro.kernel.uring``), both of which run inside a
-        host-side frame that cannot be parked by the scheduler.
+        The one wait in a host-side frame that the scheduler cannot park:
+        interposer-issued syscalls (:meth:`do_syscall`), the unotify
+        supervisor and the sync ring drain (``repro.kernel.uring``) all
+        block here, through :meth:`Scheduler.wait_until`.
         """
         while True:
             try:
                 return self.dispatch(task, sysno, args)
             except WouldBlock as block:
+                wait = self.scheduler.wait_until
                 if not block.interruptible:
-                    self.wait_until(task, block.ready)
+                    wait(task, block.ready)
                     continue
                 # Same contract as the scheduler's parked-task path: a
                 # deliverable signal aborts the wait and the syscall
                 # returns -EINTR (the handler runs at the task's next
                 # instruction boundary).  Without this, an interposed
                 # blocking syscall could never be interrupted.
-                self.wait_until(
-                    task,
-                    lambda: block.ready() or task.has_deliverable_signal(),
-                )
+                wait(task,
+                     lambda: block.ready() or task.has_deliverable_signal())
                 if not block.ready():
                     return -errno.EINTR
 
@@ -524,28 +529,6 @@ class Kernel:
         from repro.kernel import uring
 
         return uring.complete_ring_waiters(self, task)
-
-    # ------------------------------------------------------- cooperative waits
-    def wait_until(self, task: Task, predicate: Callable[[], bool]) -> None:
-        """Block ``task`` until ``predicate``, running others / advancing time."""
-        guard = 0
-        while not predicate():
-            guard += 1
-            if guard > 10_000_000:  # pragma: no cover - safety net
-                raise DeadlockError("wait_until spun without progress")
-            progressed = False
-            if self.scheduler is not None:
-                progressed = self.scheduler.run_others_once(task)
-            if self.fire_due_events():
-                progressed = True
-            if not progressed and not self.advance_time():
-                raise DeadlockError(
-                    f"task {task.tid} waits forever: no runnable tasks or events"
-                )
-            # Nested slices may have run a sibling thread sharing this
-            # address space; restore this task's protection-key rights
-            # before its host-side caller touches user memory again.
-            task.mem.active_pkru = task.regs.pkru
 
     # ----------------------------------------------------------------- faults
     def force_signal(self, task: Task, sig: int, info: dict | None = None) -> None:
@@ -585,12 +568,10 @@ class Kernel:
             and not task.signal_blocked(sig)
         ):
             # Interruptible sleep: wake; the interrupted syscall returns EINTR.
-            task.state = TaskState.RUNNABLE
-            task.blocked_reason = None
+            restart = task.wake()
             # SMP: the wake happens at the *sender's* clock; the sleeper's
             # (possibly idle, hence lagging) core must not run it earlier.
             if task.wake_clock < self.clock:
                 task.wake_clock = self.clock
-            if task.in_syscall_restart is not None:
-                task.in_syscall_restart = None
-                task.regs.write(RAX, (-errno.EINTR) & MASK64)
+            if restart is not None:
+                self.complete_syscall(task, -errno.EINTR)

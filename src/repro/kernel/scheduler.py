@@ -6,9 +6,9 @@ slices.  Blocking works two ways:
 * a *guest* blocking syscall raises WouldBlock out of the entry path; the
   task is parked with a restart record and retried when its predicate holds,
 * *host-side* code (an interposer deep in an hcall) blocks through
-  ``Kernel.wait_until``, which calls back into :meth:`run_others_once` —
-  re-entrancy is guarded so a task is never stepped while it is already
-  live on the (Python) stack.
+  ``Kernel.dispatch_blocking``, which nests :meth:`Scheduler.wait_until`
+  on the host stack — re-entrancy is guarded so a task is never stepped
+  while it is already live on the (Python) stack.
 
 With ``cores > 1`` the scheduler becomes a deterministic SMP simulator:
 each :class:`repro.kernel.smp.Core` keeps its own clock, runqueue and
@@ -43,13 +43,12 @@ from __future__ import annotations
 import random
 
 from repro.arch.isa import Mnemonic
-from repro.arch.registers import MASK64, RAX
 from repro.cpu.superblock import ENDS_RUN, BlockCache
 from repro.cpu.superblock import HOT_THRESHOLD as _HOT
 from repro.errors import BreakpointTrap, InvalidOpcode, PageFault
 from repro.kernel.smp import Core
 from repro.kernel.task import Task, TaskState
-from repro.kernel.waits import DeadlockError, WouldBlock
+from repro.kernel.waits import DeadlockError
 
 _NOP = Mnemonic.NOP
 _NOP_OP = _NOP.op_index
@@ -105,7 +104,7 @@ class Scheduler:
         self._active: set[int] = set()  # tids currently on the Python stack
         #: Bumped whenever any slice starts.  A slice snapshots the value and
         #: re-stores its task's PKRU if it changed mid-step — i.e. a nested
-        #: scheduler invocation (Kernel.wait_until from inside an hcall) ran
+        #: scheduler invocation (wait_until from inside an hcall) ran
         #: another task, which may share this address space.
         self._nest_epoch = 0
         #: Set by :meth:`_slide` when a slide stops at the slice budget
@@ -130,23 +129,9 @@ class Scheduler:
             return
         if task.blocked_reason is not None and not task.blocked_reason():
             return
-        task.state = TaskState.RUNNABLE
-        task.blocked_reason = None
-        restart = task.in_syscall_restart
-        if restart is None:
-            return
-        task.in_syscall_restart = None
-        sysno, args = restart
-        try:
-            ret = self.kernel.dispatch(task, sysno, args)
-        except WouldBlock as block:
-            task.state = TaskState.BLOCKED
-            task.blocked_reason = block.ready
-            task.blocked_interruptible = block.interruptible
-            task.in_syscall_restart = (sysno, args)
-            return
-        if ret is not None:
-            task.regs.write(RAX, ret & MASK64)
+        restart = task.wake()
+        if restart is not None:
+            self.kernel.run_syscall(task, *restart)
 
     def _open_slice(self, task: Task) -> None:
         """Start a slice of ``task``: bump the nest epoch, trace it."""
@@ -518,24 +503,42 @@ class Scheduler:
                 core.clock = at
         return self.kernel.advance_time()
 
-    def run_others_once(self, current: Task) -> bool:
-        """One scheduling pass over every task except ``current``.
+    def wait_until(self, current: Task, predicate) -> None:
+        """Block ``current``, live in a host-side frame, until ``predicate``.
 
-        Used by Kernel.wait_until while ``current`` is blocked inside
-        host-side interposer code.  Returns True if any instruction ran.
+        The nested wait behind :meth:`Kernel.dispatch_blocking`: each pass
+        offers one slice to every other task (an SMP round excluding
+        ``current``), fires due events, and advances time when neither
+        made progress.
         """
-        if self.smp:
-            progress, _ = self._smp_round(exclude=current)
-            return progress > 0
-        progress = 0
-        others = self.kernel.live_tasks()
-        if self.policy is not None:
-            others = self.policy.schedule_order(others)
-        for task in others:
-            if task is current or not task.alive or task.tid in self._active:
-                continue
-            progress += self.run_task_slice(task)
-        return progress > 0
+        kernel = self.kernel
+        guard = 0
+        while not predicate():
+            guard += 1
+            if guard > 10_000_000:  # pragma: no cover - safety net
+                raise DeadlockError("wait_until spun without progress")
+            if self.smp:
+                progress, _ = self._smp_round(exclude=current)
+            else:
+                progress = 0
+                others = kernel.live_tasks()
+                if self.policy is not None:
+                    others = self.policy.schedule_order(others)
+                for task in others:
+                    if (task is current or not task.alive
+                            or task.tid in self._active):
+                        continue
+                    progress += self.run_task_slice(task)
+            fired = kernel.fire_due_events()
+            if not (progress or fired) and not kernel.advance_time():
+                raise DeadlockError(
+                    f"task {current.tid} waits forever: "
+                    "no runnable tasks or events"
+                )
+            # Nested slices may have run a sibling thread sharing this
+            # address space; restore this task's protection-key rights
+            # before its host-side caller touches user memory again.
+            current.mem.active_pkru = current.regs.pkru
 
     # ---------------------------------------------------------------- SMP
     @property
@@ -769,7 +772,7 @@ class Scheduler:
         to the core's clock for the slice and harvested back afterwards, so
         every charge inside (instructions, hcalls, re-issued syscalls)
         lands on this core without any hot-path indirection.  When slices
-        nest on the *same* core (``Kernel.wait_until`` timesharing), the
+        nest on the *same* core (:meth:`wait_until` timesharing), the
         checkpoint and the harvest alias the same ``Core`` object, which
         serialises the nested work into the waiter's timeline — exactly
         what one physical core would do.

@@ -78,7 +78,7 @@ class Core:
         #: remote rewrites (rides the same IPI as ``shootdowns``; never
         #: charged separately, so cycle accounting matches tiering off).
         self.block_shootdowns = 0
-        #: Slice nesting depth (Kernel.wait_until re-enters the scheduler);
+        #: Slice nesting depth (Scheduler.wait_until re-enters the scheduler);
         #: busy accounting only counts outermost frames.
         self._depth = 0
 

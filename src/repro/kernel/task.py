@@ -143,6 +143,7 @@ class Task:
         #: code just before re-raising, read once by the scheduler.
         self.sb_fault = 0
         self.insn_count = 0
+        #: Park state, written only by :meth:`park` and :meth:`wake`.
         self.blocked_reason: Callable[[], bool] | None = None
         self.blocked_interruptible = True
         self.in_syscall_restart: tuple[int, tuple[int, ...]] | None = None
@@ -175,6 +176,23 @@ class Task:
     @property
     def alive(self) -> bool:
         return self.state in (TaskState.RUNNABLE, TaskState.BLOCKED)
+
+    def park(self, ready: Callable[[], bool], *, interruptible: bool,
+             restart: tuple[int, tuple[int, ...]] | None = None) -> None:
+        """Block until ``ready()``; on wakeup the scheduler re-dispatches
+        ``restart`` (``(sysno, args)``), or the task resumes at its rip."""
+        self.state = TaskState.BLOCKED
+        self.blocked_reason = ready
+        self.blocked_interruptible = interruptible
+        self.in_syscall_restart = restart
+
+    def wake(self) -> tuple[int, tuple[int, ...]] | None:
+        """Make a parked task runnable; returns (and clears) its restart."""
+        self.state = TaskState.RUNNABLE
+        self.blocked_reason = None
+        restart = self.in_syscall_restart
+        self.in_syscall_restart = None
+        return restart
 
     def signal_blocked(self, sig: int) -> bool:
         return bool(self.sigmask & (1 << sig))

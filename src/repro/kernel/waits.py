@@ -1,12 +1,13 @@
 """Blocking-syscall support.
 
 A syscall implementation that cannot complete raises :class:`WouldBlock`
-with a ``ready`` predicate.  The kernel parks the task and re-runs the
-syscall once the predicate holds (Linux-style syscall restart).  Interposer
-code calling back into the kernel uses the same mechanism through
-``Kernel.wait_until``, which cooperatively schedules other tasks and, when
-everything is idle, lets registered external event sources (client models,
-timers) advance simulated time.
+with a ``ready`` predicate.  The kernel parks the task (``Task.park``) and
+re-runs the syscall once the predicate holds (Linux-style syscall restart).
+Host-side code calling back into the kernel (interposers, the unotify
+supervisor, the sync ring drain) waits in ``Kernel.dispatch_blocking``
+instead, which nests ``Scheduler.wait_until``: it cooperatively schedules
+other tasks and, when everything is idle, lets registered external event
+sources (client models, timers) advance simulated time.
 """
 
 from __future__ import annotations

@@ -563,16 +563,3 @@ class ServerWorkload:
                 f"server stalled: {client.stats.completed}/{total} responses"
             )
         return client.throughput(self.machine.costs.frequency_hz)
-
-
-def scaling_curve(
-    spec: ServerSpec,
-    core_counts=(1, 2, 4),
-    **kwargs,
-) -> list[dict]:
-    """The webserver SMP scaling curve: one ``run_workload("webserver")``
-    row per core count."""
-    from repro.workloads.runner import run_workload
-
-    return [run_workload("webserver", server=spec.name, cores=n, **kwargs)
-            for n in core_counts]

@@ -136,7 +136,8 @@ def _nested_patch_image():
 def _patch_after_wait(hctx):
     task, mem = hctx.task, hctx.mem
     flag = task.regs.read_name("r12")
-    hctx.kernel.wait_until(task, lambda: mem.read_u64(flag, check=None) == 1)
+    hctx.kernel.scheduler.wait_until(
+        task, lambda: mem.read_u64(flag, check=None) == 1)
     loop = task.regs.read_name("r14")
     mem.write(loop, mem.read(loop, 1, check=None), check=None)
 

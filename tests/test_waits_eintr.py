@@ -8,7 +8,10 @@ syscall is interposed in FULL_HYBRID, when it takes the SUD_ONLY slow
 path, and when a PASSTHROUGH attach armed nothing at all.  The wake-up
 path (kernel ``WouldBlock`` + ``post_signal``) is completely different
 from the happy path the differential scenarios cover, which is why it
-gets its own matrix.
+gets its own matrix.  The ptrace and seccomp-unotify rows add the two
+tools whose interposer runs outside the guest: ptrace sees a parked
+syscall at its exit stop when the restart or the -EINTR wake completes
+it, and the unotify supervisor waits in ``Kernel.dispatch_blocking``.
 """
 
 from __future__ import annotations
@@ -201,16 +204,15 @@ def test_interrupted_wait_returns_eintr(kind, mode):
         assert tool.mode is expected
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_interposed_wait_sees_the_interrupted_syscall(kind):
-    """The interposer observes the blocking syscall exactly once even
-    though it was aborted by a signal (no phantom re-issue)."""
+def _interposed_blocker_calls(kind: str, tool: str) -> list[str]:
+    """Run the guest under ``tool`` with a recording interposer (exit
+    EXIT_OK asserted); returns the parent's interposed blocking calls."""
     from repro.interpose.api import TraceInterposer
 
     machine = Machine()
     process = machine.load(build_eintr_guest(kind))
     trace = TraceInterposer()
-    attach(machine, process, tool="lazypoline", interposer=trace)
+    attach(machine, process, tool=tool, interposer=trace)
     machine.run(
         until=lambda: not any(
             t.alive for t in machine.kernel.tasks.values()
@@ -220,9 +222,46 @@ def test_interposed_wait_sees_the_interrupted_syscall(kind):
     assert process.exit_code == EXIT_OK
     blocker = {"read": "read", "accept": "accept", "wait": "wait4"}[kind]
     parent_tid = process.task.tid
-    seen = [
+    return [
         e.data["name"]
         for e in trace.tracer.events
         if e.tid == parent_tid and e.data["name"] == blocker
     ]
-    assert seen == [blocker]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_interposed_wait_sees_the_interrupted_syscall(kind):
+    """The interposer observes the blocking syscall exactly once even
+    though it was aborted by a signal (no phantom re-issue)."""
+    assert len(_interposed_blocker_calls(kind, "lazypoline")) == 1
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("tool", ("ptrace", "seccomp_unotify"))
+def test_out_of_guest_tool_sees_the_interrupted_wait_once(kind, tool):
+    assert len(_interposed_blocker_calls(kind, tool)) == 1
+
+
+def test_ptrace_sees_every_completed_webserver_syscall_once():
+    """Every syscall the kernel completes reaches the ptrace interposer
+    exactly once, including each ``epoll_wait`` that parked first."""
+    from collections import Counter
+
+    from repro.interpose.api import TraceInterposer
+    from repro.obs import events as K
+    from repro.obs.tracer import Tracer
+    from repro.workloads.runner import attach_mechanism
+    from repro.workloads.webserver import NGINX, ServerWorkload
+
+    machine = Machine()
+    obs = Tracer()
+    machine.attach_tracer(obs)
+    workload = ServerWorkload(machine, NGINX, file_size=2048)
+    trace = TraceInterposer()
+    attach_mechanism(machine, workload.process, "ptrace", interposer=trace)
+    workload.benchmark(requests=40, warmup=4)
+    completed = Counter(
+        e.data["name"] for e in obs.events if e.kind == K.SYSCALL
+    )
+    assert completed["epoll_wait"] > completed["accept4"] > 0
+    assert Counter(trace.names) == completed
