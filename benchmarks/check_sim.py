@@ -1,12 +1,13 @@
 """Guard the end-to-end benchmark's simulated results against a baseline.
 
-Runs every workload declared in ``BENCHMARK.json`` through::
-
-    python -m benchmarks.e2e --workload W --seconds 1 --trace 0
-
-and fails — exit status 1 — unless each of :data:`SIM_METRICS` equals,
-exactly, the median recorded for that workload in the committed seed-0
-result file ``benchmarks/e2e/results/0.json``.  Simulated metrics are
+Runs every workload declared in ``BENCHMARK.json`` once, in one fresh
+benchmark worker (``python -m benchmarks.e2e.worker``, seed 0, untraced),
+and fails — exit status 1 — unless its whole ``sim`` block equals,
+exactly, the one recorded for that workload in the committed seed-0
+result file ``benchmarks/e2e/results/0.json``: the three gated metrics
+(``sim_cycles_per_op``, ``sim_p50_latency_cycles``,
+``sim_p99_latency_cycles``) and ``guest_insns``, ``sim_latency_samples``
+and, for the request workloads, ``sim_rps``.  Simulated metrics are
 deterministic, so any difference is a behaviour change, not noise; host
 time metrics are not checked here.
 
@@ -20,43 +21,35 @@ With no arguments every workload runs (``make bench-sim``).
 from __future__ import annotations
 
 import json
-import os
 import pathlib
-import subprocess
 import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 BASELINE = ROOT / "benchmarks" / "e2e" / "results" / "0.json"
-SIM_METRICS = ("sim_cycles_per_op", "sim_p50_latency_cycles",
-               "sim_p99_latency_cycles")
+sys.path.insert(0, str(ROOT))
+
+from benchmarks.e2e.cli import run_worker  # noqa: E402
 
 
 def run_workload(name: str) -> dict:
-    """The one-line JSON result of a short untraced run of ``name``."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-m", "benchmarks.e2e", "--workload", name,
-         "--seed", "0", "--seconds", "1", "--trace", "0"],
-        cwd=ROOT, env=env, capture_output=True, text=True,
-    )
-    lines = proc.stdout.splitlines()
-    if proc.returncode != 0 or not lines:
-        raise RuntimeError(f"{name}: benchmark exited {proc.returncode}\n"
-                           + proc.stderr[-2000:])
-    return json.loads(lines[-1])
+    """One untraced repeat of ``name`` in a fresh worker process."""
+    return run_worker({"workload": name, "seed": 0, "traced": False})
 
 
-def check(name: str, line: dict, expected: dict) -> list[str]:
+def check(name: str, result: dict, expected: dict) -> list[str]:
     """Failures of one workload's result against its baseline row."""
-    failures = [] if line["correct"] else [f"{name}: run reported problems"]
-    for metric in SIM_METRICS:
-        want = expected["end_to_end"][metric]["median"]
-        got = line["metrics"][metric]["value"]
-        marker = "ok" if got == want else "DIFFERS"
-        print(f"{name:16s} {metric:24s} {got!r:>20} (baseline {want!r})"
+    failures = []
+    if result["failed"]:
+        failures.append(f"{name}: {result['failed']} of {result['ops']} "
+                        f"ops failed")
+    got, want = result["sim"], expected["sim"]
+    for metric in sorted(want.keys() | got.keys()):
+        value, base = got.get(metric), want.get(metric)
+        marker = "ok" if value == base else "DIFFERS"
+        print(f"{name:16s} {metric:24s} {value!r:>20} (baseline {base!r})"
               f"  {marker}")
-        if got != want:
-            failures.append(f"{name}: {metric} {got!r} != baseline {want!r}")
+        if value != base:
+            failures.append(f"{name}: {metric} {value!r} != baseline {base!r}")
     return failures
 
 

@@ -43,6 +43,18 @@ register local ``r<n>`` and bakes immediates in.  A line ``{x} = ...``
 writes ``x``.  Every template that writes a GPR or an xmm register
 leaves a masked value, so tier 1 stores straight into the register file.
 
+A line that is one fixed-width access, ``x = mem.read_u64(addr)`` or
+``mem.write_u8(addr, v)`` (``u8``, ``u32``, ``u64``), is the one fast
+path of guest memory in both tiers: it renders as a lookup of the page in
+the address space's ``rd`` or ``wr`` map (see
+:mod:`repro.mem.address_space`) plus an ``unpack_from``/``pack_into`` on
+the page's bytearray, with the typed accessor as the fallback for every
+access the map does not admit (:func:`inline_access`).  A stored value is
+in range by construction (registers hold masked values), so the inline
+store does not mask it again.  Tier 2 puts a store's side exit in that
+fallback branch: a page in ``wr`` holds no code, so only the fallback can
+bump ``code_epoch``.
+
 An effect of ``None`` marks the ops no template expresses: the
 environment calls (``syscall``/``sysenter``, ``hcall``, ``hlt``), the
 traps (``int3``, ``ud2``), xsave/xrstor (their cost and the tier-2 guard
@@ -59,6 +71,7 @@ edit.
 from __future__ import annotations
 
 import re
+import struct
 
 from repro.arch.isa import Mnemonic
 from repro.arch.registers import RAX, RSP, SYSCALL_ARG_REGS, SYSCALL_CLOBBERS
@@ -243,7 +256,8 @@ _TABLE = [
     _row(M.FLD1, "", "regs.x87_push(0x3FF0000000000000)",  # 1.0
          implicit="st:st.w", block="tier1"),
     _row(M.FADDP, implicit="st:st.rw", block="tier1"),
-    _row(M.FLD_MEM, "b:g.r disp:disp", f"regs.x87_push(mem.read_u64({_ADDR}))",
+    _row(M.FLD_MEM, "b:g.r disp:disp", (f"_v = mem.read_u64({_ADDR})",
+                                        "regs.x87_push(_v)"),
          implicit="st:st.w", mem="load", block="tier1"),
     _row(M.FSTP_MEM, "b:g.r disp:disp",
          f"mem.write_u64({_ADDR}, regs.x87_pop())",
@@ -266,8 +280,8 @@ _TABLE = [
     _row(M.GSJMP, "disp:disp", f"{{rip}} = mem.read_u64({_GS_ADDR})",
          mem="load", block="tier1"),
     _row(M.GSCOPY8, "dst:disp src:disp",
-         "mem.write_u8(({gs} + {dst}) & {M64},"
-         " mem.read_u8(({gs} + {src}) & {M64}))",
+         ("_v = mem.read_u8(({gs} + {src}) & {M64})",
+          "mem.write_u8(({gs} + {dst}) & {M64}, _v)"),
          mem="store", block="tier1"),
     _row(M.RDPKRU, "d:g.w", "{d} = regs.pkru", block="tier1"),
     _row(M.WRPKRU, "s:g.r", ("regs.pkru = {s} & 0xFFFFFFFF",
@@ -305,11 +319,78 @@ class _Val:
         return getattr(self, spec)
 
 
-def _render(lines, env, lvalue=None):
+#: A template line that is one guest access of a fixed width:
+#: ``<target> = mem.read_<k>(<addr>)`` or ``mem.write_<k>(<addr>, <value>)``.
+_ACCESS = re.compile(r"(?:(?P<target>.+) = )?mem\.(?P<op>read|write)_"
+                     r"(?P<kind>u8|u32|u64)\((?P<addr>[^,]+)(?:, (?P<value>.+))?\)")
+_SIZE = {"u8": 1, "u32": 4, "u64": 8}
+_U32 = struct.Struct("<I")
+_U64 = struct.Struct("<Q")
+
+#: Globals of the generated code of both tiers: the inline accesses'
+#: unpackers and packers.
+ACCESS_NAMES = {"_ld32": _U32.unpack_from, "_ld64": _U64.unpack_from,
+                "_st32": _U32.pack_into, "_st64": _U64.pack_into}
+
+
+def inline_access(table, addr, size, hit, miss):
+    """Source lines of one guest access of ``size`` bytes at ``addr``.
+
+    ``table`` names the page map to look the page up in (the address
+    space's ``rd`` or ``wr``).  When the access lies inside one page of
+    that map, the ``hit`` lines run with ``_p``, the page's bytearray,
+    and ``_o``, the offset in it; otherwise the ``miss`` lines run (the
+    typed accessor, which takes the general path: straddles, unmapped,
+    executable and pkey pages, faults).
+    """
+    # Deferred: the memory layer imports tier 2, which imports this module.
+    from repro.mem.pages import PAGE_SHIFT, PAGE_SIZE
+
+    fits = "" if size == 1 else f"_o <= {PAGE_SIZE - size} and "
+    return [f"_a = {addr}", f"_o = _a & {PAGE_SIZE - 1}",
+            f"if {fits}(_p := {table}.get(_a >> {PAGE_SHIFT})) is not None:",
+            *("    " + line for line in hit), "else:",
+            *("    " + line for line in miss)]
+
+
+def _render(lines, env, lvalue=None, maps=None, on_miss=()):
     """Render template ``lines`` under ``env``; ``lvalue(name)``, when
-    given, renders (and records) each ``{name} = ...`` target itself."""
+    given, renders (and records) each ``{name} = ...`` target itself.
+
+    With ``maps``, the names of the ``(rd, wr)`` page maps, each access
+    line renders inline (:func:`inline_access`).  ``on_miss`` lines follow
+    a store's fallback, after the rest of the instruction, which then
+    renders into both branches.
+    """
     out = []
-    for line in lines:
+    for i, line in enumerate(lines):
+        acc = _ACCESS.fullmatch(line) if maps is not None else None
+        if acc is not None:
+            kind = acc["kind"]
+            addr = acc["addr"].format_map(env)
+            if acc["op"] == "read":
+                # No terminator loads into an operand, so no ``lvalue``.
+                target = acc["target"].format_map(env)
+                hit = (f"{target} = _p[_o]" if kind == "u8"
+                       else f"{target} = _ld{kind[1:]}(_p, _o)[0]")
+                miss = f"{target} = mem.read_{kind}(_a)"
+                table = maps[0]
+                tail = ()
+            else:
+                value = acc["value"].format_map(env)
+                hit = (f"_p[_o] = {value}" if kind == "u8"
+                       else f"_st{kind[1:]}(_p, _o, {value})")
+                miss = f"mem.write_{kind}(_a, {value})"
+                table = maps[1]
+                tail = on_miss
+            rest = []
+            if tail:
+                rest = _render(lines[i + 1:], env, lvalue, maps)
+            out += inline_access(table, addr, _SIZE[kind], [hit, *rest],
+                                 [miss, *rest, *tail])
+            if tail:
+                return out
+            continue
         lhs = _LHS.fullmatch(line) if lvalue is not None else None
         if lhs is not None and lhs.group(1) in env:
             rhs = lhs.group(2).format_map(env)
@@ -354,7 +435,8 @@ def _tier1_def(row) -> str:
             env[name] = _Val(name)
             if kind in _VALUES:
                 prologue.append(_VALUES[kind][0].format(name))
-    body = _render(row.lines + FLAGS.get(row.flags, ()), env)
+    body = _render(row.lines + FLAGS.get(row.flags, ()), env,
+                   maps=("mem.rd", "mem.wr"))
     text = "\n".join(body)
     uses = {n for n in ("g", "xmm", "ymm", "mem", "regs")
             if re.search(rf"\b{n}\b", text)}
@@ -376,7 +458,7 @@ def dispatch(hand_written: dict) -> list:
     generated from the template (all in one ``compile``) for the rest."""
     rows = [r for r in ROWS if r.lines is not None]
     assert not {r.mnemonic for r in rows} & set(hand_written)
-    ns: dict = {}
+    ns = dict(ACCESS_NAMES)
     exec(compile("\n\n".join(_tier1_def(r) for r in rows), "<tier1>", "exec"),
          ns)
     table = [hand_written.get(r.mnemonic) or ns.get(f"_op_{r.mnemonic.value}")
@@ -392,11 +474,13 @@ _TIER2_NAMES = {
 }
 
 
-def render_tier2(row, operands, next_addr: int, term: bool):
+def render_tier2(row, operands, next_addr: int, term: bool, on_miss=()):
     """Tier-2 source of one instruction of ``row``.
 
     Returns ``(lines, flag_lines, flag_refs)``.  GPRs render as the
-    block's register locals and values are baked in.  In a terminator
+    block's register locals and values are baked in; memory accesses
+    render inline over the block's ``rd``/``wr`` locals, and ``on_miss``
+    (the block's side exit) follows a store's fallback.  In a terminator
     (``term``), which runs after the block has spilled, a written GPR
     goes straight to ``g[n]`` and later reads of it in the same
     instruction read ``g[n]`` too.
@@ -426,7 +510,7 @@ def render_tier2(row, operands, next_addr: int, term: bool):
                     env[other] = _Val(text)
             return text
 
-    lines = _render(row.lines, env, lvalue)
+    lines = _render(row.lines, env, lvalue, ("rd", "wr"), on_miss)
     if row.flags is None:
         return lines, (), ()
     flag_lines = _render(FLAGS[row.flags], env)

@@ -49,6 +49,12 @@ A superblock is a maximal straight-line run starting at a hot *head*:
   a chain from wherever the block exits),
 * a conditional or indirect branch may terminate the block *compiled-in*:
   the generated code computes the successor rip and exits,
+* loads and stores, the xsave/xrstor area included, run inline: a
+  lookup of the page in the address space's ``rd``/``wr`` map (bound
+  once per block entry) plus an ``unpack_from``/``pack_into`` on its
+  bytearray, exactly as tier 1's generated handlers do; an access the
+  map does not admit calls the typed accessor instead (see
+  :func:`repro.cpu.ops.inline_access`),
 * faults inside the block spill, rewind ``rip`` to the faulting
   instruction, charge exactly the instructions retired so far (the
   faulting one included, as ``CPU.step`` does) and re-raise for the
@@ -56,7 +62,8 @@ A superblock is a maximal straight-line run starting at a hot *head*:
 * a store that bumps :attr:`AddressSpace.code_epoch` (i.e. hit *any*
   executable page) conservatively side-exits after retiring, so a block
   that overwrites its own upcoming instructions never executes stale
-  bytes.
+  bytes.  Only a store's fallback can bump it (``wr`` holds no
+  executable page), so the test sits in the fallback branch.
 
 Runs of ``nop`` bytes are never compiled: a block never *starts* at a
 ``nop``.  The scheduler *slides* them instead — it retires ``k`` nops of
@@ -104,7 +111,7 @@ from __future__ import annotations
 
 from repro.arch.decode import decode_cached
 from repro.arch.isa import MAX_INSN_LEN, NOP_BYTE, Mnemonic
-from repro.cpu.ops import ROWS, render_tier2
+from repro.cpu.ops import ACCESS_NAMES, ROWS, inline_access, render_tier2
 from repro.errors import InvalidOpcode, PageFault
 from repro.mem.pages import PAGE_SHIFT, PAGE_SIZE
 
@@ -358,13 +365,14 @@ class _Emitter:
 
 
 def _side_exit(e, charge_expr, next_addr, count):
-    """Conservative mid-block exit: state as if the run ended here."""
-    e.emit("if mem.code_epoch != _e:")
-    for line in e.spill("            "):
-        e.lines.append(line)
-    e.lines.append(f"            charge(task, {charge_expr})")
-    e.lines.append(f"            regs.rip = {next_addr}")
-    e.lines.append(f"            return {count}")
+    """Conservative mid-block exit after a store's fallback: state as if
+    the run ended here.  Only the fallback can bump ``code_epoch`` (the
+    ``wr`` map holds no executable page)."""
+    return ["if mem.code_epoch != _e:",
+            *e.spill("    "),
+            f"    charge(task, {charge_expr})",
+            f"    regs.rip = {next_addr}",
+            f"    return {count}"]
 
 
 def compile_block(mem, head, cost_table, xstate, max_len=None):
@@ -497,14 +505,27 @@ def compile_block(mem, head, cost_table, xstate, max_len=None):
                 e.lines.append(f"            regs.rip = {addr}")
                 e.lines.append(f"            return {k}")
             area = f"(r{ops[0]} + {ops[1]}) & {_M64}"
+            size = XSAVE_AREA_SIZE
             if m is Mnemonic.XSAVE:
-                e.emit(f"mem.write({area}, _xsave(regs, task.xsave_mask))")
-                if k != n - 1:
-                    _side_exit(e, exit_cyc, next_addr, k + 1)
+                state = "_xsave(regs, task.xsave_mask)"
+                lines = inline_access(
+                    "wr", area, size, [f"_p[_o:_o + {size}] = {state}"],
+                    [f"mem.write(_a, {state})",
+                     *(_side_exit(e, exit_cyc, next_addr, k + 1)
+                       if k != n - 1 else ())])
             else:
-                e.emit(f"_xrstor(regs, mem.read({area}, {XSAVE_AREA_SIZE}))")
+                lines = inline_access(
+                    "rd", area, size,
+                    [f"_xrstor(regs, bytes(_p[_o:_o + {size}]))"],
+                    [f"_xrstor(regs, mem.read(_a, {size}))"])
+            for line in lines:
+                e.emit(line)
             continue
-        lines, flag_lines, refs = render_tier2(row, ops, next_addr, is_term)
+        on_miss = ()
+        if row.mem == "store" and not is_term and k != n - 1:
+            on_miss = _side_exit(e, exit_cyc, next_addr, k + 1)
+        lines, flag_lines, refs = render_tier2(row, ops, next_addr, is_term,
+                                               on_miss)
         if is_term:
             e.materialize()
             for line in e.spill():
@@ -522,8 +543,6 @@ def compile_block(mem, head, cost_table, xstate, max_len=None):
             e.emit(line)
         if row.flags is not None:
             e.set_flags_from(flag_lines, refs)
-        if row.mem == "store" and k != n - 1:
-            _side_exit(e, exit_cyc, next_addr, k + 1)
 
     if ROWS[insns[-1][1].mnemonic.op_index].block != "term":
         # Fallthrough exit: the next instruction is not compilable (or the
@@ -542,6 +561,8 @@ def compile_block(mem, head, cost_table, xstate, max_len=None):
         src.append("    g = regs.gpr")
     if e.uses_mem:
         src.append("    mem = task.mem")
+        body = "\n".join(e.lines)
+        src += [f"    {t} = mem.{t}" for t in ("rd", "wr") if f"{t}.get(" in body]
     if uses_gs:
         src.append("    gs = regs.gs_base")
     for r in sorted(e.regs):
@@ -564,7 +585,7 @@ def compile_block(mem, head, cost_table, xstate, max_len=None):
     else:
         src.extend(line[4:] for line in e.lines)
 
-    ns = dict(e.consts)
+    ns = dict(ACCESS_NAMES, **e.consts)
     if guarded:
         ns["_xsave"] = xsave_serialize
         ns["_xrstor"] = xrstor_apply

@@ -10,17 +10,24 @@ SIGSEGV.  Kernel-side accesses pass ``check=None``: they bypass
 permissions and protection keys, like the kernel touching user memory
 does, and fault only on unmapped pages.
 
-Every accessor except :meth:`fetch` first tries a one-page fast path:
-an access that lies inside one mapped page and passes its permission and
-protection-key check reads or writes ``page.data`` directly.  Anything
-else — a zero length, a page-straddling access, an unmapped page, a
-missing permission, a pkey denial or ``check="exec"`` — falls back to
-the general path (:meth:`_access` plus a per-page chunked copy).  The
-fast path never raises: every :class:`~repro.errors.PageFault` outside
-:meth:`fetch` comes from :meth:`_access`.  Both paths read live page
-fields, so nothing needs invalidating when permissions, pkeys or the
-PKRU change; a store into an executable page bumps its exec generation
-on either path.
+Two maps from page number to ``page.data`` are the one fast path of
+every guest load and store: :attr:`AddressSpace.rd` holds the readable
+pages with protection key 0, :attr:`AddressSpace.wr` the writable,
+non-executable pages with key 0.  Every page-table edit (:meth:`map`,
+:meth:`unmap`, :meth:`protect`, :meth:`assign_pkey`, :meth:`fork_copy`)
+updates them eagerly; nothing fills them lazily and nothing caches a
+permission anywhere else.  An access inside one page found in the map
+for its check reads or writes that bytearray directly: the typed
+accessors here, and the memory ops that both interpreter tiers inline
+(see :mod:`repro.cpu.ops`).  Key 0 is never denied by the PKRU, so the
+maps need no update when ``active_pkru`` changes; and a page in ``wr``
+holds no code, so a store through it never bumps an exec generation.
+Everything else falls back to the general path (:meth:`_access` plus a
+per-page chunked copy): a zero length, a page-straddling access, an
+unmapped page, a missing permission, an executable target of a store
+(which bumps the page's exec generation), a page with a nonzero key,
+``check="exec"``.  Only the general path raises
+:class:`~repro.errors.PageFault` outside :meth:`fetch`.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _U64 = struct.Struct("<Q")
 _OFFSET_MASK = PAGE_SIZE - 1
+_M64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -66,14 +74,6 @@ class Region:
 
 _ACCESS_BIT = {"read": PERM_R, "write": PERM_W, "exec": PERM_X}
 
-#: Fast-path rule per ``check``: (required permission bit, PKRU bits of the
-#: page's key that deny the access).  Reads are denied by access-disable,
-#: writes by access- or write-disable; ``check=None`` needs neither.
-#: ``"exec"`` is absent, so exec-checked accesses always take the general
-#: path.
-_FAST_RULE = {"read": (PERM_R, 1), "write": (PERM_W, 3), None: (0, 0)}
-
-
 class AddressSpace:
     """Sparse paged virtual memory for one process.
 
@@ -93,6 +93,13 @@ class AddressSpace:
 
     def __init__(self):
         self._pages: dict[int, Page] = {}
+        #: Page number -> ``page.data`` of every readable page with
+        #: protection key 0, and of every writable, non-executable one
+        #: (see the module docstring).  Kept in step with ``_pages`` by
+        #: :meth:`_sync`; both interpreter tiers read them inline, so they
+        #: are never rebound.
+        self.rd: dict[int, bytearray] = {}
+        self.wr: dict[int, bytearray] = {}
         self.active_pkru = 0
         self.allocated_pkeys: set[int] = set()
         self.asid = AddressSpace._next_asid
@@ -163,6 +170,19 @@ class AddressSpace:
         if hook is not None:
             hook(self, pn)
 
+    def _sync(self, pn: int, page: Page | None) -> None:
+        """Bring page ``pn``'s entries in :attr:`rd` and :attr:`wr` in line
+        with ``page`` (``None``: unmapped)."""
+        perm = page.perm if page is not None and not page.pkey else 0
+        if perm & PERM_R:
+            self.rd[pn] = page.data
+        else:
+            self.rd.pop(pn, None)
+        if perm & (PERM_W | PERM_X) == PERM_W:
+            self.wr[pn] = page.data
+        else:
+            self.wr.pop(pn, None)
+
     # ------------------------------------------------------------- mapping
     def map(self, addr: int, length: int, perm: Perm, *, fixed: bool = True) -> int:
         """Map ``length`` bytes at page-aligned ``addr`` with ``perm``.
@@ -181,7 +201,8 @@ class AddressSpace:
                 raise MapError(f"mapping overlap at {pn << PAGE_SHIFT:#x}")
         perm = int(perm)
         for pn in range(first, first + count):
-            self._pages[pn] = Page(perm=perm)
+            page = self._pages[pn] = Page(perm=perm)
+            self._sync(pn, page)
         return addr
 
     def map_anywhere(self, length: int, perm: Perm, hint: int = 0x1000_0000) -> int:
@@ -201,6 +222,7 @@ class AddressSpace:
         count = page_align_up(length) >> PAGE_SHIFT
         for pn in range(first, first + count):
             page = self._pages.pop(pn, None)
+            self._sync(pn, None)
             if page is not None and page.perm & PERM_X:
                 self._bump_exec_gen(pn)
 
@@ -221,6 +243,7 @@ class AddressSpace:
             if page.perm & PERM_X:
                 self._bump_exec_gen(pn)
             page.perm = perm
+            self._sync(pn, page)
 
     def is_mapped(self, addr: int, length: int = 1) -> bool:
         first = addr >> PAGE_SHIFT
@@ -248,23 +271,6 @@ class AddressSpace:
         return [r for r in self.regions() if r.perm & Perm.X]
 
     # -------------------------------------------------------------- access
-    def _fast_page(self, addr: int, length: int, check: str | None) -> Page | None:
-        """The page holding ``[addr, addr+length)`` when that access lies
-        inside one mapped page and passes ``check``; ``None`` sends the
-        caller to the general path.  ``length`` must be positive."""
-        if (addr & _OFFSET_MASK) + length > PAGE_SIZE:
-            return None
-        page = self._pages.get(addr >> PAGE_SHIFT)
-        rule = _FAST_RULE.get(check)
-        if page is None or rule is None:
-            return None
-        bit, deny = rule
-        if page.perm & bit != bit:
-            return None
-        if page.pkey and self.active_pkru >> 2 * page.pkey & deny:
-            return None
-        return page
-
     def _access(self, addr: int, length: int, access: str | None) -> None:
         if length <= 0:
             return
@@ -327,23 +333,20 @@ class AddressSpace:
 
     def read(self, addr: int, length: int, *, check: str | None = "read") -> bytes:
         """Read ``length`` bytes, enforcing ``check`` permission."""
-        if length > 0:
-            page = self._fast_page(addr, length, check)
-            if page is not None:
-                off = addr & _OFFSET_MASK
-                return bytes(page.data[off : off + length])
+        off = addr & _OFFSET_MASK
+        if 0 < length <= PAGE_SIZE - off and (check == "read" or check is None):
+            buf = self.rd.get(addr >> PAGE_SHIFT)
+            if buf is not None:
+                return bytes(buf[off : off + length])
         return self._read_general(addr, length, check)
 
     def write(self, addr: int, data: bytes, *, check: str | None = "write") -> None:
         """Write ``data``, enforcing ``check`` permission."""
-        length = len(data)
-        if length > 0:
-            page = self._fast_page(addr, length, check)
-            if page is not None:
-                off = addr & _OFFSET_MASK
-                page.data[off : off + length] = data
-                if page.perm & PERM_X:
-                    self._bump_exec_gen(addr >> PAGE_SHIFT)
+        off = addr & _OFFSET_MASK
+        if 0 < len(data) <= PAGE_SIZE - off and (check == "write" or check is None):
+            buf = self.wr.get(addr >> PAGE_SHIFT)
+            if buf is not None:
+                buf[off : off + len(data)] = data
                 return
         self._write_general(addr, data, check)
 
@@ -372,83 +375,92 @@ class AddressSpace:
         return bytes(out)
 
     # ------------------------------------------------------ typed accessors
+    # Each tries its map first (``rd`` for a read, ``wr`` for a write;
+    # ``check=None`` uses them too, since the kernel may do whatever a
+    # user access may), then falls back to the general path.
     def read_u8(self, addr: int, *, check: str | None = "read") -> int:
-        page = self._fast_page(addr, 1, check)
-        if page is not None:
-            return page.data[addr & _OFFSET_MASK]
+        if check == "read" or check is None:
+            buf = self.rd.get(addr >> PAGE_SHIFT)
+            if buf is not None:
+                return buf[addr & _OFFSET_MASK]
         return self._read_general(addr, 1, check)[0]
 
     def write_u8(self, addr: int, value: int, *, check: str | None = "write") -> None:
-        page = self._fast_page(addr, 1, check)
-        if page is None:
-            self._write_general(addr, bytes((value & 0xFF,)), check)
-            return
-        page.data[addr & _OFFSET_MASK] = value & 0xFF
-        if page.perm & PERM_X:
-            self._bump_exec_gen(addr >> PAGE_SHIFT)
+        if check == "write" or check is None:
+            buf = self.wr.get(addr >> PAGE_SHIFT)
+            if buf is not None:
+                buf[addr & _OFFSET_MASK] = value & 0xFF
+                return
+        self._write_general(addr, bytes((value & 0xFF,)), check)
 
     def read_u16(self, addr: int, *, check: str | None = "read") -> int:
-        page = self._fast_page(addr, 2, check)
-        if page is not None:
-            return _U16.unpack_from(page.data, addr & _OFFSET_MASK)[0]
+        off = addr & _OFFSET_MASK
+        if off <= PAGE_SIZE - 2 and (check == "read" or check is None):
+            buf = self.rd.get(addr >> PAGE_SHIFT)
+            if buf is not None:
+                return _U16.unpack_from(buf, off)[0]
         return _U16.unpack(self._read_general(addr, 2, check))[0]
 
     def read_u32(self, addr: int, *, check: str | None = "read") -> int:
-        page = self._fast_page(addr, 4, check)
-        if page is not None:
-            return _U32.unpack_from(page.data, addr & _OFFSET_MASK)[0]
+        off = addr & _OFFSET_MASK
+        if off <= PAGE_SIZE - 4 and (check == "read" or check is None):
+            buf = self.rd.get(addr >> PAGE_SHIFT)
+            if buf is not None:
+                return _U32.unpack_from(buf, off)[0]
         return _U32.unpack(self._read_general(addr, 4, check))[0]
 
     def write_u32(self, addr: int, value: int, *, check: str | None = "write") -> None:
-        page = self._fast_page(addr, 4, check)
-        if page is None:
-            self._write_general(addr, _U32.pack(value & 0xFFFFFFFF), check)
-            return
-        _U32.pack_into(page.data, addr & _OFFSET_MASK, value & 0xFFFFFFFF)
-        if page.perm & PERM_X:
-            self._bump_exec_gen(addr >> PAGE_SHIFT)
+        off = addr & _OFFSET_MASK
+        if off <= PAGE_SIZE - 4 and (check == "write" or check is None):
+            buf = self.wr.get(addr >> PAGE_SHIFT)
+            if buf is not None:
+                _U32.pack_into(buf, off, value & 0xFFFFFFFF)
+                return
+        self._write_general(addr, _U32.pack(value & 0xFFFFFFFF), check)
 
     def read_u64(self, addr: int, *, check: str | None = "read") -> int:
-        page = self._fast_page(addr, 8, check)
-        if page is not None:
-            return _U64.unpack_from(page.data, addr & _OFFSET_MASK)[0]
+        off = addr & _OFFSET_MASK
+        if off <= PAGE_SIZE - 8 and (check == "read" or check is None):
+            buf = self.rd.get(addr >> PAGE_SHIFT)
+            if buf is not None:
+                return _U64.unpack_from(buf, off)[0]
         return _U64.unpack(self._read_general(addr, 8, check))[0]
 
     def write_u64(self, addr: int, value: int, *, check: str | None = "write") -> None:
-        page = self._fast_page(addr, 8, check)
-        if page is None:
-            self._write_general(addr, _U64.pack(value & (1 << 64) - 1), check)
-            return
-        _U64.pack_into(page.data, addr & _OFFSET_MASK, value & (1 << 64) - 1)
-        if page.perm & PERM_X:
-            self._bump_exec_gen(addr >> PAGE_SHIFT)
+        off = addr & _OFFSET_MASK
+        if off <= PAGE_SIZE - 8 and (check == "write" or check is None):
+            buf = self.wr.get(addr >> PAGE_SHIFT)
+            if buf is not None:
+                _U64.pack_into(buf, off, value & _M64)
+                return
+        self._write_general(addr, _U64.pack(value & _M64), check)
 
     def read_cstr(self, addr: int, maxlen: int = 4096, *, check: str | None = "read") -> bytes:
         """Read a NUL-terminated byte string (at most ``maxlen`` bytes).
 
-        Scans one page slice at a time; a page the fast path refuses is
-        read one byte at a time, so a fault lands on the first byte the
-        string actually reaches.
+        Scans one page slice at a time; a page outside ``rd`` is read one
+        byte at a time, so a fault lands on the first byte the string
+        actually reaches.
         """
+        rd = self.rd if check == "read" or check is None else {}
         out = bytearray()
         pos = addr
         while len(out) < maxlen:
-            off = pos & _OFFSET_MASK
-            chunk = min(maxlen - len(out), PAGE_SIZE - off)
-            page = self._fast_page(pos, chunk, check)
-            if page is None:
+            buf = rd.get(pos >> PAGE_SHIFT)
+            if buf is None:
                 byte = self._read_general(pos, 1, check)[0]
                 if byte == 0:
                     break
                 out.append(byte)
                 pos += 1
                 continue
-            data = page.data
-            nul = data.find(0, off, off + chunk)
+            off = pos & _OFFSET_MASK
+            chunk = min(maxlen - len(out), PAGE_SIZE - off)
+            nul = buf.find(0, off, off + chunk)
             if nul >= 0:
-                out += data[off:nul]
+                out += buf[off:nul]
                 break
-            out += data[off : off + chunk]
+            out += buf[off : off + chunk]
             pos += chunk
         return bytes(out)
 
@@ -482,11 +494,14 @@ class AddressSpace:
             if page is None:
                 raise MapError(f"pkey on unmapped page {pn << PAGE_SHIFT:#x}")
             page.pkey = key
+            self._sync(pn, page)
 
     # ----------------------------------------------------------------- fork
     def fork_copy(self) -> "AddressSpace":
         """Deep copy for fork()."""
         clone = AddressSpace()
         clone._pages = {pn: page.copy() for pn, page in self._pages.items()}
+        for pn, page in clone._pages.items():
+            clone._sync(pn, page)
         clone.allocated_pkeys = set(self.allocated_pkeys)
         return clone

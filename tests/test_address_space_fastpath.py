@@ -1,15 +1,20 @@
-"""The one-page fast path of :class:`AddressSpace` is invisible.
+"""The page maps of :class:`AddressSpace` are invisible.
 
-Every accessor first tries to serve an access that lies inside one mapped
-page and passes its checks straight from ``page.data``; anything else
-takes the general path (``_access`` plus a per-page chunked copy).  The
-property test below runs every accessor against a reference that always
-takes the general path, over random layouts, permissions, protection keys
-and PKRU values, at addresses around page ends.  Results, page faults
-(address, access kind, message), page contents and the exec-generation
-counters must all agree.  The regression tests pin the side effects a
-fast store must keep: compiled-block flushes, the tier-2 ``code_epoch``
-side exit, the pkey fault text and ``read_cstr`` fault placement.
+Every accessor first tries to serve an access that lies inside one page
+of its map (``rd``: readable pages with pkey 0; ``wr``: writable,
+non-executable pages with pkey 0) straight from that page's bytearray;
+anything else takes the general path (``_access`` plus a per-page chunked
+copy).  The first property test runs every accessor against a reference
+that always takes the general path, over random layouts, permissions,
+protection keys and PKRU values, at addresses around page ends.  Results,
+page faults (address, access kind, message), page contents and the
+exec-generation counters must all agree.  The second runs random
+sequences of page-table edits and checks after each step that both maps
+equal a recomputation from the page table, entry by entry the very
+``page.data`` object.  The regression tests pin the side effects a
+fallback store must keep: compiled-block flushes, the tier-2
+``code_epoch`` side exit, the pkey fault text and ``read_cstr`` fault
+placement.
 """
 
 from __future__ import annotations
@@ -21,9 +26,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.arch.encode import Assembler
 from repro.cpu.core import BareTask, CPU, NullEnvironment
-from repro.errors import PageFault
+from repro.errors import MapError, PageFault
 from repro.mem.address_space import AddressSpace
-from repro.mem.pages import PAGE_SIZE, PERM_X, Perm
+from repro.mem.pages import PAGE_SIZE, PERM_R, PERM_W, PERM_X, Perm
 
 BASE = 0x40000
 NPAGES = 3
@@ -186,6 +191,64 @@ def test_every_accessor_matches_the_general_path(layout, fills, pkru, ops):
         want = _outcome(lambda: ref_call(ref, addr, length, value, check))
         assert got == want, (name, hex(addr), length, check)
         assert _state(fast) == _state(ref), (name, hex(addr), length, check)
+
+
+# ------------------------------------------------------- map invariant
+def _expected_maps(mem):
+    """``rd`` and ``wr`` recomputed from the page table."""
+    rd, wr = {}, {}
+    for pn, page in mem._pages.items():
+        if page.pkey:
+            continue
+        if page.perm & PERM_R:
+            rd[pn] = page.data
+        if page.perm & PERM_W and not page.perm & PERM_X:
+            wr[pn] = page.data
+    return rd, wr
+
+
+def _assert_maps(mem):
+    for got, want in zip((mem.rd, mem.wr), _expected_maps(mem)):
+        assert sorted(got) == sorted(want)
+        assert all(got[pn] is want[pn] for pn in want)
+
+
+_first = st.integers(0, 5)  # page index from BASE
+_count = st.integers(1, 3)
+edit_spec = st.one_of(
+    st.tuples(st.just("map"), _first, _count, st.integers(0, 7)),
+    st.tuples(st.just("unmap"), _first, _count),
+    st.tuples(st.just("protect"), _first, _count, st.integers(0, 7)),
+    st.tuples(st.just("pkey"), _first, _count, st.integers(0, 3)),
+    st.tuples(st.just("fork")),
+    st.tuples(st.just("pkru"), st.integers(0, 0xFF)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(edits=st.lists(edit_spec, min_size=1, max_size=16))
+def test_page_maps_follow_every_page_table_edit(edits):
+    mem = AddressSpace()
+    for op, *args in edits:
+        if op in ("map", "unmap", "protect", "pkey"):
+            addr, length = BASE + args[0] * PAGE_SIZE, args[1] * PAGE_SIZE
+        try:
+            if op == "map":
+                mem.map(addr, length, Perm(args[2]))
+            elif op == "unmap":
+                mem.unmap(addr, length)
+            elif op == "protect":
+                mem.protect(addr, length, Perm(args[2]))
+            elif op == "pkey":
+                mem.assign_pkey(addr, length, args[2])
+            elif op == "fork":
+                parent, mem = mem, mem.fork_copy()
+                _assert_maps(parent)
+            else:
+                mem.active_pkru = args[0]
+        except MapError:
+            pass
+        _assert_maps(mem)
 
 
 # ----------------------------------------------------- side-effect pins

@@ -8,7 +8,10 @@ memory access, and the xstate pair behind a guard on the task's xstate
 component count, so each case below pins one way the compiled form could
 drift from single-stepping: a gs store or xsave that patches code, a gs
 load or xrstor that faults, a guard that must miss, and the hotness gate
-on tail variants.
+on tail variants.  Both tiers serve a one-page access inline from the
+address space's page maps; the fallback-edge cases at the end run
+accesses the inline path must miss three ways (uncached reference, tier-1
+steps, compiled block) and compare everything.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from repro.arch.isa import Mnemonic
 from repro.arch.registers import XComponent
 from repro.cpu.core import BareTask, CPU, NullEnvironment
 from repro.cpu.superblock import HOT_THRESHOLD, _decode_run
+from repro.workloads.runner import attach_mechanism
 from repro.errors import PageFault
 from repro.kernel.machine import Machine
 from repro.kernel.signals import SIGSEGV
@@ -405,3 +409,208 @@ def test_tail_variants_keep_cycles_identical(quantum):
     tails = [k for k, b in proc.task.mem.block_cache.blocks.items()
              if type(k) is tuple and b.fn is not None]
     assert tails
+
+
+# ------------------------------------------------------------ fallback edges
+def _three_ways(code, prepare, perm=Perm.RX):
+    """Run ``code`` at ``CODE`` to its hlt or first fault three ways — the
+    uncached reference, tier-1 steps, and the block compiled at ``CODE``
+    followed by tier-1 steps — after ``prepare(task)``.  Registers,
+    memory, cycles, exec generations, ``code_epoch`` and the fault record
+    (fault, rip of the faulting instruction, instructions retired) must
+    agree.  Returns what the compiled block itself retired."""
+    seen = {}
+    block_retired = None
+    for way in ("reference", "tier1", "tier2"):
+        cpu, task, env = _bare(code, perm)
+        if way == "reference":
+            cpu = CPU(env, translation_cache=False)
+        prepare(task)
+        retired, fault = 0, None
+        try:
+            if way == "tier2":
+                block = cpu.compile_superblock(task.mem, CODE, task)
+                assert block.fn is not None
+                try:
+                    block_retired = block.fn(task, env.charge)
+                except PageFault:
+                    retired = task.sb_fault
+                    raise
+                retired = block_retired
+            while not env.halted:
+                addr = task.regs.rip
+                retired += 1
+                try:
+                    cpu.step(task)
+                except PageFault:
+                    task.regs.rip = addr  # the scheduler's rewind
+                    raise
+        except PageFault as e:
+            fault = (e.address, e.access, str(e))
+        mem = task.mem
+        seen[way] = (
+            fault, task.regs.rip, retired, task.regs,
+            sorted((pn, p.perm, p.pkey, bytes(p.data))
+                   for pn, p in mem._pages.items()),
+            env.cycles, sorted(mem.exec_gen.items()), mem.code_epoch,
+        )
+    assert seen["tier1"] == seen["reference"]
+    assert seen["tier2"] == seen["tier1"]
+    return block_retired, seen["tier2"]
+
+
+def test_push_onto_executable_stack_page_bumps_and_side_exits():
+    """A push onto an executable stack page misses ``wr``: its fallback
+    bumps the page's exec generation and the block side-exits after it."""
+    a = Assembler(base=CODE)
+    a.mov_imm("rcx", 7)
+    a.push("rcx")
+    for _ in range(8):
+        a.inc("rbx")
+    a.hlt()
+
+    def prepare(task):
+        task.mem.protect(STACK, PAGE_SIZE, Perm.RWX)
+
+    retired, (fault, *_, gens, epoch) = _three_ways(a.assemble(), prepare)
+    assert retired == 2 and fault is None
+    # the code page's own load bumped once, the push once more
+    assert dict(gens)[STACK >> 12] == 1 and epoch == 2
+
+
+@pytest.mark.parametrize("pkru", [0, 0b1000, 0b0100],
+                         ids=["open", "write-disabled", "access-disabled"])
+def test_gs_store_to_pkey_page(pkru):
+    """gs traffic on a page tagged with key 1 (lazypoline_pkey's gs page)
+    misses both maps: it lands through the accessor, or faults with the
+    pkey message, at the same instruction in every tier."""
+    a = Assembler(base=CODE)
+    a.inc("rbx")
+    a.gsstore(16, "rbx")
+    a.gsload("rax", 16)
+    a.gsstore8(24, "rax")
+    a.inc("rbx")
+    a.hlt()
+
+    def prepare(task):
+        mem = task.mem
+        mem.assign_pkey(STACK, PAGE_SIZE, mem.pkey_alloc())
+        mem.active_pkru = pkru
+        task.regs.gs_base = STACK
+
+    retired, (fault, *_) = _three_ways(a.assemble(), prepare)
+    if pkru:
+        assert fault is not None and "pkey 1 forbids" in fault[2]
+    else:
+        assert fault is None and retired == 5
+
+
+@pytest.mark.parametrize("next_page", ["mapped", "unmapped"])
+@pytest.mark.parametrize("offset", range(PAGE_SIZE - 7, PAGE_SIZE))
+def test_u8_and_u64_accesses_at_page_end(offset, next_page):
+    """u8 accesses in a page's last seven bytes stay inline; u64 ones
+    straddle and fall back, into a mapped page or a fault."""
+    a = Assembler(base=CODE)
+    a.inc("rbx")
+    a.load8("rax", "rsi", 0)
+    a.store8("rsi", 0, "rbx")
+    a.label("u64")
+    a.load("rcx", "rsi", 0)
+    a.store("rsi", 0, "rbx")
+    a.inc("rbx")
+    a.hlt()
+
+    def prepare(task):
+        if next_page == "mapped":
+            task.mem.map(STACK + PAGE_SIZE, PAGE_SIZE, Perm.RW)
+            task.mem.write(STACK + PAGE_SIZE, bytes(range(1, 9)), check=None)
+        task.regs.write_name("rsi", STACK + offset)
+
+    retired, (fault, rip, *_) = _three_ways(a.assemble(), prepare)
+    if next_page == "mapped":
+        assert fault is None and retired == 6
+    else:
+        assert fault[0] == STACK + PAGE_SIZE and rip == a.address_of("u64")
+
+
+@pytest.mark.parametrize("order", ["load-first", "store-first"])
+@pytest.mark.parametrize("perm", [Perm.R, Perm.W], ids=["r", "w"])
+def test_read_only_and_write_only_pages(perm, order):
+    """An R-only page is in ``rd`` only and a W-only page in ``wr`` only:
+    the access the map admits runs inline, the other faults."""
+    a = Assembler(base=CODE)
+    a.inc("rbx")
+    if order == "load-first":
+        a.load("rax", "rsi", 8)
+        a.store("rsi", 16, "rbx")
+    else:
+        a.store("rsi", 16, "rbx")
+        a.load("rax", "rsi", 8)
+    a.inc("rbx")
+    a.hlt()
+
+    def prepare(task):
+        task.mem.protect(STACK, PAGE_SIZE, perm)
+        task.regs.write_name("rsi", STACK)
+
+    _, (fault, rip, retired, *_) = _three_ways(a.assemble(), prepare)
+    admitted_first = (perm == Perm.R) == (order == "load-first")
+    assert fault is not None and retired == (3 if admitted_first else 2)
+
+
+@pytest.mark.parametrize("op", ["load", "store", "load8", "store8"])
+def test_unmapped_target(op):
+    a = Assembler(base=CODE)
+    a.inc("rbx")
+    if op.startswith("load"):
+        getattr(a, op)("rax", "rsi", 0)
+    else:
+        getattr(a, op)("rsi", 0, "rbx")
+    a.inc("rbx")
+    a.hlt()
+
+    def prepare(task):
+        task.regs.write_name("rsi", UNMAPPED + 8)
+
+    _, (fault, rip, retired, *_) = _three_ways(a.assemble(), prepare)
+    assert fault[0] == UNMAPPED + 8 and retired == 2
+
+
+def test_lazypoline_pkey_gs_glue_matches_every_tier():
+    """A getpid loop under ``lazypoline_pkey``: the interposer's gs page
+    carries a protection key, so every compiled gs access of its glue
+    takes the fallback.  The uncached reference, tier 1 alone and both
+    tiers end in the same state, and the glue did compile."""
+    a = asm()
+    a.label("_start")
+    a.mov_imm("rbx", 64)
+    a.label("loop")
+    emit_syscall(a, "getpid")
+    a.dec("rbx")
+    a.jnz("loop")
+    emit_exit(a, 0)
+    image = image_from_assembler("pkey-loop", a, entry="_start")
+    skip = {BLOCK_COMPILE, BLOCK_INVALIDATE, CACHE_INVALIDATE}
+    out = {}
+    for cached, sb in ((False, False), (True, False), (True, True)):
+        tracer = Tracer()
+        machine = Machine(translation_cache=cached, superblocks=sb,
+                          tracer=tracer)
+        proc = machine.load(image)
+        attach_mechanism(machine, proc, "lazypoline_pkey")
+        machine.run_process(proc, max_instructions=1_000_000)
+        mem = proc.task.mem
+        out[cached, sb] = (
+            proc.exit_code, proc.term_signal, proc.task.regs, machine.clock,
+            machine.scheduler.total_instructions,
+            sorted((pn, bytes(p.data)) for pn, p in mem._pages.items()),
+            sorted(mem.exec_gen.items()), mem.code_epoch,
+            [(e.ts, e.kind, e.tid, tuple(sorted(e.data.items())))
+             for e in tracer.events if e.kind not in skip],
+        )
+    assert out[True, False] == out[False, False]
+    assert out[True, True] == out[True, False]
+    assert out[True, True][0] == 0
+    keyed = {pn for pn, p in mem._pages.items() if p.pkey}
+    assert keyed and not keyed & (mem.rd.keys() | mem.wr.keys())
+    assert _compiled_heads(mem, Mnemonic.GSSTORE)

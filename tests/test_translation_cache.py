@@ -583,18 +583,50 @@ def _events(tracer, skip):
             for e in tracer.events if e.kind not in skip]
 
 
-def _tier_skip(smc):
-    """Event kinds only one side of a tiering identity can emit."""
-    # Slid interior nops are never decoded, so after a patch the tiered
-    # run reports fewer stale decodes; every other event must match.
-    skip = {BLOCK_COMPILE, BLOCK_INVALIDATE}
-    if smc:
-        skip.add(CACHE_INVALIDATE)
-    return skip
+#: Event kinds only tier 2 emits.
+_TIER2_ONLY = {BLOCK_COMPILE, BLOCK_INVALIDATE}
 
 
-def _slide_outcomes(image, *, cores=1, smc=False, event_at=None,
-                    deadline=None):
+def _record_slides(machine):
+    """The set of addresses every nop slide of ``machine`` retires."""
+    slid = set()
+    sched = machine.scheduler
+    slide = sched._slide
+
+    def spy(task, start, end, room):
+        k = slide(task, start, end, room)
+        slid.update(range(start, start + k))
+        return k
+
+    sched._slide = spy
+    return slid
+
+
+def _split_stale(events):
+    """``(cache_invalidate events, every other event)``."""
+    stale = [e for e in events if e[1] == CACHE_INVALIDATE]
+    return stale, [e for e in events if e[1] != CACHE_INVALIDATE]
+
+
+def _assert_stale_decodes(untiered, tiered, slid):
+    """Tier 2 reports tier 1's stale decodes, in order and at the same
+    clocks, except some at nop addresses it slid: a slid nop is not
+    decoded, so after a patch it cannot be found stale.  That is the only
+    difference allowed."""
+    missing = []
+    rest = iter(tiered)
+    want = next(rest, None)
+    for event in untiered:
+        if event == want:
+            want = next(rest, None)
+        else:
+            missing.append(event)
+    assert want is None, ("tier 2 reports a stale decode tier 1 does not",
+                          want)
+    assert all(dict(e[4])["addr"] in slid for e in missing), missing
+
+
+def _slide_outcomes(image, *, cores=1, event_at=None, deadline=None):
     """Run ``image`` with tiering off and on, under a custom cost model and
     the default one; the default model's outcome and the tiered machine's
     superblock stats.  An outcome holds the tracer event stream and the
@@ -602,14 +634,14 @@ def _slide_outcomes(image, *, cores=1, smc=False, event_at=None,
     that clock which records the clock and ``rip`` when it fires;
     ``deadline`` also stops the run once the clock reaches it (the
     fleet's deadline form)."""
-    skip = _tier_skip(smc)
     clocks = []
     for insn_costs in (_CUSTOM_COSTS, DEFAULT_INSN_COSTS):
-        out = {}
+        out, stale = {}, {}
         for sb in (False, True):
             tracer = Tracer()
             machine = Machine(CostModel(insn_costs=insn_costs),
                               superblocks=sb, tracer=tracer, cores=cores)
+            slid = _record_slides(machine)
             proc = machine.load(image)
             fired = []
             if event_at is not None:
@@ -620,6 +652,7 @@ def _slide_outcomes(image, *, cores=1, smc=False, event_at=None,
                 machine, lambda: not proc.task.alive or (
                     deadline is not None and machine.clock >= deadline))
             machine.run(until=until, max_instructions=1_000_000)
+            stale[sb], events = _split_stale(_events(tracer, _TIER2_ONLY))
             out[sb] = (
                 proc.exit_code,
                 proc.term_signal,
@@ -627,12 +660,13 @@ def _slide_outcomes(image, *, cores=1, smc=False, event_at=None,
                 machine.clock,
                 machine.scheduler.total_instructions,
                 machine.scheduler.shootdowns,
-                _events(tracer, skip),
+                events,
                 seen,
                 fired,
             )
             stats = machine.superblock_stats()
         assert out[False] == out[True], insn_costs is _CUSTOM_COSTS
+        _assert_stale_decodes(stale[False], stale[True], slid)
         clocks.append(machine.clock)
     assert clocks[0] > clocks[1]  # the custom model's slid nops count
     return out[True], stats
@@ -691,7 +725,7 @@ def test_slide_smc_into_hot_run(patch, signal, past):
             a.store8("r8", 100 + i, "r9")
 
     image, a = _slide_image(hot=hot)
-    (code, sig, rip, *_), stats = _slide_outcomes(image, smc=True)
+    (code, sig, rip, *_), stats = _slide_outcomes(image)
     assert sig == signal and rip == a.address_of("page_p") + 100 + past
     assert stats["slides"] >= 12
 
@@ -717,7 +751,7 @@ def test_slide_fork_isolation():
         a.store8("r8", 100, "r9")
 
     image, _ = _slide_image(after, hot=hot)
-    (code, sig, *_), _ = _slide_outcomes(image, smc=True)
+    (code, sig, *_), _ = _slide_outcomes(image)
     assert (code, sig) == (0, None)
 
 
@@ -734,7 +768,7 @@ def test_slide_revalidates_run_at_slice_start():
         a.store8("r8", 4091, "r9")
 
     image, _ = _slide_image(hot=hot, threads=True)
-    (code, sig, *_), _ = _slide_outcomes(image, smc=True)
+    (code, sig, *_), _ = _slide_outcomes(image)
     assert sig == SIGILL
 
 
@@ -754,7 +788,7 @@ def test_slide_cross_core_shootdown_identity():
 
     image, _ = _slide_image(hot=hot, threads=True, iters=40, entry="edge")
     (code, sig, _, _, _, shootdowns, *_), stats = _slide_outcomes(
-        image, cores=2, smc=True)
+        image, cores=2)
     assert (code, sig) == (0, None)
     assert shootdowns >= 1
     assert stats["slides"] >= 2 * 2 * 40
@@ -843,19 +877,19 @@ def _sled_image(*, threads=False, patch_sled=False, iters=48):
     return finish(a, "sled")
 
 
-def _sled_outcomes(image, *, cores=1, smc=False):
+def _sled_outcomes(image, *, cores=1):
     """Run ``image`` under lazypoline with tiering off and on; assert every
     outcome matches (the tracer event stream and the states ``until()``
     was consulted in included), and return, for the tiered run, the
     generation of the sled page at each nop stepped at the sled entry,
     and the stats."""
-    skip = _tier_skip(smc)
-    out = {}
+    out, stale = {}, {}
     entry_steps = []
     for sb in (False, True):
         tracer = Tracer()
         machine = Machine(CostModel(), superblocks=sb, cores=cores,
                           smp_seed=5, tracer=tracer)
+        slid = _record_slides(machine)
         proc = machine.load(image)
         Lazypoline._install(machine, proc, TraceInterposer())
         cpu = machine.kernel.cpu
@@ -872,6 +906,7 @@ def _sled_outcomes(image, *, cores=1, smc=False):
         cpu.step = spy
         until, seen = _recording_until(machine, lambda: not proc.task.alive)
         machine.run(until=until, max_instructions=2_000_000)
+        stale[sb], events = _split_stale(_events(tracer, _TIER2_ONLY))
         out[sb] = (
             proc.exit_code,
             proc.term_signal,
@@ -879,11 +914,12 @@ def _sled_outcomes(image, *, cores=1, smc=False):
             machine.scheduler.total_instructions,
             machine.scheduler.shootdowns,
             [core.shootdowns for core in machine.scheduler.cores],
-            _events(tracer, skip),
+            events,
             seen,
         )
         stats = machine.superblock_stats()
     assert out[False] == out[True]
+    _assert_stale_decodes(stale[False], stale[True], slid)
     return out[True], entry_steps, stats
 
 
@@ -908,8 +944,7 @@ def test_sled_entry_two_cores_keep_ipi_charges_identical():
     entry only until its sentinel compiles, before and after the patch."""
     iters = 96
     outcome, entry_steps, stats = _sled_outcomes(
-        _sled_image(threads=True, patch_sled=True, iters=iters), cores=2,
-        smc=True)
+        _sled_image(threads=True, patch_sled=True, iters=iters), cores=2)
     code, _, _, _, shootdowns, per_core, *_ = outcome
     assert code == 0
     assert shootdowns >= 2 and all(per_core)
@@ -923,7 +958,7 @@ def test_sled_entry_after_sled_patch_falls_back_to_stepping():
     the new generation), then slide once the run is rescanned."""
     iters = 96
     (code, *_), entry_steps, _ = _sled_outcomes(
-        _sled_image(patch_sled=True, iters=iters), smc=True)
+        _sled_image(patch_sled=True, iters=iters))
     assert code == 0
     before = [g for g in entry_steps if g == 0]
     after = [g for g in entry_steps if g > 0]
