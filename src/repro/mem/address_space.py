@@ -343,10 +343,11 @@ class AddressSpace:
     def write(self, addr: int, data: bytes, *, check: str | None = "write") -> None:
         """Write ``data``, enforcing ``check`` permission."""
         off = addr & _OFFSET_MASK
-        if 0 < len(data) <= PAGE_SIZE - off and (check == "write" or check is None):
+        length = len(data)
+        if 0 < length <= PAGE_SIZE - off and (check == "write" or check is None):
             buf = self.wr.get(addr >> PAGE_SHIFT)
             if buf is not None:
-                buf[off : off + len(data)] = data
+                buf[off : off + length] = data
                 return
         self._write_general(addr, data, check)
 
