@@ -133,12 +133,10 @@ def _servers():
             for batched in (False, True):
                 images.append(build_server_image(
                     spec, 7, workers=workers, batched=batched))
-    # The event-loop server is single-worker (its overlap is ``depth``) and
-    # builds for sendfile delivery only: lighttpd's read+write tail needs
-    # a seventh ring entry per connection.
-    for depth in (4, 6):
-        images.append(build_async_server_image(SERVERS["nginx"], 7,
-                                               depth=depth))
+    # The event-loop server is single-worker: its overlap is ``depth``.
+    for spec in SERVERS.values():
+        for depth in (4, 6):
+            images.append(build_async_server_image(spec, 7, depth=depth))
     return images
 
 
@@ -225,7 +223,7 @@ GUEST_PINS = {
     "microbench": "330c1160a453b29b2ae514d14d4bfdbb5358c9ad8a341088ba52f91bbfe90d7d",
     "ringbench": "1e091cff20947e5a76ca39dd97aeae3390bb3e3b1c476d19ac58de2c7f8cc051",
     "scenario_guests": "f4acab0b4bb1a13234250fb16efbf7f6b4aa6cb726f60e8f38f496b5edd5b3f1",
-    "servers": "b4aebe4e891dfc5cb0be36f6f3dff328149993c1334e5e4a2f94226fa1e50991",
+    "servers": "ae9f1bfeb602b59b84ef6427d2e5d2428342644c5cba6c1a645163db2ac6f720",
     "tcc": "085f11e9268d228d1032119684b3ac620bbedbb43d166532b58408617b32fd56",
 }
 
