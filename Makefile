@@ -60,9 +60,10 @@ fuzz:
 bench:
 	$(PYTHON) -m repro.bench
 
-# Simulated-results guard: run every end-to-end benchmark workload briefly
-# (one host second each) and fail unless its simulated cycles per op and
-# p50/p99 latency equal the committed seed-0 results, exactly.
+# Simulated-results guard: run every end-to-end benchmark workload once, in
+# one benchmark worker each (seed 0, untraced), and fail unless its whole
+# `sim` block (cycles per op, p50/p99 latency, guest instructions, latency
+# samples, rps) equals the committed seed-0 results, exactly.
 bench-sim:
 	$(PYTHON) benchmarks/check_sim.py
 

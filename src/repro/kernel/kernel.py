@@ -295,7 +295,7 @@ class Kernel:
         """A syscall instruction retired in ``task`` (rip already past it)."""
         regs = task.regs
         sysno = to_signed(regs.read(RAX))
-        insn_addr = regs.rip - 2
+        task.syscall_ip = insn_addr = regs.rip - 2
         self.charge(task, self.costs.syscall_entry_exit)
         # The syscall instruction architecture clobbers rcx and r11.
         regs.write(RCX, regs.rip)
@@ -485,6 +485,7 @@ class Kernel:
         WouldBlock.
         """
         args = tuple(args) + (0,) * (6 - len(args))
+        task.syscall_ip = insn_addr
         self.charge(task, self.costs.syscall_entry_exit)
         gate = self._interception_gate(task, sysno, args, insn_addr=insn_addr)
         if gate == "handled" or isinstance(gate, tuple):

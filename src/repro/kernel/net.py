@@ -4,7 +4,10 @@ The network is a localhost-only fabric, which is exactly the paper's
 macrobenchmark setup (client and server on one machine, communicating over
 localhost, §V-B).  Guest programs use the socket/epoll syscalls; load
 generators like the wrk model connect from the host side through
-:meth:`Network.connect` and receive data callbacks.
+:meth:`Network.connect` and receive data callbacks.  A load generator
+starts from the guest's ``listen()`` itself: :meth:`Network.on_listen`
+registers a host callback that the ``listen()`` opening the port runs
+once.
 """
 
 from __future__ import annotations
@@ -169,6 +172,8 @@ class Network:
     def __init__(self, kernel):
         self.kernel = kernel
         self.listeners: dict[int, ListenSocket] = {}
+        #: port -> host callbacks the next ``listen()`` on it runs once
+        self._on_listen: dict[int, list[Callable[[], None]]] = {}
 
     def bind(self, sock: ListenSocket, port: int) -> int:
         if port in self.listeners:
@@ -179,7 +184,17 @@ class Network:
 
     def listen(self, sock: ListenSocket) -> int:
         sock.listening = True
+        for callback in self._on_listen.pop(sock.port, ()):
+            callback()
         return 0
+
+    def listening(self, port: int) -> bool:
+        listener = self.listeners.get(port)
+        return listener is not None and listener.listening
+
+    def on_listen(self, port: int, callback: Callable[[], None]) -> None:
+        """Run ``callback`` once, inside the next ``listen()`` on ``port``."""
+        self._on_listen.setdefault(port, []).append(callback)
 
     def unbind(self, sock: ListenSocket) -> None:
         if self.listeners.get(sock.port) is sock:
@@ -197,20 +212,18 @@ class Network:
         The returned connection's *client* endpoint belongs to the caller:
         write with ``conn.client.send(...)``, receive through ``on_data``.
         """
-        listener = self.listeners.get(port)
-        if listener is None or not listener.listening:
+        if not self.listening(port):
             raise ConnectionRefusedError(f"no listener on port {port}")
         conn = Connection()
         conn.client.on_data = on_data
         conn.client.on_close = on_close
-        listener.backlog.append(conn)
+        self.listeners[port].backlog.append(conn)
         return conn
 
     def guest_connect(self, port: int, flags: int = 0) -> "SocketDesc | int":
         """Guest-side connect to a guest listener on the loopback."""
-        listener = self.listeners.get(port)
-        if listener is None or not listener.listening:
+        if not self.listening(port):
             return -errno.ECONNREFUSED
         conn = Connection()
-        listener.backlog.append(conn)
+        self.listeners[port].backlog.append(conn)
         return SocketDesc(conn.client, flags)

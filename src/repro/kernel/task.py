@@ -154,6 +154,10 @@ class Task:
         #: measure of how much in-flight I/O one task overlaps.
         self.ring_waiters: list = []
         self.ring_parked_peak = 0
+        #: Address of the syscall instruction of the task's latest kernel
+        #: crossing (the re-issue address for an interposer's): the IP a
+        #: seccomp filter sees for each ring entry that crossing drains.
+        self.syscall_ip = 0
 
         #: Capture buffers for stdio when no real fd is installed.
         self.stdout = bytearray()

@@ -33,7 +33,10 @@ Semantics, entry by entry:
   ``sud=False`` — ring entries never cross via a syscall instruction, so
   the SUD selector read and ptrace stops are skipped: that is the
   amortization), and passes through the **fault injector** and the obs
-  dispatch event like any other syscall;
+  dispatch event like any other syscall.  The filter sees the
+  instruction pointer of the ``ring_enter`` crossing that drains the
+  entry (``task.syscall_ip``), so an IP-range filter treats a ring an
+  interposer re-issued from its allowed page like its other re-issues;
 * only :data:`RINGABLE` syscalls may ride the ring (I/O and cheap
   getters); anything else completes with ``-EINVAL``.  Process-control
   syscalls (fork/execve/ring_enter itself) are structurally excluded;
@@ -226,8 +229,8 @@ def _gate_entry(kernel, task, sysno: int, raw_args, cq_base: int,
     args = _resolve_args(task.mem, cq_base, capacity, raw_args)
     if isinstance(args, int):
         return args
-    gate = kernel._interception_gate(task, sysno, args, insn_addr=0,
-                                     sud=False)
+    gate = kernel._interception_gate(task, sysno, args,
+                                     insn_addr=task.syscall_ip, sud=False)
     if isinstance(gate, tuple):  # seccomp RET_ERRNO / user-notif verdict
         return gate[1]
     if gate == "handled":

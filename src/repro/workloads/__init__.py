@@ -8,9 +8,7 @@ All workloads run through the unified runner protocol —
 """
 
 from repro.workloads.runner import (  # noqa: F401
-    Workload,
     attach_mechanism,
-    register_workload,
     run_workload,
     workload_names,
 )

@@ -9,7 +9,7 @@ them with a single protocol::
                  smp_seed=0, interposer=None, tool_opts=None,
                  machine_opts=None, **options) -> dict
 
-Every workload implements :class:`Workload` and registers itself; both the
+Every workload is one entry of a fixed name table; both the
 cluster shard worker (:mod:`repro.cluster`) and the benchmarks call the
 same entry point, so there is exactly one place where ``degrade_policy``
 (via ``tool_opts``), ``superblocks``/``translation_cache``/``costs`` (via
@@ -35,7 +35,7 @@ instructions, simulated seconds) and therefore deterministic for a given
 
 from __future__ import annotations
 
-from typing import Any, Callable, Protocol, runtime_checkable
+from typing import Any
 
 from repro.interpose.api import Interposer, passthrough_interposer
 from repro.kernel.machine import Machine
@@ -124,7 +124,7 @@ def attach_mechanism(
 
 # ------------------------------------------------------------------ context
 class RunContext:
-    """Everything one :class:`Workload` run needs, in one bag.
+    """Everything one workload run needs, in one bag.
 
     ``options`` holds the workload-specific keywords of the
     :func:`run_workload` call; :meth:`option` pops them with defaults so a
@@ -187,20 +187,6 @@ class RunContext:
                 f"unknown options for workload {workload!r}: "
                 f"{sorted(self.options)}"
             )
-
-
-@runtime_checkable
-class Workload(Protocol):
-    """A benchmarkable guest scenario runnable through :func:`run_workload`.
-
-    Implementations build their Machine with ``ctx.boot()``, attach the
-    requested tool with ``ctx.attach(machine, process)`` and return a plain
-    JSON-serializable dict of simulated (deterministic) results.
-    """
-
-    name: str
-
-    def run(self, ctx: RunContext) -> dict: ...
 
 
 # ---------------------------------------------------------------- workloads
@@ -404,21 +390,18 @@ class MicroBenchWorkload:
 
 
 # ----------------------------------------------------------------- registry
-_WORKLOADS: dict[str, Workload] = {}
-
-
-def register_workload(workload: Workload) -> None:
-    """Register (or replace) a workload under ``workload.name``."""
-    _WORKLOADS[workload.name] = workload
+#: name -> workload; each builds its Machine with ``ctx.boot()``, attaches
+#: the tool with ``ctx.attach(machine, process)`` and returns a plain
+#: JSON-serializable dict of simulated (deterministic) results.
+_WORKLOADS = {
+    w.name: w
+    for w in (WebserverWorkload(), RingBenchWorkload(), MicroBenchWorkload())
+}
 
 
 def workload_names() -> list[str]:
     """Names accepted by :func:`run_workload`, sorted."""
     return sorted(_WORKLOADS)
-
-
-for _w in (WebserverWorkload(), RingBenchWorkload(), MicroBenchWorkload()):
-    register_workload(_w)
 
 
 def run_workload(
@@ -434,7 +417,7 @@ def run_workload(
     machine_opts: dict | None = None,
     **options: Any,
 ) -> dict:
-    """Run one registered workload and return its result dict.
+    """Run one named workload and return its result dict.
 
     The one entry point every benchmark, example and cluster shard goes
     through.  ``tool`` takes any :func:`attach_mechanism` name;

@@ -14,6 +14,12 @@ at this workload:
 Per-request application work (request parsing, response-header formatting,
 logging) is charged through a host-call — it is user-space work that no
 interposition mechanism touches, exactly like the real servers' C code.
+
+The epoll server (direct or sync-batched, optionally preforked) and the
+async event-loop server are built from one set of emitters: the buffer
+``mmap``, socket/bind/listen, the ring-linked response tail and the data
+section.  :meth:`ServerWorkload.benchmark` starts its wrk client from the
+server's ``listen()`` in every shape (see :meth:`Network.on_listen`).
 """
 
 from __future__ import annotations
@@ -60,6 +66,73 @@ LIGHTTPD = ServerSpec(name="lighttpd", parse_cost=9800, delivery="readwrite")
 SERVERS = {spec.name: spec for spec in (NGINX, LIGHTTPD)}
 
 
+def _sys(a: Assembler, name: str) -> None:
+    a.mov_imm("rax", NR[name])
+    a.syscall()
+
+
+def _emit_buffer(a: Assembler, size: int) -> None:
+    """mmap ``size`` bytes of anonymous read-write memory; base in r15."""
+    a.mov_imm("rdi", 0)
+    a.mov_imm("rsi", size)
+    a.mov_imm("rdx", 3)
+    a.mov_imm("r10", 0x22)
+    a.mov_imm("r8", (1 << 64) - 1)
+    a.mov_imm("r9", 0)
+    _sys(a, "mmap")
+    a.mov("r15", "rax")
+
+
+def _emit_listen(a: Assembler, port: int, sock_type: int) -> None:
+    """socket + bind to ``port`` + listen; the listening fd in rbx."""
+    a.mov_imm("rdi", 2)  # AF_INET
+    a.mov_imm("rsi", sock_type)
+    a.mov_imm("rdx", 0)
+    _sys(a, "socket")
+    a.mov("rbx", "rax")
+    # sockaddr: port in network byte order at +2/+3
+    a.mov_imm("rcx", (port >> 8) & 0xFF)
+    a.store8("r15", _ADDR + 2, "rcx")
+    a.mov_imm("rcx", port & 0xFF)
+    a.store8("r15", _ADDR + 3, "rcx")
+    a.mov("rdi", "rbx")
+    a.lea("rsi", "r15", _ADDR)
+    a.mov_imm("rdx", 16)
+    _sys(a, "bind")
+    a.mov("rdi", "rbx")
+    a.mov_imm("rsi", 128)
+    _sys(a, "listen")
+
+
+def _emit_ring_tail(a: Assembler, ring: GuestRing, spec: ServerSpec,
+                    filebuf: int) -> None:
+    """Push one response tail for the connection in r13: open / fstat /
+    header write / delivery / close.  The opened fd is not known until
+    drain time, so the entries after ``open`` name it by result link."""
+    a.lea("rdx", "r15", _ADDR + 16)  # fstat buffer
+    fd = ring_result(ring.push("open", "file_path", 0, 0))
+    ring.push("fstat", fd, "rdx")
+    if spec.delivery == "sendfile":
+        ring.push_write("r13", "header", HEADER_SIZE)
+        ring.push("sendfile", "r13", fd, 0, CHUNK)
+    else:
+        a.lea("rsi", "r15", filebuf)
+        nread = ring_result(ring.push_read(fd, "rsi", CHUNK))
+        ring.push_write("r13", "header", HEADER_SIZE)
+        ring.push_write("r13", "rsi", nread)
+    ring.push("close", fd)
+
+
+def _finish(a: Assembler, spec: ServerSpec, name: str) -> ProgramImage:
+    """Emit the data section (file path, padded header) and link."""
+    a.label("file_path")
+    a.db(FILE_PATH.encode() + b"\x00")
+    a.label("header")
+    header = b"HTTP/1.1 200 OK\r\nServer: %s\r\n\r\n" % spec.name.encode()
+    a.db(header.ljust(HEADER_SIZE, b"\x00"))
+    return image_from_assembler(name, a, entry="_start")
+
+
 def build_server_image(
     spec: ServerSpec,
     parse_hcall: int,
@@ -83,45 +156,17 @@ def build_server_image(
     construction (``ServerWorkload`` enforces ``file_size <= CHUNK``).
     """
     a = Assembler(base=base)
-
-    def sys(name):
-        a.mov_imm("rax", NR[name])
-        a.syscall()
+    sys = lambda name: _sys(a, name)  # noqa: E731
 
     a.label("_start")
-    # buffers
-    a.mov_imm("rdi", 0)
-    a.mov_imm("rsi", _BUFSIZE)
-    a.mov_imm("rdx", 3)
-    a.mov_imm("r10", 0x22)
-    a.mov_imm("r8", (1 << 64) - 1)
-    a.mov_imm("r9", 0)
-    sys("mmap")
-    a.mov("r15", "rax")
-
-    # listen socket.  SOCK_NONBLOCK matters once there are multiple
-    # workers: level-triggered epoll wakes every worker for one pending
-    # connection, and a loser whose accept4 finds the backlog already
-    # drained must get EAGAIN and return to its event loop — a blocking
-    # accept would wedge it forever (real nginx marks the listen socket
-    # non-blocking for exactly this reason).
-    a.mov_imm("rdi", 2)  # AF_INET
-    a.mov_imm("rsi", 1 | 0o4000)  # SOCK_STREAM | SOCK_NONBLOCK
-    a.mov_imm("rdx", 0)
-    sys("socket")
-    a.mov("rbx", "rax")
-    # sockaddr: port in network byte order at +2/+3
-    a.mov_imm("rcx", (port >> 8) & 0xFF)
-    a.store8("r15", _ADDR + 2, "rcx")
-    a.mov_imm("rcx", port & 0xFF)
-    a.store8("r15", _ADDR + 3, "rcx")
-    a.mov("rdi", "rbx")
-    a.lea("rsi", "r15", _ADDR)
-    a.mov_imm("rdx", 16)
-    sys("bind")
-    a.mov("rdi", "rbx")
-    a.mov_imm("rsi", 128)
-    sys("listen")
+    _emit_buffer(a, _BUFSIZE)
+    # SOCK_NONBLOCK matters once there are multiple workers:
+    # level-triggered epoll wakes every worker for one pending connection,
+    # and a loser whose accept4 finds the backlog already drained must get
+    # EAGAIN and return to its event loop — a blocking accept would wedge
+    # it forever (real nginx marks the listen socket non-blocking for
+    # exactly this reason).
+    _emit_listen(a, port, 1 | 0o4000)  # SOCK_STREAM | SOCK_NONBLOCK
 
     # prefork: each child falls straight through to the worker loop; the
     # master forks workers-1 children and then serves as well.
@@ -132,14 +177,7 @@ def build_server_image(
     a.label("worker")
     # Each worker mmaps its own buffer page (children inherited the
     # master's, but private copies keep the workers symmetric).
-    a.mov_imm("rdi", 0)
-    a.mov_imm("rsi", _BUFSIZE)
-    a.mov_imm("rdx", 3)
-    a.mov_imm("r10", 0x22)
-    a.mov_imm("r8", (1 << 64) - 1)
-    a.mov_imm("r9", 0)
-    sys("mmap")
-    a.mov("r15", "rax")
+    _emit_buffer(a, _BUFSIZE)
 
     ring = None
     if batched:
@@ -208,20 +246,8 @@ def build_server_image(
 
     if batched:
         # The whole response tail rides the ring: one crossing instead of
-        # five (nginx) / six (lighttpd).  The opened fd is not known until
-        # drain time, so downstream entries reference it with result links.
-        a.lea("rdx", "r15", _ADDR + 16)  # fstat buffer
-        fd = ring_result(ring.push("open", "file_path", 0, 0))
-        ring.push("fstat", fd, "rdx")
-        if spec.delivery == "sendfile":
-            ring.push_write("r13", "header", HEADER_SIZE)
-            ring.push("sendfile", "r13", fd, 0, CHUNK)
-        else:
-            a.lea("rsi", "r15", _FILEBUF)
-            nread = ring_result(ring.push_read(fd, "rsi", CHUNK))
-            ring.push_write("r13", "header", HEADER_SIZE)
-            ring.push_write("r13", "rsi", nread)
-        ring.push("close", fd)
+        # five (nginx) / six (lighttpd).
+        _emit_ring_tail(a, ring, spec, _FILEBUF)
         ring.flush()
         ring.reset()
         a.jmp("loop")
@@ -283,14 +309,7 @@ def build_server_image(
     sys("close")
     a.jmp("loop")
 
-    # ---------------------------------------------------------------- data
-    a.label("file_path")
-    a.db(FILE_PATH.encode() + b"\x00")
-    a.label("header")
-    header = b"HTTP/1.1 200 OK\r\nServer: %s\r\n\r\n" % spec.name.encode()
-    a.db(header.ljust(HEADER_SIZE, b"\x00"))
-    name = spec.name + ("-batched" if batched else "")
-    return image_from_assembler(name, a, entry="_start")
+    return _finish(a, spec, spec.name + ("-batched" if batched else ""))
 
 
 def build_async_server_image(
@@ -324,41 +343,13 @@ def build_async_server_image(
     # write, close, and sendfile (nginx) or read + write (lighttpd).
     tail = 5 if spec.delivery == "sendfile" else 6
     entries = (1 + tail) * depth
-    bufsize = ring_off + ring_region_size(entries)
-
-    def sys(name):
-        a.mov_imm("rax", NR[name])
-        a.syscall()
 
     a.label("_start")
-    a.mov_imm("rdi", 0)
-    a.mov_imm("rsi", bufsize)
-    a.mov_imm("rdx", 3)
-    a.mov_imm("r10", 0x22)
-    a.mov_imm("r8", (1 << 64) - 1)
-    a.mov_imm("r9", 0)
-    sys("mmap")
-    a.mov("r15", "rax")
-
-    # Listen socket.  *Blocking* on purpose (no SOCK_NONBLOCK): parked
-    # accept4 SQEs are how the async drain overlaps the accept wave —
-    # there is exactly one worker, so no thundering herd to dodge.
-    a.mov_imm("rdi", 2)  # AF_INET
-    a.mov_imm("rsi", 1)  # SOCK_STREAM
-    a.mov_imm("rdx", 0)
-    sys("socket")
-    a.mov("rbx", "rax")
-    a.mov_imm("rcx", (port >> 8) & 0xFF)
-    a.store8("r15", _ADDR + 2, "rcx")
-    a.mov_imm("rcx", port & 0xFF)
-    a.store8("r15", _ADDR + 3, "rcx")
-    a.mov("rdi", "rbx")
-    a.lea("rsi", "r15", _ADDR)
-    a.mov_imm("rdx", 16)
-    sys("bind")
-    a.mov("rdi", "rbx")
-    a.mov_imm("rsi", 128)
-    sys("listen")
+    _emit_buffer(a, ring_off + ring_region_size(entries))
+    # *Blocking* on purpose (no SOCK_NONBLOCK): parked accept4 SQEs are
+    # how the async drain overlaps the accept wave — there is exactly one
+    # worker, so no thundering herd to dodge.
+    _emit_listen(a, port, 1)  # SOCK_STREAM
 
     ring = GuestRing(a, entries=entries, base="r15", disp=ring_off,
                      tag="asrv")
@@ -388,28 +379,11 @@ def build_async_server_image(
     for i in range(depth):
         a.hcall(parse_hcall)  # request parsing + header build (user code)
         a.load("r13", "r15", connfd + 8 * i)
-        a.lea("rdx", "r15", _ADDR + 16)  # fstat buffer
-        fd = ring_result(ring.push("open", "file_path", 0, 0))
-        ring.push("fstat", fd, "rdx")
-        if spec.delivery == "sendfile":
-            ring.push_write("r13", "header", HEADER_SIZE)
-            ring.push("sendfile", "r13", fd, 0, CHUNK)
-        else:
-            a.lea("rsi", "r15", filebuf)
-            nread = ring_result(ring.push_read(fd, "rsi", CHUNK))
-            ring.push_write("r13", "header", HEADER_SIZE)
-            ring.push_write("r13", "rsi", nread)
-        ring.push("close", fd)
+        _emit_ring_tail(a, ring, spec, filebuf)
     ring.submit_async(min_complete=entries)
     a.jmp("loop")
 
-    # ---------------------------------------------------------------- data
-    a.label("file_path")
-    a.db(FILE_PATH.encode() + b"\x00")
-    a.label("header")
-    header = b"HTTP/1.1 200 OK\r\nServer: %s\r\n\r\n" % spec.name.encode()
-    a.db(header.ljust(HEADER_SIZE, b"\x00"))
-    return image_from_assembler(spec.name + "-async", a, entry="_start")
+    return _finish(a, spec, spec.name + "-async")
 
 
 class ServerWorkload:
@@ -473,39 +447,11 @@ class ServerWorkload:
         self.process = machine.load(self.image)
 
     def run_until_listening(self, max_instructions: int = 500_000) -> None:
-        kernel = self.machine.kernel
-
-        def listening():
-            sock = kernel.net.listeners.get(self.port)
-            return sock is not None and sock.listening
-
-        self.machine.run(until=listening, max_instructions=max_instructions)
-        if not listening():
+        net = self.machine.kernel.net
+        self.machine.run(until=lambda: net.listening(self.port),
+                         max_instructions=max_instructions)
+        if not net.listening(self.port):
             raise RuntimeError(f"{self.spec.name} never started listening")
-
-    def _start_when_listening(self, client, interval: int = 1_000) -> None:
-        """Arm an event that starts ``client`` the moment the listener is up.
-
-        The async worker parks its whole accept wave inside ONE interposed
-        ``ring_enter``; with a single task, ``listen()`` and that blocking
-        crossing can land in the same scheduler slice, so a
-        ``machine.run(until=listening)`` driver may never get control in
-        between to wire the clients — and the parked accepts would then
-        wait on wakeups nobody can produce.  Starting the client from the
-        event queue closes the race: the poll event keeps the kernel's
-        cooperative wait making progress and fires the connects into the
-        parked accept wave.  The fixed interval keeps it deterministic.
-        """
-        kernel = self.machine.kernel
-
-        def poll():
-            sock = kernel.net.listeners.get(self.port)
-            if sock is not None and sock.listening:
-                client.start()
-            else:
-                kernel.post_event_in(interval, poll)
-
-        kernel.post_event_in(interval, poll)
 
     def benchmark(
         self,
@@ -519,6 +465,12 @@ class ServerWorkload:
     ) -> float:
         """Drive the server with the wrk model; returns requests/second.
 
+        The client connects at once if the port already listens, and
+        otherwise at the first event boundary after the server's
+        ``listen()``: an event due at the listen clock, posted from that
+        call.  So no leg depends on where the guest, or a tool's handler,
+        blocks later in the slice that listens.
+
         The driving :class:`WrkClient` is kept on ``self.last_client`` so
         callers (the unified runner, the cluster shard worker) can read
         latency samples and the measured window after the run.
@@ -530,11 +482,9 @@ class ServerWorkload:
         :class:`WrkClient`); both default to off, leaving normal runs
         byte-identical.
         """
-        is_async = self.batched == "async"
-        if not is_async:
-            self.run_until_listening()
+        kernel = self.machine.kernel
         client = self.last_client = WrkClient(
-            self.machine.kernel,
+            kernel,
             self.port,
             connections=connections,
             response_size=self.file_size,
@@ -542,12 +492,12 @@ class ServerWorkload:
             client_cycles_per_request=client_cycles_per_request,
             partition_after=partition_after,
         )
-        if is_async:
-            self._start_when_listening(client)
-        else:
+        if kernel.net.listening(self.port):
             client.start()
+        else:
+            kernel.net.on_listen(self.port, lambda: kernel.post_event(
+                kernel.clock, client.start))
         total = warmup + requests
-        kernel = self.machine.kernel
         if deadline_cycles is None:
             until = lambda: client.stats.completed >= total
         else:

@@ -1,7 +1,7 @@
 """The unified workload runner: one entry point, one setup path.
 
-Covers the :func:`run_workload` protocol itself (registry, option
-validation, the :class:`Workload` protocol), the shared
+Covers the :func:`run_workload` protocol itself (name table, option
+validation), the shared
 :func:`attach_mechanism` path, and the ringbench/microbench workloads
 that ``measure_ring`` and ``measure_cycles_per_syscall`` difference.
 """
@@ -15,9 +15,7 @@ from repro.interpose import available_tools
 from repro.kernel.machine import Machine
 from repro.workloads.runner import (
     RunContext,
-    Workload,
     attach_mechanism,
-    register_workload,
     run_workload,
     workload_names,
 )
@@ -38,25 +36,6 @@ def test_unknown_workload_is_an_error():
 def test_unknown_option_is_an_error():
     with pytest.raises(TypeError, match="unknown options.*typo"):
         run_workload("microbench", iterations=4, typo=1)
-
-
-def test_custom_workload_registration():
-    class Probe:
-        name = "probe"
-
-        def run(self, ctx):
-            return {"workload": self.name, "echo": ctx.option("echo")}
-
-    assert isinstance(Probe(), Workload)
-    register_workload(Probe())
-    try:
-        assert run_workload("probe", echo=42) == {
-            "workload": "probe", "echo": 42,
-        }
-    finally:
-        from repro.workloads import runner
-
-        runner._WORKLOADS.pop("probe", None)
 
 
 # ---------------------------------------------------------- attach_mechanism

@@ -490,8 +490,8 @@ PINNED = {
         "5206ff46aaca7329b8d63546dfd4b26eead256da76aec8526d1547cfdb593e45",
         "65a9f4101e172b773d588225eef444dbce3672a25b7d5cb9397c811170415cac"),
     "web-prefork-2c": (
-        "4b56ff767cbecaa339b4d6db035f84889bf83ff696449b110da628464bb806ac",
-        "4cf0ebb28d62ea398fa0413f4198fa633e1aa7ebac075780ec131ca7ac061d81"),
+        "61131e88e2a6a6b02ced738a0916044bc13ae4d323ed01b226cdf24604eb087f",
+        "5a07e28d87b6967d03480fc9f1b58a3b10eb111c2dcb3bf84a09d1e3fa3aa0ba"),
 }
 
 

@@ -567,12 +567,17 @@ _CUSTOM_COSTS = {**DEFAULT_INSN_COSTS,
 
 def _recording_until(machine, stop):
     """An ``until()`` for ``machine`` that returns ``stop()`` and records
-    the ``(clock, total_instructions)`` state it was consulted in."""
+    the ``(clock, total_instructions, events fired)`` state it was
+    consulted in.  ``Scheduler.run`` consults it again in one state only
+    after an event fired, so the fired count (posted minus pending) is
+    part of the state."""
     seen = []
     sched = machine.scheduler
+    kernel = machine.kernel
 
     def until():
-        seen.append((machine.clock, sched.total_instructions))
+        seen.append((machine.clock, sched.total_instructions,
+                     kernel._event_seq - len(kernel._events)))
         return stop()
 
     return until, seen
@@ -1018,7 +1023,7 @@ def test_entry_just_below_a_recorded_run_gets_recorded():
 # cycles and the states ``until()`` was consulted in (consecutive repeats
 # collapsed).  Re-pin with ``PYTHONPATH=src:. python
 # tests/test_translation_cache.py`` only for an intended change.
-NGINX_PIN = "01ce5d8304e2014326f86f31e2fcb016fb6b1893ab46907a557e78c2df44fbfe"
+NGINX_PIN = "494272c758e7e3e72746047ff59a2249a46903fd958577d1e7a4584f0c557c11"
 
 
 def _repeats(states):

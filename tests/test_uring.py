@@ -23,6 +23,7 @@ from repro.interpose.registry import attach
 from repro.interpose.api import TraceInterposer, passthrough_interposer
 from repro.kernel import errno
 from repro.kernel.machine import Machine
+from repro.kernel.seccomp.filter import FilterBuilder
 from repro.kernel.signals import SIGUSR1
 from repro.kernel.syscalls.table import NR
 from repro.kernel.uring import (
@@ -43,7 +44,7 @@ from repro.kernel.uring import (
 from repro.libc.uring import GuestRing, ring_size
 from repro.loader.image import image_from_assembler
 from repro.mem import layout
-from repro.mem.pages import Perm
+from repro.mem.pages import PAGE_SIZE, Perm
 from repro.obs import events as K
 from repro.obs.tracer import Tracer
 
@@ -243,6 +244,25 @@ def test_seccomp_filters_run_per_entry():
     assert ring.result(0) == -errno.EACCES
     assert ring.result(1) == task.pid
     assert not machine.fs.exists("/newdir")
+
+
+def test_ip_range_filter_gates_entries_at_the_draining_crossing():
+    """Each entry is gated with the IP of the ``ring_enter`` crossing that
+    drains it: a ring re-issued from the filter's allowed page runs every
+    entry, with no SIGSYS and no -EINTR."""
+    machine, task = idle_machine()
+    allowed = task.mem.map_anywhere(PAGE_SIZE, Perm.RX)
+    task.seccomp_filters.append(
+        FilterBuilder.trap_all_except_ip_range(allowed, PAGE_SIZE))
+    ring = RingMem(machine, task)
+    ring.push(0, "getpid")
+    ring.push(1, "gettid")
+    ring.w64(HDR_SQ_TAIL, 2)
+    drained = machine.kernel.do_syscall(
+        task, RING_ENTER, (ring.addr, 0, 0, 0), insn_addr=allowed + 0x40)
+    assert drained == 2
+    assert (ring.result(0), ring.result(1)) == (task.pid, task.tid)
+    assert task.alive and not task.pending
 
 
 def test_ring_obs_events_and_cycle_attribution():
