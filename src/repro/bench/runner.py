@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from typing import Callable
-
 
 def format_table(headers: list[str], rows: list[list[str]], title: str = "") -> str:
     """Plain-text table matching the repo's report style."""
@@ -26,7 +24,3 @@ def within_band(measured: float, paper: float, tolerance: float = 0.25) -> bool:
     """True if ``measured`` is within ±tolerance (relative) of ``paper``."""
     return abs(measured - paper) <= tolerance * paper
 
-
-def run_once(fn: Callable, *args, **kwargs):
-    """Run a harness exactly once under pytest-benchmark's pedantic mode."""
-    return fn(*args, **kwargs)

@@ -140,7 +140,6 @@ class Cluster:
         chaos: ChaosPlan | list | None = None,
         deadline_cycles: int | None = None,
         retry: RetryPolicy | None = None,
-        health_opts: dict | None = None,
         tracer=None,
     ):
         if shards < 1:
@@ -178,7 +177,6 @@ class Cluster:
         self.chaos = chaos
         self.deadline_cycles = deadline_cycles
         self.retry = retry
-        self.health_opts = health_opts
         self.tracer = tracer
         #: the health model behind the most recent serve
         self.last_health: HealthModel | None = None
@@ -295,8 +293,7 @@ class Cluster:
         retry = self.retry if self.retry is not None else RetryPolicy()
         jitter_rng = SplitMix64(self.smp_seed ^ 0xC11A05F417)
         health = self.last_health = HealthModel(
-            self.shards, tracer=self.tracer, **(self.health_opts or {})
-        )
+            self.shards, tracer=self.tracer)
         client = {"warmup": warmup, "connections": connections,
                   "client_cycles_per_request": client_cycles_per_request}
 

@@ -277,9 +277,9 @@ class CPU:
                 )
         return block
 
-    def note_block_invalidate(self, head: int, tid: int = -1,
-                              reason: str = "stale") -> None:
-        """Account one compiled block discarded for stale generations."""
+    def note_block_invalidate(self, head: int, tid: int, reason: str) -> None:
+        """Account one compiled block an eager flush discarded (``reason``:
+        ``smc`` from the bound cache, ``shootdown`` from another)."""
         self.blocks_invalidated += 1
         if self.tracer is not None:
             self.tracer.block_invalidate(

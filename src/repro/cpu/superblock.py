@@ -97,14 +97,18 @@ machine state — plus four of its own:
   charge of ``k`` times it (a quarter-cycle multiple, which
   :class:`repro.cpu.costs.CostModel` enforces at construction).
 
-Validity is keyed by the same per-page generation counters that guard the
-tier-1 cache: a block records ``(page, gen)`` for the one or two pages its
-bytes span, and ``AddressSpace._bump_exec_gen`` — the single choke point
-for SMC writes, mprotect, munmap and lazypoline's in-place rewrites —
-eagerly flushes every block spanning the bumped page.  Fork isolation is
-free (a forked space starts with a fresh :class:`BlockCache`); SMP uses
-one ``BlockCache`` per (core, asid) pair so cross-core rewrites shoot
-down exactly the remote blocks spanning the patched page.
+Validity is kept by the writer, as lazypoline's in-place rewrite keeps
+real caches coherent (§IV-A b): the reader never re-checks a block.  A
+block records ``(page, gen)`` for the one or two pages its bytes span,
+and ``AddressSpace._bump_exec_gen`` — the single choke point for SMC
+writes, mprotect, munmap and lazypoline's in-place rewrites — eagerly
+flushes every block spanning the bumped page from the bound cache.  SMP
+uses one ``BlockCache`` per (core, asid) pair, and
+``Scheduler._shootdown`` drops the page's blocks from every other one, so
+no cache ever holds a block whose generations disagree with
+``exec_gen`` (``tests/test_block_coherence.py`` checks this after every
+code write).  Fork isolation is free: a forked space starts with a fresh
+:class:`BlockCache`.
 """
 
 from __future__ import annotations
@@ -150,7 +154,8 @@ class SuperBlock:
     included) and re-raises.  ``fn is None`` marks a sentinel: the head's
     run is not compilable (too short, or starts with an excluded opcode);
     keeping the sentinel in the cache stops the scheduler re-counting and
-    re-compiling it, and its ``(page, gen)`` keys let SMC retry later.
+    re-compiling it, and it is indexed under its pages like a block, so
+    a code write there drops it and lets the head retry.
     """
 
     __slots__ = ("head", "n", "fn", "p0", "g0", "p1", "g1", "cost", "runs")

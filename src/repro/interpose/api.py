@@ -42,14 +42,12 @@ class SyscallContext:
         mechanism: str = "",
         do_syscall: Optional[Callable] = None,
         defer: Optional[Callable] = None,
-        insn_addr: int = 0,
     ):
         self.kernel = kernel
         self.task = task
         self.sysno = sysno
         self.args = tuple(args) + (0,) * (6 - len(args))
         self.mechanism = mechanism
-        self.insn_addr = insn_addr
         self._do_syscall = do_syscall
         self._defer = defer
 

@@ -299,7 +299,6 @@ class Lazypoline:
         closed = 2 << (2 * key)  # write-disable for the gs key
         mem.write_u32(task.regs.gs_base + gsrel.GS_APP_PKRU, closed, check=None)
         task.regs.pkru = closed
-        mem.active_pkru = closed
 
     # ---------------------------------------------------------------- fast path
     def _on_generic(self, hctx) -> None:

@@ -187,9 +187,8 @@ class Kernel:
         return sched._current_core.id if sched is not None else 0
 
     def charge(self, task: Task | None, cycles: int) -> None:
+        """Advance the running clock by ``cycles`` of work for ``task``."""
         self.clock += cycles
-        if task is not None:
-            task.cpu_cycles += cycles
 
     def post_event(self, at: int, callback: Callable[[], None]) -> None:
         """Schedule ``callback`` to fire at absolute cycle time ``at``."""

@@ -8,17 +8,23 @@ slices.  Blocking works two ways:
 * *host-side* code (an interposer deep in an hcall) blocks through
   ``Kernel.dispatch_blocking``, which nests :meth:`Scheduler.wait_until`
   on the host stack — re-entrancy is guarded so a task is never stepped
-  while it is already live on the (Python) stack.
+  while it is already live on the (Python) stack.  ``wait_until`` is the
+  only way into a nested scheduler, and it returns with the waiter's PKRU
+  and core binding restored, so the slice it interrupted resumes without
+  re-checking them.
 
 With ``cores > 1`` the scheduler becomes a deterministic SMP simulator:
 each :class:`repro.kernel.smp.Core` keeps its own clock, runqueue and
-private decoded-insn caches, and rounds interleave the cores in an order
-drawn from a seeded RNG.  Slices still execute one at a time in host order
-(so every existing kernel invariant holds), but each slice runs on its
-core's *local* timeline: the kernel's global ``clock`` attribute is swapped
-to the core's clock for the duration of the slice and harvested back at the
-end.  Elapsed machine time is the *frontier* — the maximum core clock — so
-work spread over N cores genuinely takes ~1/N the simulated time.
+private decoded-insn and superblock caches, and rounds interleave the
+cores in an order drawn from a seeded RNG.  Slices still execute one at
+a time in host order (so every existing kernel invariant holds), but
+each slice runs on its core's *local* timeline: the kernel's global
+``clock`` attribute is swapped to the core's clock for the duration of
+the slice and harvested back at the end.  Elapsed machine time is the
+*frontier* — the maximum core clock — so work spread over N cores
+genuinely takes ~1/N the simulated time.  A code write drops the page's
+compiled blocks from every core's cache at once (:meth:`_shootdown`), so
+the slice loop runs a cached block without checking its generations.
 
 One outer loop (:meth:`Scheduler.run`) serves every core count; only the
 round body forks on it, because the core count is observable.  ``until()``
@@ -102,11 +108,6 @@ class Scheduler:
         self.quantum = quantum
         self.policy = policy
         self._active: set[int] = set()  # tids currently on the Python stack
-        #: Bumped whenever any slice starts.  A slice snapshots the value and
-        #: re-stores its task's PKRU if it changed mid-step — i.e. a nested
-        #: scheduler invocation (wait_until from inside an hcall) ran
-        #: another task, which may share this address space.
-        self._nest_epoch = 0
         #: Set by :meth:`_slide` when a slide stops at the slice budget
         #: with more of its run left; the one-core round then tries
         #: :meth:`_slide_quanta`.  One attribute test per slice for a
@@ -134,8 +135,7 @@ class Scheduler:
             self.kernel.run_syscall(task, *restart)
 
     def _open_slice(self, task: Task) -> None:
-        """Start a slice of ``task``: bump the nest epoch, trace it."""
-        self._nest_epoch += 1
+        """Start a slice of ``task``: trace it."""
         tracer = self.kernel.tracer
         if tracer is not None:
             clock = self.kernel.clock
@@ -178,9 +178,10 @@ class Scheduler:
         # Invariants hoisted out of the per-instruction body: the CPU step
         # and fault handler bindings, and the protection-key rights load
         # (per-thread PKRU) — a slice is the task-switch point, so PKRU is
-        # stored once here and re-stored only when a nested scheduler run
-        # (_nest_epoch changed) or an execve (task.mem rebound) may have
-        # clobbered it.  ``until()`` predicates are only consulted between
+        # stored once here and re-stored only after an execve rebinds
+        # task.mem.  A nested scheduler run (wait_until, deep in a step)
+        # restores this task's PKRU and core binding itself before it
+        # returns.  ``until()`` predicates are only consulted between
         # slices, so insn_count is batched to slice exit as well.
         cpu = kernel.cpu
         step = cpu.step
@@ -199,17 +200,16 @@ class Scheduler:
         # delivery point, boundary check and quantum edge that the
         # single-step loop would hit still lands on the same instruction.
         tier = cpu.superblocks and policy is None and not hooks
-        blocks = heads = gens = runs = None
+        blocks = gens = runs = None
+        count_head = self._count_head
         try:
             mem = task.mem
             mem.active_pkru = task.regs.pkru
-            epoch = self._nest_epoch
             if tier:
                 bcache = mem.block_cache
                 if mem.block_flush_hook is None:
                     self._tier_state(mem)
                 blocks = bcache.blocks
-                heads = bcache.heads
                 runs = bcache.runs
                 gens = mem.exec_gen
             while executed < budget:
@@ -226,19 +226,15 @@ class Scheduler:
                     kernel.signals.deliver_pending(task)
                     if not task.alive:
                         break
-                if task.mem is not mem or self._nest_epoch != epoch:
+                if task.mem is not mem:
+                    # An execve gave the task a fresh address space.
                     mem = task.mem
-                    epoch = self._nest_epoch
                     mem.active_pkru = task.regs.pkru
                     if self.smp:
-                        # A nested slice (or an execve) may have pointed
-                        # this address space's live decode cache at another
-                        # core's private copy; re-bind ours.
                         self._bind_core(core, mem)
                     tier = cpu.superblocks and policy is None and not hooks
                     if tier:
-                        (bcache, blocks, heads, runs,
-                         gens) = self._tier_state(mem)
+                        bcache, blocks, runs, gens = self._tier_state(mem)
                 addr = task.regs.rip
                 # Tier 2: one lookup per block entry runs the block at
                 # ``addr`` (or its tail variant when it overruns the
@@ -251,6 +247,9 @@ class Scheduler:
                 # same reason an exit to an address with no runnable block
                 # steps that instruction at once.  ``addr = None`` marks a
                 # dispatch that returns to the boundary checks unstepped.
+                # A cached block is never stale: every write that bumps a
+                # page generation drops the blocks spanning the page from
+                # every core's cache at once (_bump_exec_gen, _shootdown).
                 # ``head``: a miss here is a block-head candidate.  Slice
                 # entries and block exits are (quantum cuts land mid-run,
                 # so they recur without ever being a taken branch
@@ -263,14 +262,6 @@ class Scheduler:
                         if not head:
                             break  # a mid-slice step target: step it
                         fn = None
-                    elif (gens.get(b.p0, 0) != b.g0
-                          or gens.get(b.p1, 0) != b.g1):
-                        # Missed by the eager flush (e.g. invalidated
-                        # while bound to another core's cache).
-                        del blocks[addr]
-                        if b.fn is not None:
-                            cpu.note_block_invalidate(addr, task.tid)
-                        break
                     else:
                         fn = b.fn
                     if fn is None:
@@ -290,17 +281,12 @@ class Scheduler:
                                     task, addr, r[0], budget - executed)
                                 addr = None
                                 break
-                        if b is None:
-                            c = heads.get(addr, 0) + 1
-                            if c >= _HOT:
-                                heads.pop(addr, None)
-                                cpu.compile_superblock(mem, addr, task)
-                                if 0 < executed < budget:
-                                    # A block exit dispatches the block
-                                    # just compiled; a slice entry steps.
-                                    continue
-                            else:
-                                heads[addr] = c
+                        if (b is None
+                                and count_head(mem, task, addr) is not None
+                                and 0 < executed < budget):
+                            # A block exit dispatches the block just
+                            # compiled; a slice entry steps.
+                            continue
                         if executed == budget:
                             addr = None  # a chain used up the slice
                         break
@@ -312,23 +298,10 @@ class Scheduler:
                         # that many single steps.  A variant compiles only
                         # once its (head, leftover) pair is hot; until
                         # then the remainder single-steps.
-                        key = (addr, budget - executed)
-                        b = blocks.get(key)
-                        if b is not None and (
-                                gens.get(b.p0, 0) != b.g0
-                                or gens.get(b.p1, 0) != b.g1):
-                            del blocks[key]
-                            if b.fn is not None:
-                                cpu.note_block_invalidate(addr, task.tid)
-                            b = None
+                        left = budget - executed
+                        b = blocks.get((addr, left))
                         if b is None:
-                            c = heads.get(key, 0) + 1
-                            if c >= _HOT:
-                                heads.pop(key, None)
-                                b = cpu.compile_superblock(
-                                    mem, addr, task, max_len=key[1])
-                            else:
-                                heads[key] = c
+                            b = count_head(mem, task, addr, left)
                         if b is None or b.fn is None:
                             break
                         fn = b.fn
@@ -384,22 +357,7 @@ class Scheduler:
                         # (hcall, rdgsbase, ...), as candidate block heads;
                         # any other straight-line fallthrough is covered
                         # by the run that eventually compiles across it.
-                        c = heads.get(nrip, 0) + 1
-                        if c >= _HOT:
-                            heads.pop(nrip, None)
-                            cpu.compile_superblock(mem, nrip, task)
-                        else:
-                            heads[nrip] = c
-                if self._nest_epoch != epoch:
-                    epoch = self._nest_epoch
-                    if task.mem is mem:
-                        mem.active_pkru = task.regs.pkru
-                    if self.smp:
-                        self._bind_core(core, task.mem)
-                    tier = cpu.superblocks and policy is None and not hooks
-                    if tier and task.mem is not None:
-                        (bcache, blocks, heads, runs,
-                         gens) = self._tier_state(task.mem)
+                        count_head(mem, task, nrip)
         finally:
             self._active.discard(task.tid)
             core._depth -= 1
@@ -536,9 +494,15 @@ class Scheduler:
                     "no runnable tasks or events"
                 )
             # Nested slices may have run a sibling thread sharing this
-            # address space; restore this task's protection-key rights
-            # before its host-side caller touches user memory again.
-            current.mem.active_pkru = current.regs.pkru
+            # address space, on this core or another: restore this task's
+            # protection-key rights and, on SMP, point the space back at
+            # this core's decode and block caches, before its host-side
+            # caller touches user memory or the slice resumes.  This is
+            # the one restore point; the slice loop does not re-check.
+            mem = current.mem
+            mem.active_pkru = current.regs.pkru
+            if self.smp:
+                self._bind_core(self._current_core, mem)
 
     # ---------------------------------------------------------------- SMP
     @property
@@ -611,10 +575,10 @@ class Scheduler:
 
         The one-core round calls this after a slice of ``task`` that a
         slide ended, and after that slice's ``until()``.  Each fused
-        quantum is the slide-only slice the next round would run: a
-        ``_nest_epoch`` bump, tracer ``slice_start``/``slice_end`` at the
-        same clocks, one :meth:`_slide` of a quantum of nops, the same
-        instruction and busy-cycle counts, and one ``until()``.  A quantum
+        quantum is the slide-only slice the next round would run: tracer
+        ``slice_start``/``slice_end`` at the same clocks, one
+        :meth:`_slide` of a quantum of nops, the same instruction and
+        busy-cycle counts, and one ``until()``.  A quantum
         is fused only while nothing could tell the difference: ``task`` is
         the only live task *now* (the round's snapshot goes stale on a
         clone), no policy, CPU hook or nested scheduler frame is in play,
@@ -667,15 +631,33 @@ class Scheduler:
 
         Arms the flush hook so eager invalidations surface as
         ``block_invalidate`` events.  A slice calls it on entry only when
-        the hook is not armed yet, and again after a nested run or an
-        execve rebinds ``mem``.  Returns the cache and the parts a
-        slice keeps in locals: ``(bcache, blocks, heads, runs, exec_gen)``.
+        the hook is not armed yet, and again after an execve rebinds
+        ``mem``.  Returns the cache and the parts a slice keeps in
+        locals: ``(bcache, blocks, runs, exec_gen)``.
         """
         bcache = mem.block_cache
         if mem.block_flush_hook is None:
             mem.block_flush_hook = self._block_flush
-        return (bcache, bcache.blocks, bcache.heads, bcache.runs,
-                mem.exec_gen)
+        return bcache, bcache.blocks, bcache.runs, mem.exec_gen
+
+    def _count_head(self, mem, task: Task, head: int,
+                    max_len: int | None = None):
+        """Count one execution of a block-head candidate; compile it hot.
+
+        The candidate is ``head``, or with ``max_len`` its ``(head,
+        max_len)`` tail variant, counted under the key it is cached under
+        in ``mem``'s bound block cache.  On the ``HOT_THRESHOLD``-th count
+        the counter is dropped and the run compiled.  Returns the new
+        block (perhaps a sentinel), or None while the candidate is cold.
+        """
+        key = head if max_len is None else (head, max_len)
+        heads = mem.block_cache.heads
+        c = heads.get(key, 0) + 1
+        if c < _HOT:
+            heads[key] = c
+            return None
+        heads.pop(key, None)
+        return self.kernel.cpu.compile_superblock(mem, head, task, max_len)
 
     def _block_flush(self, mem, pn: int, dropped: list) -> None:
         """Eager flush callback: blocks spanning page ``pn`` were dropped."""
@@ -722,26 +704,30 @@ class Scheduler:
         }
 
     def _shootdown(self, mem, pn: int) -> None:
-        """A code patch invalidated page ``pn``: flush remote caches.
+        """A code patch invalidated page ``pn``: flush the other caches.
 
         Every *other* core holding decodes of ``pn`` drops them and costs
         the writer one IPI round-trip — the cross-core analogue of the
         icache/TLB flush that makes lazypoline's in-place rewrite (§IV-A b)
-        expensive but safe on real SMP hardware.
+        expensive but safe on real SMP hardware.  Compiled blocks spanning
+        the page go from every core's cache of the address space but the
+        one ``mem`` is bound to, which ``_bump_exec_gen`` already flushed
+        — the writer's core or, for a host-side write between slices, the
+        core that ran last.  Readers never re-check a block's generations,
+        so this and that flush are the only invalidation.
         """
         cur = self._current_core
         asid = mem.asid
+        bound = mem.block_cache
         kernel = self.kernel
         cpu = kernel.cpu
         ipi = kernel.costs.smp_shootdown_ipi
         for core in self.cores:
-            if core is cur:
-                continue
-            # Remote superblocks spanning the page ride the same flush —
-            # never a separate IPI charge, so simulated cycles stay
-            # bit-identical to a machine with tiering off.
+            # Superblocks spanning the page ride the decode flush — never
+            # a separate IPI charge, so simulated cycles stay bit-identical
+            # to a machine with tiering off.
             bc = core.block_caches.get(asid)
-            if bc is not None and bc.blocks:
+            if bc is not None and bc is not bound and bc.blocks:
                 victims = bc.index.pop(pn, None)
                 if victims:
                     blocks = bc.blocks
@@ -752,6 +738,8 @@ class Scheduler:
                             if type(head) is tuple:
                                 head = head[0]
                             cpu.note_block_invalidate(head, -1, "shootdown")
+            if core is cur:
+                continue
             cache = core.caches.get(asid)
             if not cache:
                 continue

@@ -137,7 +137,6 @@ class Task:
         #: idle core fast-forwards instead of running the task in the past.
         self.wake_clock = 0
 
-        self.cpu_cycles = 0
         #: Instructions retired by a superblock that faulted mid-run
         #: (faulting instruction included); written by generated block
         #: code just before re-raising, read once by the scheduler.

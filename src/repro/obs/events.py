@@ -27,7 +27,7 @@ kind                      emitted by
 ``block_compile``         tier-2 interpreter — a hot straight-line run was
                           compiled into a superblock (``n`` instructions)
 ``block_invalidate``      tier-2 interpreter — a compiled superblock was
-                          discarded (``reason``: smc, shootdown, or stale)
+                          discarded (``reason``: smc or shootdown)
 ``ring_enter``            kernel uring drain — one ``ring_enter`` crossing
                           finished draining (``submitted``/``completed``)
 ``ring_entry``            kernel uring drain — one SQE completed, with its

@@ -420,7 +420,6 @@ class ServerWorkload:
         self.file_size = file_size
         self.workers = workers
         self.batched = batched
-        self.async_depth = async_depth
         self.last_client = None
         machine.fs.create(FILE_PATH, bytes(file_size))
         extra = list(request_extra_cycles or ())

@@ -91,9 +91,10 @@ def _nested_patch_image():
     """A hot loop whose hcall at pass 100 waits for a CLONE_VM sibling,
     then rewrites the loop's first byte in place (same value, new page
     generation).  On two cores the wait runs the sibling on the other
-    core, so the rewrite lands while the address space is bound to that
-    core's block cache: the waiter's own compiled loop block is left
-    stale for its next lookup to drop."""
+    core and rebinds the address space to the waiter's core before it
+    returns, so the rewrite drops the waiter's loop blocks from the bound
+    cache (``smc``) and the sibling's from the other core's
+    (``shootdown``)."""
     a = asm()
     a.label("_start")
     emit_syscall(a, "mmap", 0, 8192, 3, 0x22, (1 << 64) - 1, 0)
@@ -436,8 +437,8 @@ PINNED = {
         "6ed2d4ede62e5eb4c7b077a6217918d55b81c7550a3f7c32442acddeed9363af",
         "d317a402b1273ba09fe2b526eff0b7c369e73f3937480ca98b8618b369d3ca65"),
     "nested-patch-2c": (
-        "76f51662e3b1138573234dfdb251685122d073755efeba6e5761a86fe3f61cc7",
-        "c200ef56c8e99605f1893e52249f5226f646feb74b3a8e0eb66205a4d83b42d5"),
+        "3a8e43659ad94e77395b32862d890d194f688aa21e822c6b14e5676b29b522ba",
+        "1036cdbb35cf7e59f7d418b20701a770098a9a286a91f7bad00f99816cdadb6f"),
     "pwd-lazypoline-1c": (
         "7101cadf5c7a4b6a829048425abd686d076bd42a8783081e58a7da49e16530c6",
         "d171168073cc80a96aec0b78b1a073c3da62dce885dfd3a0b4f6b69d4dfee75e"),
