@@ -229,6 +229,7 @@ class CPU:
         #: Superblock counters (compiles/invalidations are rare; per-run
         #: counts live on the blocks themselves to keep the hot path lean).
         self.blocks_compiled = 0
+        self.cuts_compiled = 0
         self.blocks_invalidated = 0
         #: Nop slides (one per dispatch, not per nop) and the nops they
         #: retired; the scheduler counts them (see repro.cpu.superblock).
@@ -242,39 +243,39 @@ class CPU:
         self._cost_table = self.costs.op_costs
 
     # ------------------------------------------------------------ superblocks
-    def compile_superblock(self, mem, head: int, task,
-                           max_len: int | None = None):
+    def compile_superblock(self, mem, head: int, task):
         """Compile the run at ``head`` into ``mem``'s bound block cache.
 
-        The block is specialised on ``task``'s xstate component count, so
-        xsave/xrstor compile (guarded; see
-        :func:`repro.cpu.superblock.compile_block`).
-
-        With ``max_len`` the block is truncated to the remaining slice
-        budget and cached under the ``(head, max_len)`` key — a *tail*
-        variant the scheduler reuses every time a quantum cuts the full
-        block at the same point.  Tail keys ride the same per-page index,
-        so generation bumps flush them with everything else.
+        The first call for a head compiles its full block (perhaps a
+        sentinel); a call for a head that already holds a compiled block
+        gives that block its *cut variant* instead, which the scheduler
+        enters wherever a quantum cuts the run (see
+        :func:`repro.cpu.superblock.compile_cut`).  Both are specialised on
+        ``task``'s xstate component count, so xsave/xrstor compile
+        (guarded; see :func:`repro.cpu.superblock.compile_block`).  Each
+        compile counts in ``blocks_compiled`` and emits one
+        ``block_compile`` event; a cut also counts in ``cuts_compiled``.
         """
-        from repro.cpu.superblock import compile_block
+        from repro.cpu.superblock import compile_block, compile_cut
 
         count = task.xsave_components
         xstate = (count, self.costs.xsave_cost(count))
-        block = compile_block(mem, head, self._cost_table, xstate, max_len)
-        key = head if max_len is None else (head, max_len)
         bc = mem.block_cache
-        bc.blocks[key] = block
-        index = bc.index
-        index.setdefault(block.p0, set()).add(key)
-        if block.p1 != block.p0:
-            index.setdefault(block.p1, set()).add(key)
-        if block.fn is not None:
-            self.blocks_compiled += 1
-            if self.tracer is not None:
-                self.tracer.block_compile(
-                    getattr(self.env, "clock", 0),
-                    getattr(task, "tid", -1), head, block.n,
-                )
+        block = bc.blocks.get(head)
+        if block is not None and block.fn is not None:
+            block.cut = compile_cut(block, self._cost_table, xstate)
+            self.cuts_compiled += 1
+        else:
+            block = compile_block(mem, head, self._cost_table, xstate)
+            bc.add(block)
+            if block.fn is None:
+                return block
+        self.blocks_compiled += 1
+        if self.tracer is not None:
+            self.tracer.block_compile(
+                getattr(self.env, "clock", 0),
+                getattr(task, "tid", -1), head, block.n,
+            )
         return block
 
     def note_block_invalidate(self, head: int, tid: int, reason: str) -> None:

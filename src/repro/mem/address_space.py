@@ -152,20 +152,11 @@ class AddressSpace:
         bc = self.block_cache
         if bc.blocks:
             # Eagerly drop every compiled block spanning the bumped page;
-            # the per-page index makes this a set lookup, not a scan.  A
-            # head indexed under its *other* page may linger as a stale
-            # index entry — the ``pop(h, None)`` below tolerates that.
-            heads = bc.index.pop(pn, None)
-            if heads:
-                blocks = bc.blocks
-                dropped = []
-                for h in heads:
-                    b = blocks.pop(h, None)
-                    if b is not None and b.fn is not None:
-                        dropped.append(h)  # sentinels drop silently
-                hook2 = self.block_flush_hook
-                if dropped and hook2 is not None:
-                    hook2(self, pn, dropped)
+            # the per-page index makes this a set lookup, not a scan.
+            dropped = bc.drop_page(pn)
+            hook2 = self.block_flush_hook
+            if dropped and hook2 is not None:
+                hook2(self, pn, dropped)
         hook = self.smp_shootdown
         if hook is not None:
             hook(self, pn)

@@ -180,14 +180,22 @@ def cases(draw, m: Mnemonic):
 
 def machine(m: Mnemonic, ops: tuple, regs: RegisterFile, seed: int):
     """A bare CPU and task about to run one ``m`` at ``CODE``."""
+    return bare(encode(m, ops), regs, seed)
+
+
+def bare(code: bytes, regs: RegisterFile | None, seed: int,
+         perm: Perm = Perm.RX):
+    """A bare CPU and task about to run ``code`` at ``CODE`` (a ``perm``
+    page), with ``regs`` (default: all zero) and the data pages filled
+    from ``seed``."""
     mem = AddressSpace()
-    mem.map(CODE, PAGE_SIZE, Perm.RX)
-    mem.write(CODE, encode(m, ops), check=None)
+    mem.map(CODE, PAGE_SIZE, perm)
+    mem.write(CODE, code, check=None)
     mem.map(DATA, DATA_PAGES * PAGE_SIZE, Perm.RW)
     mem.write(DATA, random.Random(seed).randbytes(DATA_PAGES * PAGE_SIZE),
               check=None)
     env = NullEnvironment()
-    task = BareTask(mem, regs.copy())
+    task = BareTask(mem, regs.copy() if regs is not None else None)
     task.regs.rip = CODE
     return CPU(env), task, env
 

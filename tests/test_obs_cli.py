@@ -18,15 +18,15 @@ from repro.obs.cli import main
 pytestmark = pytest.mark.obs
 
 SMOKE_DIGEST = (
-    "fcda73d27f0065359a39757aa8ccdbb2a953cab0e79dafcfed90906cf5450bc1"
+    "65654852affefbfa37a1ad44a57e9e57750fefd1e72ab6c3a5da5811fefdd5c3"
 )
 
 #: (workload, tool) -> sha256 of ``run --workload W --tool T --format summary``
 RUN_DIGESTS = {
     ("microbench", "lazypoline"):
-        "46c9e50e387406cf15d0c85e084e2872ea2ca62b31b354020bd0bc4b2a592ed8",
+        "f5fb3e2f2b1f32102406239b9863fb38f9aec80a3eb3a9c5de30934aa248be75",
     ("microbench", "zpoline"):
-        "fd4c39b40140ebd27783673188b6136ba24dee65396ecac0ceb729f4211f2358",
+        "1874125b537bb1e7442499a7a4a10b89318258152e5727149bbb36e71971a1aa",
     ("ls", "lazypoline"):
         "d36b449584e8c47bc4c3bc8b451d4457817faa36a1dc91bd88f259b60466f304",
     ("ls", "zpoline"):
@@ -36,9 +36,9 @@ RUN_DIGESTS = {
     ("tcc", "zpoline"):
         "a977ba4dd5d4e8ce52aeae167e86976c1f2b0b1e4c8e400cc22142c6b7fdb7d6",
     ("webserver", "lazypoline"):
-        "2e430da75f1b7d150899dca861030a7e79032c44335190181b309a3cee4ce3fe",
+        "8c3bbfe9ffc0cd2ef54dbac8233db6e21eeada5c0609c2fee7b405407b88403c",
     ("webserver", "zpoline"):
-        "a38b4c0a90e4006874d4d8ebc2b84e102ee73fb7e10d52585986a5f0ebbaa5b9",
+        "db953100a579b6fce79e22f23466bc7c49ed40a10be3620e53bcd8cc7145bf0a",
 }
 
 

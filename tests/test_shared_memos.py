@@ -1,8 +1,8 @@
-"""Process-wide memos: the blob page, decodes and xstate areas.
+"""Process-wide memos: the blob page, decodes, xstate areas and block code.
 
-``build_blobs``, ``decode_cached`` and the two xstate memos behind
-``xsave_serialize``/``xrstor_apply`` are shared by every machine in the
-process.  Each is sound only because what it memoises is a pure value of
+``build_blobs``, ``decode_cached``, the two xstate memos behind
+``xsave_serialize``/``xrstor_apply`` and the tier-2 source -> code object
+memo are shared by every machine in the process.  Each is sound only because what it memoises is a pure value of
 the key; these tests pin the cases that would expose a memo keyed on too
 little (a different configuration, a patched site, another component
 mask, an edited area) or holding state that belongs to one machine (a
@@ -30,6 +30,7 @@ from repro.cpu.core import (
     xrstor_apply,
     xsave_serialize,
 )
+from repro.cpu import superblock
 from repro.cpu.costs import DEFAULT_INSN_COSTS, CostModel
 from repro.errors import InvalidOpcode
 from repro.interpose.api import TraceInterposer
@@ -333,3 +334,64 @@ def test_register_files_never_share_a_list(empty_xstate_memos):
     c = RegisterFile()
     xrstor_apply(c, area)
     assert _xstate(c) == _xstate(b)
+
+
+# ------------------------------------------------------------ block code
+def _store_loop(step: int):
+    """A hot loop whose block stores, so it carries ``_F*`` fault
+    records; ``step`` is baked into its source."""
+    a = asm()
+    a.label("_start")
+    a.mov_imm("rbx", 300)
+    a.label("loop")
+    a.addi("r12", step)
+    a.store("rsp", -64, "r12")
+    a.load("r13", "rsp", -64)
+    a.dec("rbx")
+    a.jnz("loop")
+    emit_exit(a, 0)
+    return finish(a, "store-loop"), a.address_of("loop")
+
+
+def _loop_block(image, head):
+    machine = Machine()
+    proc = machine.load(image)
+    machine.run_process(proc, max_instructions=100_000)
+    assert proc.exit_code == 0
+    block = proc.task.mem.block_cache.blocks[head]
+    assert block.fn is not None
+    return block
+
+
+def test_machines_running_one_image_share_block_code():
+    """Two machines running the same image compile the loop block once:
+    both functions share one code object, each over a namespace of its
+    own holding its own fault records; a patched loop compiles anew."""
+    image, head = _store_loop(3)
+    first = _loop_block(image, head)
+    second = _loop_block(image, head)
+    assert first.fn is not second.fn
+    assert first.fn.__code__ is second.fn.__code__
+    ns1, ns2 = first.fn.__globals__, second.fn.__globals__
+    assert ns1 is not ns2
+    records = {k for k in ns1 if k.startswith("_F")}
+    assert records and {k: ns1[k] for k in records} == {
+        k: ns2[k] for k in ns2 if k.startswith("_F")}
+    ns1["_F1"] = None  # one block's consts are not another's
+    assert ns2["_F1"] is not None
+
+    patched_image, patched_head = _store_loop(5)
+    assert patched_head == head
+    patched = _loop_block(patched_image, head)
+    assert patched.fn.__code__ is not first.fn.__code__
+    assert any(patched.fn.__code__ in code.co_consts
+               for code in superblock._code.values())
+
+
+def test_block_code_memo_clears_at_capacity(monkeypatch):
+    monkeypatch.setattr(superblock, "_CODE_CAPACITY", 2)
+    monkeypatch.setattr(superblock, "_code", {})
+    for step in (3, 5, 7):
+        image, head = _store_loop(step)
+        _loop_block(image, head)
+        assert 1 <= len(superblock._code) <= 2

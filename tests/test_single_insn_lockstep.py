@@ -1,10 +1,12 @@
-"""Single-instruction lockstep: one tier-1 step vs a one-instruction block.
+"""Single-instruction lockstep: one tier-1 step vs a one-instruction cut.
 
-For every mnemonic a superblock can start with, one ``CPU.step`` and one
-``compile_block(..., max_len=1)`` call must leave the same registers,
-flags, rip, memory and charged cycles, and fault the same way (the block
-rewinds rip to the instruction and records one retired instruction in
-``task.sb_fault``, where the scheduler rewinds a faulting step).
+For every mnemonic a superblock can start with, one ``CPU.step`` and a
+one-instruction call of a run's cut variant, ``cut(task, charge, 1, 2)``
+on the run ``mov rax, rax`` + the instruction (``compile_cut``), must
+leave the same registers, flags, rip, memory and charged cycles, and
+fault the same way (the cut rewinds rip to the instruction and records
+one retired instruction in ``task.sb_fault``, where the scheduler rewinds
+a faulting step).
 
 The guest-level lockstep suites draw a few registers and small
 immediates; here every operand is full-range: all 16 registers (``rsp``
@@ -25,12 +27,13 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from insn_corpus import (BASE_DISP, CODE, DATA, GS_DISP, M64, cases, machine,
-                         memory, operands, register_files)
+from insn_corpus import (BASE_DISP, CODE, DATA, GS_DISP, M64, bare, cases,
+                         encode, memory, operands, register_files)
+from repro.arch.encode import Assembler
 from repro.arch.isa import Mnemonic
 from repro.arch.registers import RSP
 from repro.cpu.core import CPU
-from repro.cpu.superblock import compile_block
+from repro.cpu.superblock import compile_block, compile_cut
 from repro.errors import BreakpointTrap, InvalidOpcode, PageFault
 from repro.mem.pages import PAGE_SIZE, Perm
 
@@ -53,6 +56,34 @@ COMPILABLE = (
 
 _FAULTS = (PageFault, InvalidOpcode, BreakpointTrap)
 
+#: The run's first instruction: the instruction under test is its second,
+#: where a cut starts, so a terminator has a run to end too.
+FILLER = Assembler(base=CODE).mov("rax", "rax").assemble()
+#: Where the instruction under test lies.
+AT = CODE + len(FILLER)
+
+
+def machine(m, ops, regs, seed):
+    """A bare CPU and task about to run ``m`` at ``AT``, after the
+    filler."""
+    cpu, task, env = bare(FILLER + encode(m, ops), regs, seed)
+    task.regs.rip = AT
+    return cpu, task, env
+
+
+def _cut_once(cpu, task, env, m):
+    """One ``cut(task, charge, 1, 2)`` of the run at ``CODE``:
+    ``(exc, retired)``."""
+    count = task.xsave_components
+    xstate = (count, cpu.costs.xsave_cost(count))
+    block = compile_block(task.mem, CODE, cpu._cost_table, xstate)
+    assert block.fn is not None and block.insns[1][1].mnemonic is m, m
+    cut = compile_cut(block, cpu._cost_table, xstate)
+    try:
+        return None, cut(task, env.charge, 1, 2)
+    except _FAULTS as e:
+        return e, task.sb_fault
+
 
 def _outcome(exc):
     if exc is None:
@@ -67,22 +98,13 @@ def _tier1(m, ops, regs, seed):
         cpu.step(task)
     except _FAULTS as e:
         exc = e
-        task.regs.rip = CODE  # the scheduler's handle_fault rewind
+        task.regs.rip = AT  # the scheduler's handle_fault rewind
     return task, env, exc
 
 
 def _tier2(m, ops, regs, seed):
     cpu, task, env = machine(m, ops, regs, seed)
-    count = task.xsave_components
-    block = compile_block(task.mem, CODE, cpu._cost_table,
-                          (count, cpu.costs.xsave_cost(count)), max_len=1)
-    assert block.fn is not None and block.n == 1, m
-    exc = None
-    try:
-        retired = block.fn(task, env.charge)
-    except _FAULTS as e:
-        exc = e
-        retired = task.sb_fault
+    exc, retired = _cut_once(cpu, task, env, m)
     assert retired == 1
     return task, env, exc
 
@@ -162,7 +184,7 @@ def _stepped(cpu, task, env):
         cpu.step(task)
     except _FAULTS as e:
         exc = e
-        task.regs.rip = CODE
+        task.regs.rip = AT
     return _observed(task, env, exc, 1)
 
 
@@ -186,16 +208,7 @@ def test_fallback_edges_match_in_both_tiers_and_the_reference(m, shape, data):
     reference = _stepped(CPU(env, translation_cache=False), task, env)
 
     cpu, task, env = _shaped(*args)
-    count = task.xsave_components
-    block = compile_block(task.mem, CODE, cpu._cost_table,
-                          (count, cpu.costs.xsave_cost(count)), max_len=1)
-    assert block.fn is not None and block.n == 1
-    exc = None
-    try:
-        retired = block.fn(task, env.charge)
-    except _FAULTS as e:
-        exc = e
-        retired = task.sb_fault
+    exc, retired = _cut_once(cpu, task, env, m)
     tier2 = _observed(task, env, exc, retired)
 
     assert tier1 == reference

@@ -1,5 +1,5 @@
 """Tier 2 on the interposer's glue: gs-relative memory ops, xsave/xrstor
-and tail gating.
+and cut gating.
 
 Lazypoline's fast path wraps every interposed syscall in gs-relative
 selector and xstate-pointer traffic and brackets its hcall with
@@ -8,7 +8,7 @@ memory access, and the xstate pair behind a guard on the task's xstate
 component count, so each case below pins one way the compiled form could
 drift from single-stepping: a gs store or xsave that patches code, a gs
 load or xrstor that faults, a guard that must miss, and the hotness gate
-on tail variants.  Both tiers serve a one-page access inline from the
+on a run's cut variant.  Both tiers serve a one-page access inline from the
 address space's page maps; the fallback-edge cases at the end run
 accesses the inline path must miss three ways (uncached reference, tier-1
 steps, compiled block) and compare everything.
@@ -22,7 +22,7 @@ from repro.arch.encode import Assembler
 from repro.arch.isa import Mnemonic
 from repro.arch.registers import XComponent
 from repro.cpu.core import BareTask, CPU, NullEnvironment
-from repro.cpu.superblock import HOT_THRESHOLD, _decode_run
+from repro.cpu.superblock import HOT_THRESHOLD
 from repro.workloads.runner import attach_mechanism
 from repro.errors import PageFault
 from repro.kernel.machine import Machine
@@ -90,7 +90,7 @@ def _compiled_heads(mem, mnemonic):
         head for head, b in mem.block_cache.blocks.items()
         if b.fn is not None and any(
             i.mnemonic is mnemonic
-            for _, i in _decode_run(mem, b.head)[:b.n])
+            for _, i in b.insns)
     ]
 
 
@@ -357,7 +357,7 @@ def test_block_compiled_for_one_component_set_never_charges_another(mask):
             task2.mem.read(STACK, 16)) == stepped_state
 
 
-# ----------------------------------------------------------- tail variants
+# ------------------------------------------------------------ cut variants
 def _loop_image(body: int, iters: int = 1_000_000):
     """``iters`` passes of a loop of ``body`` incs plus dec/jnz."""
     a = asm()
@@ -369,46 +369,87 @@ def _loop_image(body: int, iters: int = 1_000_000):
     a.dec("rbp")
     a.jnz("loop")
     emit_exit(a, 0)
-    return image_from_assembler("tail", a, entry="_start"), a
+    return image_from_assembler("cut", a, entry="_start"), a
 
 
-def test_tail_variant_compiles_only_when_hot():
-    """A (head, leftover) tail variant is compiled on its HOT_THRESHOLD-th
-    sighting, not before; until then the leftover single-steps."""
+def test_cut_variant_compiles_only_when_hot():
+    """A run's cut variant is compiled on the run's HOT_THRESHOLD-th cut,
+    not before, and every cut of the run counts toward it — slices that
+    overrun the block at its head and slices resuming inside it alike.
+    Until then each cut single-steps."""
     image, a = _loop_image(10)
-    # One-instruction slices compile the loop block but only ever meet
-    # leftovers of 1, so no (head, 3) variant exists yet.
-    machine = Machine(quantum=1)
+    machine = Machine()
     proc = machine.load(image)
-    machine.run(max_instructions=2_000)
     task = proc.task
     head = a.address_of("loop")
-    blocks = task.mem.block_cache.blocks
-    assert blocks[head].fn is not None and blocks[head].n == 12
+    cpu = machine.kernel.cpu
+    block = cpu.compile_superblock(task.mem, head, task)
+    assert block.fn is not None and block.n == 12
+    inner = block.insns[5][0]
+    assert task.mem.block_cache.interior[inner] == (block, 5)
     base = machine.superblock_stats()["compiled"]
     sched = machine.scheduler
-    for _ in range(HOT_THRESHOLD - 1):
-        task.regs.rip = head
+    for i in range(HOT_THRESHOLD - 1):
+        task.regs.rip = head if i % 2 else inner
         assert sched.run_task_slice(task, quantum=3) == 3
-        assert (head, 3) not in blocks
+        assert block.cut is None and block.cuts == i + 1
         assert machine.superblock_stats()["compiled"] == base
     task.regs.rip = head
     assert sched.run_task_slice(task, quantum=3) == 3
-    assert machine.superblock_stats()["compiled"] == base + 1
-    tail = blocks[(head, 3)]
-    assert (tail.n, tail.runs) == (3, 1)
+    stats = machine.superblock_stats()
+    assert stats["compiled"] == base + 1 and stats["cut_compiled"] == 1
+    assert block.cut is not None
+    assert (block.cut_runs, block.cut_insns, block.runs) == (1, 3, 0)
+    assert stats["cut_runs"] == 1 and stats["block_insns"] == 3
+    assert all(type(k) is int for k in task.mem.block_cache.blocks)
+    # A slice resuming inside the run enters the variant there.
+    task.regs.rip = inner
+    assert sched.run_task_slice(task, quantum=4) == 4
+    assert task.regs.rip == block.insns[9][0]
+    assert (block.cut_runs, block.cut_insns) == (2, 7)
+
+
+def test_code_write_drops_the_runs_cut_and_interior_entries():
+    """A write into a run's page drops the block with its cut variant and
+    every interior entry, so a slice resuming inside the old run steps
+    the new bytes instead of entering stale compiled code."""
+    image, a = _loop_image(10)
+    machine = Machine()
+    proc = machine.load(image)
+    task = proc.task
+    mem = task.mem
+    head = a.address_of("loop")
+    cpu = machine.kernel.cpu
+    block = cpu.compile_superblock(mem, head, task)
+    cpu.compile_superblock(mem, head, task)
+    assert block.cut is not None
+    inner = block.insns[5][0]
+    interior = mem.block_cache.interior
+    assert {addr for addr, _ in block.insns[1:]} <= interior.keys()
+    dec = Assembler().dec("rbx").assemble()
+    mem.write(inner, dec, check=None)  # inc rbx -> dec rbx
+    assert head not in mem.block_cache.blocks
+    assert not interior
+    task.regs.rip = inner
+    task.regs.write_name("rbx", 5)
+    assert machine.scheduler.run_task_slice(task, quantum=1) == 1
+    assert task.regs.read_name("rbx") == 4
 
 
 @pytest.mark.parametrize("quantum", [5, 7, 13])
-def test_tail_variants_keep_cycles_identical(quantum):
-    """Quanta that keep cutting the loop block: tail variants compile and
-    every observable matches single-stepping."""
-    image, _ = _loop_image(10, iters=400)
+def test_cut_variants_keep_cycles_identical(quantum):
+    """Quanta that keep cutting the loop block: its cut variant compiles,
+    runs, and every observable matches single-stepping; no block cache
+    holds a second compiled entry for the run."""
+    image, a = _loop_image(10, iters=400)
     machine, proc = _outcomes(image, quantum=quantum)
     assert proc.exit_code == 0
-    tails = [k for k, b in proc.task.mem.block_cache.blocks.items()
-             if type(k) is tuple and b.fn is not None]
-    assert tails
+    blocks = proc.task.mem.block_cache.blocks
+    loop = blocks[a.address_of("loop")]
+    assert loop.cut is not None and loop.cut_runs
+    addrs = {addr for addr, _ in loop.insns}
+    assert not [h for h, b in blocks.items()
+                if b.fn is not None and b is not loop and h in addrs]
 
 
 # ------------------------------------------------------------ fallback edges

@@ -2,14 +2,15 @@
 
 The superblock tier's cycle-identity tests prove that tiering never moves
 a simulated cycle.  They cannot see a change in *how* tier 2 gets there:
-a head counted twice, a tail variant never taken, a stale block kept one
+a head counted twice, a cut variant never taken, a stale block kept one
 lookup too long all leave cycles alone and only move the tier's own
 bookkeeping.  This file pins that bookkeeping per run, as two sha256
 digests over a fixed matrix of guests, tools and core counts:
 
 * ``counters`` — ``superblock_stats()``, the decode-cache hits and
   misses, retired instructions, per-core slices/steals/shootdowns/busy
-  cycles, every block cache's blocks (key, length, runs), hotness
+  cycles, every block cache's blocks (key, length, runs, and the cut
+  count, runs and retired instructions of its cut variant), hotness
   counters and recorded nop runs, and the obs event stream without its
   timestamps;
 * ``clocks`` — ``machine.clock``, each core's clock and the timestamp of
@@ -245,7 +246,8 @@ def run_digests(run_id: str) -> tuple[str, str]:
     cpu = machine.kernel.cpu
     caches = [
         (
-            sorted((repr(k), b.n, b.runs, b.fn is None)
+            sorted((repr(k), b.n, b.runs, b.fn is None, b.cuts, b.cut_runs,
+                    b.cut_insns, b.cut is None)
                    for k, b in bc.blocks.items()),
             sorted((repr(k), c) for k, c in bc.heads.items()),
             sorted(bc.runs.items()),
@@ -284,215 +286,215 @@ def run_digests(run_id: str) -> tuple[str, str]:
 #: run id -> (counters sha256, clocks sha256)
 PINNED = {
     "alu-none-1c": (
-        "e636a237b429743ab7868f0cfe4adc7325f2aef4b95fd37d9e32b110d1711a7d",
-        "e9d7be902245aa45e14cfe61ea6609124de7583e4ad6f170d266c16e66d7e996"),
+        "d908f3483b82f9ca9c9fc9097954c6ce2ca629220dbdba9059d88c12ddfd73b4",
+        "6bb0ad6d11a01fe4089fcad6a35d119c8d81cb8b3754b0aeb930504e1c114f12"),
     "body-plain-1c-q13": (
-        "167a356836c960a73ba28613d4936f855386d3c8606f83043603f68db3d9f5d3",
-        "e22647114459f05525e5d04cc892214a0b795bfd97a64f1d66e7cb5d5630d2cc"),
+        "3e09573b903b4b6cc35f31f085a489988959d69eedaac1dd4e74e5c53d23c7ac",
+        "bfd56e679e0d7ac4e7b516ac96d55a6e4d0cfa1b5499fd6bcd80e6a1178246ca"),
     "body-plain-1c-q5": (
-        "f6465cceeadf3e572d19af8d4dd978d26c41114bdf3b7e849487fe82adbfe979",
-        "d06d4a2bc5158548ece3579d333f010347c818d016286533814f4beb5a2fc8c8"),
+        "2afddbd843f966869ea48186a8ca93ae107dd92971a005d3dd35f806b511e5a0",
+        "016eb2eaa2e3292ee79dce04130470a8662cfe627be01f48fdfe9993eecb5c9c"),
     "body-plain-1c-q64": (
-        "9c8cdbc3af415f39f7cfb1c46d8f45be5e0d803e370de750e29f8e5c380e4499",
+        "9f5b26437b9f1ad6b46c5a095d8141cac5f980d6129c6575f131f71372e25569",
         "a9dbd0878615b0656d7577068659f59e19259681aaca8bd46b04d4a2512a7a3c"),
     "body-plain-2c-q7": (
-        "4d4f678dd044c2bbc056debf577642cccb74a9dc423cf8aeb17569d7b924b899",
-        "119f4b229d55b6a58c04b05a53cbeb2bb8fe26998321d7e691bc009563624386"),
+        "7c3bdf7710b16b81fb2db0d965a80036985eca73f302ee7aa877857608ddff33",
+        "4e7754b9178ad58efca6994dc3621667e86b812e264c6d2fa6100d76924481d9"),
     "body-signal-1c-q13": (
-        "36c264ba1b3e955fde2adfa45aadd2cc02f1e5cd4122fb46b0f1d69909c8d7dd",
-        "d30be25992365e34650ae8810458c0eed41d306e9cba198ab03178c285210ece"),
+        "39eca84a6402e5f0aea0837f4213f4e84d2c01f40fc3dc6482aad6b3d4c45979",
+        "d232814ccac27a25ad2ef17153c5b8aa201d7ceeaea0bd863c9576afc0759206"),
     "body-signal-1c-q5": (
-        "e5dd006905cf9f302aaea0a27d68357eb55ad50b2547c726774dbe82596eb7d0",
-        "2167ac9ff62195770c2c21225c485754165e40d4c13ee4b76497fb7b7e4be2d3"),
+        "671d5df04be083534d74376435141db5efe32eafc943e72a964a215e5747a6e2",
+        "a6653354d84e20f8fa2d1668675032d0455873f3d88b4c0264a30e09bb0215f4"),
     "body-signal-1c-q64": (
-        "ae6a7466f2036d76639f13a5c3ce07f4031738ba1c823088f1a6df7e67740294",
-        "c474bdf37c9711b8ce0d1fd26c4a97147b1e54874e9af9598b73ff774b6e9a76"),
+        "b647f92cf2bedfc2049c730a29146510cabfea0ca4baf02457d87aa082f80672",
+        "848ea00f26dde3a5e96344bd11272193d86dc2d189e3d34e51638fe9cd8d4f29"),
     "body-signal-2c-q7": (
-        "137034e36b808123c81453d3aa172abc077ecde76ee781adb8e8e12274420d9a",
-        "34233a4ad53019b0ebebee4c239c98c50c70a8617eed7bc4ff6d7b9b06817fb0"),
+        "d205c772c5e15143c27a64d1aefd240bfce863f9df622dc273bac67d2464344f",
+        "24dd795afff03f0e95ac81479f21af1a7606fecfd58440e2e4c6013af168f91d"),
     "body-smc-1c-q13": (
-        "4fe69171bc98281d5fdc92be2d8e9a2dd5ab9d4b7f6fb6e0b3a5f35a8075aa2f",
+        "2e6311e5de70cad4ef3b5335d18caa460fe6a05943a4d5ab7b2d49835f954905",
         "c065a64f03bd935a8713bea07bde417a746512120a38d428ba0dda1f3fe5944e"),
     "body-smc-1c-q5": (
-        "851c0b88451a743665bef066c541f89a4fcdb591c0d72c40fd75fc36b47ce1a8",
-        "555d74fc1299781b7a6bfff31c9ec95f8d3b92916ab6c33197fd55083c69006e"),
+        "a47d422b28e08c005e3596006c814ca323f4bc3a6e48566106cb1f1bab03a7ec",
+        "4a285c8f161cef94163737aee3c6ba78a136b797f01e149c90b04f809155c1b7"),
     "body-smc-1c-q64": (
-        "ef20fb1dd87462714d1b7ba4472b0f406e14fc6310a43ea42eb7a35348782ce5",
+        "f84bf8f077239ed0ead293129d94fd99bd82e4afa2e4cab58006e40c6585ed08",
         "273027d23e6b72874bca2f1f158f4cc561e9006428a5a7ad61b41d3044cff342"),
     "body-smc-2c-q7": (
-        "11c1b96ee1dc93eed091787d162a2196d2a3d7e2822d0b1f01df9877fa334771",
+        "89520148029c0b1b86f8fa90163963c2828391bf087a29ac1bc720728e3bf1c8",
         "6589924b8e40cbbb69a12f505a27a307e6f2ccf07a8f388de85e86075ad90a67"),
     "cat-lazypoline-1c": (
-        "e7fe778d074e81d2bc43025fd625a5d3d4086159ba9ab66f936c36e79edbd57e",
+        "1365aaf54abcaad37a26c6f920bcf74f2eecce9e5e66d55198bff7a588fb7d04",
         "5b5fa98d1d954358f86cc3df1d092715e49ccfa8fb0e24971221ea15e857bfe6"),
     "cat-lazypoline-2c": (
-        "9c3e158327dcb81d318ea8c9f3c5d9f02566461808f9147fd4a985baf3f1a74f",
+        "a4c6aaa7a8105571bb343c0cd2a9d66a5d391707509a60fdbf21bb60116023e2",
         "9c26bedba3e9598dd82f7bdb5fb9c97b2eefe371350099026e2316f2ccb0a907"),
     "cat-none-1c": (
-        "ba495ef6e6d6530dfd2b59021a066fb83690042e2a06f93b449741a4dbd44bd3",
+        "3f3e61403149200ed9b28e1f6e93f5da1d507f940637de1d4669e923c45030e4",
         "d301f5e4184d6a7c0f00f2c447423c6146289080ffe3da5fcc19fcf8664437c0"),
     "cat-none-2c": (
-        "2ff643919975bca9ce22274b5d5da416feae5fd912c26178f8da2e880c95f54d",
+        "637c7d11f0c95fb14a1c614c363541136780e03d6ae46ddebe46587df319fd93",
         "63b9f2ec598823609a3a7081873eb1029e737cc9c72c1a92328089cd4fca7d30"),
     "cat-zpoline-1c": (
-        "c405b6c5906bcaaae2a2170f9d1310814dc7aec5067012f963407e3680e7fa8d",
+        "461ec97de511b50125042958aea4160e267946e3e4b22aff65650778e7983787",
         "d3e7642689273f30eb507db1d07e9c00519d3509f7b1306bf8b4233b4c541d44"),
     "cat-zpoline-2c": (
-        "21f4c1798a5db47fd76f04645e76fdff98819c2c100a1e238cccc804fe5e427c",
+        "d619857733376d72dfee63e461e1ef7cf3d82f6db206e14e3a014bd435957576",
         "d060dd9414b8bc7909e437f833af72d3bf132067070d234d4b513c74ce32405e"),
     "clear-lazypoline-1c": (
-        "cd6b2d738523fe78f472f48a162433879683278fcf3fc8d048b12b5b2186e9ec",
+        "7350370d05b0fa49bd53cdba4e23d3a29af3e6b67a81512c8a30b8fa67e8ed2f",
         "fd3bb0d2617df81f75ce73e8152315a61e89dc69ba8c4ae46a7647c087b6e7c6"),
     "clear-lazypoline-2c": (
-        "e12d8a84c48acf51898e39d6d74439cb3aeab9c240e9f48c0c58df213d36bdf0",
+        "9b9ba0908a0593e66dc197550bcd0afd8791f9898f9652b90d629b08a7dda803",
         "7ea25c0a58f001589008b8c06f6799cc3673c5fcba893a1b10cfc9beb6e00536"),
     "clear-none-1c": (
-        "288aa3d117e8ab28574b6ede5068d8b9290768b2224d707479f6273a2f81a47e",
+        "7c687534bad06d6f7801dff5b813ff1b76d281e8c3f7e78a357f475f2a4023b6",
         "bb25eeeae87d10a2f33a3a320ad1e23e9ba2db09a2ffe249ecc267cc3747879a"),
     "clear-none-2c": (
-        "eed8c15bb8c4f6eee00a5906a18802cf028c694e39f480c200ab7c604613192a",
+        "6af8ce574425f299eb9aa9c24f11d0ba62dfbcd6d07f93734cae01ec6c20fba8",
         "c3483331b5454261e4247c898b417ee7ca7ed7a90a9bf4a4f8eebdcff82db0df"),
     "clear-zpoline-1c": (
-        "f90945c3687fbc3218b8433b64327049604aae1acb29f1352efa111a5e35c2f0",
+        "2950924458667940c08f91007e63ed7039566d6e478e4093dcd6d362d40b90da",
         "7d4d6c6b80fdd8806c706bcb6e157c9881e04ef8fb6b3f97496f07cc29a03a03"),
     "clear-zpoline-2c": (
-        "c964e6199d8b180ed11a0a787f3e1b3cf0fbcbc40f004eb3f9d7e64f1c15b971",
+        "1d508bb7b214c41e339b3842b42fd33d3841e8461c6ad41f83a25f4e5401e205",
         "dc34a11d6c0e7b76b9dc44569dd578e8a4f172833883e4e9a4dfeac71f08dc59"),
     "clone-lazypoline-1c": (
-        "6e68ee87ecec0229ba09b95359dd7e718bf85b6d1fff33360cba0fca9daf45c4",
+        "4ecf479500cd7bd6579f784e5464de3ccd786b6df3738d855924280e04a2db9e",
         "e8ee20a74c4c8a32fc61c31ff87ae4619bf89152ee7239d1ec5f558ed5e6c226"),
     "clone-lazypoline-2c": (
-        "7974112f83a4048759cd7308f0a3137ce4bc42f4eac8d439596e7a20b6dc8586",
+        "a06dc986f663afeb6df741bac331c6b7296f07fa6a980cb1baba5b299f20e183",
         "ccb634fca16d91433e52008d822fa253246940f544255b531effaf94d09cdefe"),
     "clone-none-1c": (
-        "655d0062ec72f39851c62dd03eefd0572c8f15e7d587d49a4089c2cc9f8c75de",
+        "c5436185d1b5ce785faa978431e325d82995109de6def8f1da76faf3cb75087c",
         "c5b8c0a1ccebdcae4c2124c380e2cd2941dd503ae897ff2623c557d9b436296e"),
     "clone-none-2c": (
-        "2d2328b51e9f6a989dbb4f878afa33dcb6e96258e4b807f76e2adbef9a54b558",
+        "dd5956137f3ddd292ed8ca34c9bda1a00a01438cbf258ce256fb31aff562fe43",
         "d7dd492c94e95780403f235759243d9c1836321e63f9019696a8a9efce9ff1f5"),
     "clone-zpoline-1c": (
-        "d75a87a69d0afc2502d818018329f2472c0c3f5b1e8785e933a8b5229351d1af",
-        "c1ab094b6e7d839b9d3ffa0b70786249bcdd24bd088b9a4639ca92d477231b50"),
+        "dbd68238b3b32892b0558167072f2ee77174a7ea256c02b62ed7364a6aa10af3",
+        "91be50e60371c43ab0df615d832bb51157839e1b263a581b403d16f56f49b3ce"),
     "clone-zpoline-2c": (
-        "61afffab7df26c4cf827e55abb234678d7b2918e47bb1a10db9195f6ecebe8b1",
-        "2bbd4927b0dd70404d1a38cdcd5342a474c48858c3ac9622fb3ffc38b501b83f"),
+        "dcc63c7cadc38790f5fbae7503c8e87091018a4a16646211ff20989b928c7fb4",
+        "143bfa1458d946198926fda0670ae401ea88d66e35ff093b7be60fbcb9f856e3"),
     "cp-lazypoline-1c": (
-        "cbc0355654cff773fa7cf0e420c01bf9d87de38f981675dd72189f3fa33860ad",
+        "06b3548c52c8eb679f4f455db5b3658485e7570be07050a3f56484644fe5957e",
         "3227794ce02613eb6238facfdee6fc2aa2be878bfdd7c47413c3f8cc16a51ae4"),
     "cp-lazypoline-2c": (
-        "0e90c02603343db21675fdd4b0346dc2acd77036b5cf98c50ce144f5f90b13cc",
+        "f423d3c1e006794b5c4d56fe886af93662e215da0fa9b926111459b4ed62db6b",
         "d95d0bd2cb7518d91b973522d139b72560d499b9857876d4a23220a34fd94c7a"),
     "cp-none-1c": (
-        "94f6f71949fabf0ec69514b361dee1daca177682f82c79dddcf7a42f2b396c1b",
+        "b3b75fae52dd292b2cfb69c311955fd35fd695569f053f0a509827d603ec9c6b",
         "99bc4f5229a36fff02f6300e8c1cf11968b46fee904ffe94ba0952ca462b6101"),
     "cp-none-2c": (
-        "16a24a7540eccc19b564b36964ffd70a2f12fc1c2d185f0eb644690a38b62e82",
+        "cb56bca832dab8e87b8d44bf01bd9e46824d368a3ec386d874797d7f241b8753",
         "0820b7256bb6f260d89c31f865ccc5330f499fc250498da75e22ef49b171e507"),
     "cp-zpoline-1c": (
-        "4bd37a41b520782e05ff6d2cfbf71014c92451da5715e4f80b74a4f26a4de369",
+        "b9d65a4b12ac94d84df47ef07a4cdc3e0e1bb040e12d9e1bca72592bd5e351a0",
         "bd5442ead28a46c0f445abe0c79ee587b5a2289d93a148298b93fb9f8e1f02fd"),
     "cp-zpoline-2c": (
-        "e8cec0d840e89eebb00c59505a0365831975ae35a16c80f4f24b52fe9eb58322",
+        "ae207ee3cc410a8010944f5760bf1fdd709bd75d0f503dbc746bbaa3b41c5074",
         "f0eabeeca69af09b0bab0f67a97499bfd714d75a3ab05e81f8e4dc8d367a1849"),
     "gs-fault-1c": (
-        "feaa7d2f3b586943d9ad9a12f7ca8f2a5259453ed528663088ff7f0242d5392c",
+        "866c33ce715ef48b675af41fdc20e7a88cae6df766cf31588d38d455d51b59b0",
         "f5251eeced5231fb18d8dbd381de8e04ca157dafcb3a3364d0166fc0313eb31b"),
     "ls-lazypoline-1c": (
-        "698ea80292836967a9f8a83c7e318c50ed539a339804d4343dd82fb4d1bfe4a8",
+        "f87b1b3408edd97041fa162afbb0c923efbe54d5cc1f7dbcdd89bbf6959043b5",
         "41cf42c26f2498c188f6c4f0ba5c4fa66c7baed8f418bbc197ec16a95c8319eb"),
     "ls-lazypoline-2c": (
-        "28904bb1a5fbb5bd365b7581cec46e40ae79c127625148011527428b8e5cb6d3",
+        "6ce391941b5e09d9a2f992221ce8b80d0cff4857ab82368d0a01e018e1a6b440",
         "76e47b92b06ef2093d7603dd2795c621457bec9a3ae88a485a45fb9441293492"),
     "ls-none-1c": (
-        "263b4bc01681d687a1a02a63f8d8d61e76c5d2c68685f0198cc0efe35f4a17b7",
+        "b61a6f1bf3ad86650e75e187e1c191d6b99f527aee19738b478cf86c6d9c7fb0",
         "eb1444f9a43b88d28a6dad6ed4a03f8d8fe7b064fe7496b08e4937fb0be2b5b3"),
     "ls-none-2c": (
-        "16b3e35be01e43db6f69b2fecbe13363d5665310fc7662439d34c943dbfbbbd6",
+        "717ee21b3693c883c751185f69a0310e07bb90533653022a2351cfb68fb78d21",
         "9666153adf36f1a20f462465baa79b2f515908c4455f159e4d5ac7f98374c5b1"),
     "ls-zpoline-1c": (
-        "d2e91c5ea117bf6f19704063c111187fd65a4aca67ebf14f421a1917233646c7",
+        "6e799df0f4bf781e02fb56828041ac51d259142fc6f13721b56405300f24af3e",
         "ee1aac3b90c6cda0d7c0ea9651e4d98ced7b6667e24e46fc5c0500be86ed6ae3"),
     "ls-zpoline-2c": (
-        "5ac39a68aac0fe3d01c0b92ae4df28e8a1eb701935dde888dc7faa5eacae04af",
+        "6ffc502495164eeb57288d8d7685568765ecfc92c16c199f13e28db555b0f94c",
         "64c202900a515c5dd802bbfc488a86388c3f30a732e0572e9f57494f783ad3f4"),
     "mkdir-lazypoline-1c": (
-        "803b7095d3253995c3483025678e4d3ce8abd054819849347b5494bf28fe035a",
+        "095d9f09323edd441934844c0bed4c29d9e556423e9832ecaf0f02aaf2005c2e",
         "7c837c4e6ef0e14e897d698c593708831a5417ae863ea2b3f2a8bb55fd169602"),
     "mkdir-lazypoline-2c": (
-        "a160781c5d736960f031b9766ea80f41b58951178f83f9fd10ca7be957063d53",
+        "c4abdf646a5a66fce42cdc84978b5a860bc224ae8bac849f467783f79a38c81b",
         "26d89662f2dc3554635c1d4e9b3d1a1d539c522df742923582ef269265d24c35"),
     "mkdir-none-1c": (
-        "57a6efa4673ec67d099ba2a55461d949b37778653b7d7ef4a61152325e29a93d",
+        "3cc13c4e231d5af45e307dfc1c890dd398b165385cb511f90f0d65ec4557fed3",
         "49d6b01d796e9db127e2b880e058bfd13053d9488d65a59523a266689c31c89f"),
     "mkdir-none-2c": (
-        "d5e010a2d3719fa99ae8376193b15b6a84dc49d3c3604ec245aec50e41e5c7b7",
+        "72055073eeadce16b1d04d7023eb327cf4c33394dd94fbdfb2f7c54477ac5bbb",
         "e7c1d30fadabe04446565c90e5b8795952694c9864d6c73344481b46dc82d2e3"),
     "mkdir-zpoline-1c": (
-        "cc23ba149138ab94538bb8255277133ed762016c00819af80a097c12568aaec0",
+        "24c836788a4e26724a9b1585bece5da6d62150eaea2339e640ed6005fd6d958b",
         "3540606431f92f84a45e876fb4c0716a0b13994142d5a519eabffbba99f8fb17"),
     "mkdir-zpoline-2c": (
-        "ba50fcff3800c83047a99405da94fc46b771e107cd742d6b68936fafeb863863",
+        "a9b87f8e802556966f832c945ba58dd527c6da88b9b6a1701b14c3a62d6ca0d4",
         "a435e0baf1d105c7fa978713dc22d1d3f7ee47c449e5542f03e109e074ef3bc0"),
     "nested-patch-1c": (
-        "6ed2d4ede62e5eb4c7b077a6217918d55b81c7550a3f7c32442acddeed9363af",
-        "d317a402b1273ba09fe2b526eff0b7c369e73f3937480ca98b8618b369d3ca65"),
+        "8011a269174f2ddd26e5c91c601200f03b069c51df908e263c9b3c7ee5eb8d40",
+        "06ee195a279501cafc1b879ebfa1d6d0fc2c41ea3f2fb21529b81d4104999042"),
     "nested-patch-2c": (
-        "3a8e43659ad94e77395b32862d890d194f688aa21e822c6b14e5676b29b522ba",
-        "1036cdbb35cf7e59f7d418b20701a770098a9a286a91f7bad00f99816cdadb6f"),
+        "aaaa2861b658257efec03458b283cc0402b88ea1779da8b859854d6fa9160454",
+        "1b7d9a56e1cb84bfc5188498ce837b709940d7501d370a4de92a4be9d2c82513"),
     "pwd-lazypoline-1c": (
-        "7101cadf5c7a4b6a829048425abd686d076bd42a8783081e58a7da49e16530c6",
+        "f5c941359c4b2100ccdcc45208d8cc8ff8cd712727c18342956206bb666540f7",
         "d171168073cc80a96aec0b78b1a073c3da62dce885dfd3a0b4f6b69d4dfee75e"),
     "pwd-lazypoline-2c": (
-        "19c32eccc775195a2384052cad2d31e8e6c3cef57b4c27376330687d98b8e250",
+        "b798abb78b2ab965916fccef0e4eee9020fc34876ea3053627964308ea1de49a",
         "0ea728a09a5b2e613683922dd012194296a64571ab695e7ba1c479b2796cefc8"),
     "pwd-none-1c": (
-        "eedbcbef0f92455901ff54fdb1c2eb8c36df2fdc9b304ce61b8aa3652ff7cd25",
+        "38b368940813d5aea48559a4604d27f024dbe8a4042a2c23ffa9bcb062e309ce",
         "375252060c39cbd51fe1f628b752ff951de4a256e23c3817381ff1ba7af85233"),
     "pwd-none-2c": (
-        "da82e82c83b2c973ec1f4f42cd22df6d013a9f9fff96f85a546fc241e48b8f9c",
+        "2f4b3c46e214dcb6ec5dd96921040b60baf969c2f8b44726fa128dfaa8a5e90b",
         "296761839e3fb5ef74b799db6e9662ae155a98b997604eb174c59a8fe989dc17"),
     "pwd-zpoline-1c": (
-        "f4f2eed0c9ebf2b738aa0875b258e7fdbce6c347248f819154ef2cb48733a61f",
+        "f3e38f2851aab7484a27800b86a8b2b915b3f5a1f9f7f288e0ff719f75e5a2ba",
         "34e9234875ca215218413fe4397239bb60dc09146823d989ec8cf527f6ab26f8"),
     "pwd-zpoline-2c": (
-        "92a39d3eff64081ada8516c397f5b9538e9b68ab816aa1ce40135209b7638f6a",
+        "6decacfa5511deda1121e0d5572b7c4cb76b306c7c6b7c095e4ba43e2c9b917a",
         "bad1cb55344b5191de7600d22c6af2221e47119746aaf5b95a144de184b102db"),
     "sled-both-1c": (
-        "5d976863d78fd1498459436d5e3b16a4c7bc5060629c1835b50ba6ba5d414e80",
-        "d09272b40ebab67c9dbd1dce9d1ded001d6df90a8d927c379f47a6d9540a1e95"),
+        "f2231dc6e7e4f8480c8388ac02ead6afc437427e5790d1b688206b4847b141ad",
+        "5286eee7d6be408f1e1d27f7ad259cddcf016762e55973b0d7290a82d5b1f231"),
     "sled-both-2c": (
-        "d84aaadefbd1db0ae1d4fd3b022ae272501c0925a62cfd832c6dffadb8f2eb33",
+        "a0235203878864555e36090a7c6d61e53c7818b81f86ded0bae844001abe2603",
         "f7d9d1d5f782f92efa151f19a31b45ff906eb9f39e4afc056b73162837c0ddaa"),
     "sled-patch-1c": (
-        "7b8983d39ea0ee82f3c2af876733f168cfb3b5a0a27a2e66254b7015651b5da8",
+        "d471dfb1d9dd18eae40d464f3ccaad90b31f6746bf43c23b3abd229eccb47b05",
         "3150b09308def6066953ced29554013f10f30a46f54f22976d1dee313413c0a5"),
     "sled-patch-2c": (
-        "01721872587d727c8447f064b06173b954ec89bfdc55db36a640da53a6ec89de",
+        "7218e040c7df1d28230b32e6171e274b68eaa562c8e45070872acee471c5550f",
         "d0d19a41ecb6b6001324dd7053e1e8f78388fe40e091abc05f4f8160f8be3a1d"),
     "sled-threads-1c": (
-        "bf68f04470c6fcf48826f7488c41edbd8561dd429c0bc89df3283afc9374d8b4",
-        "e951497d76ce9982180e51ede7167b760174b509eb972b106df28218fef03ec0"),
+        "0c0901c0254ee17f49a3012599ccce20cad0023a004d044c324fc8784789f6f8",
+        "261e5e4760bc1a231b0f5839c61dc4e89f2c74832d72e4bb32082da43b49a1c4"),
     "sled-threads-2c": (
-        "8dc34dc3824cb85ac6c8489017a2618db21807c27fa3f725db5c999ab70d8a57",
+        "47e24ab61921945b3478774134c8ac4cd51c253917a4846b7935514644756523",
         "3b52f36d6f2db0e8a19e16a2f74214cb7f588cecbd774b75c59cc15e96711e4e"),
     "tcc-lazypoline-1c": (
-        "4fc1296743887fb70d451195efd44fa3ac38aa6d50f7f5b5721533d62aab4d35",
+        "375dd11d3bfaa591666242aa2bdeaa6a49d72bbfa7d2cde061e99c4cb5d747d9",
         "551cd2b353c31db9987518e32c0c1f925a05a7aaf72908277618508462dcb408"),
     "tcc-none-1c": (
-        "c6406f6c2065e7ddda4c95f3897e238872dde2df8949f9b46b7a6b69f8b5f07b",
+        "f7d1fe44aeff6d3c7f6165c1de179d35ba15dd131fd278c3c2b52b73ea6064c4",
         "c19ca603b2f6bb31fc0c37849f16cb8efc7aeb237e9b05a822220591d19a17cf"),
     "web-async-1c": (
-        "19ef293ba08440e131d992d39914372f3b45b78d0ab6cba510720e6568a240a2",
+        "28ed4bd066a4adc940f6c709f95aaeecc7a3fc582476c58283c2603304e25939",
         "ac2aeebbeb36b0b0fe5775da5522e8a766e0e719e8e7ce5b7243248952f9bca6"),
     "web-batched-1c": (
-        "582d5ea689c47ea50455afcd7a09838b0bcfebf4beb8b058f63b6c253f4075cb",
-        "c8be468745ed53c4738ab50b36138a99ba6ac101d0cc4bc7fce34050af2d62a9"),
+        "fc7eef7ec29b288341b42d9b54f0c14145ac98814773af2bf00b05e375603451",
+        "636585d8424c63512e1e0f7299afadf00f4dea579e1f7d743c47d13081927417"),
     "web-direct-1c": (
-        "5206ff46aaca7329b8d63546dfd4b26eead256da76aec8526d1547cfdb593e45",
-        "65a9f4101e172b773d588225eef444dbce3672a25b7d5cb9397c811170415cac"),
+        "472af2cd9101303cc5f2f4cb60195feceb389a9fad1ea97d9b753dab65b80701",
+        "1a54bd0a091e3b00e6979db94ee328401a51ef25afeedc799511513179aed59d"),
     "web-prefork-2c": (
-        "61131e88e2a6a6b02ced738a0916044bc13ae4d323ed01b226cdf24604eb087f",
-        "5a07e28d87b6967d03480fc9f1b58a3b10eb111c2dcb3bf84a09d1e3fa3aa0ba"),
+        "e6a9e762909e1d9629f0004bf3f126ab9cbf741f3e14c8e57dc31911ed4eac2c",
+        "44c41d6fe083e026c2acb50eba36959a497eb875c8590b33fa1be04ced53ce57"),
 }
 
 

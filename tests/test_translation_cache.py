@@ -1023,7 +1023,7 @@ def test_entry_just_below_a_recorded_run_gets_recorded():
 # cycles and the states ``until()`` was consulted in (consecutive repeats
 # collapsed).  Re-pin with ``PYTHONPATH=src:. python
 # tests/test_translation_cache.py`` only for an intended change.
-NGINX_PIN = "494272c758e7e3e72746047ff59a2249a46903fd958577d1e7a4584f0c557c11"
+NGINX_PIN = "6bda5970a659fd86866b69b8839598cf2e0d5ec7d1ff14541eb6f5fd717adae7"
 
 
 def _repeats(states):
