@@ -5,7 +5,7 @@ export PYTHONPATH
 FUZZ_MINUTES ?= 5
 FAULT_SEEDS ?= 0:64
 
-.PHONY: test test-fast test-degrade test-superblock test-smp test-uring test-uring-async test-cluster test-chaos faults fuzz bench bench-sim bench-selftest perf trace examples
+.PHONY: test test-fast test-degrade test-superblock test-smp test-uring test-uring-async test-cluster test-chaos faults fuzz bench bench-sim bench-selftest perf trace examples reach
 
 test:
 	$(PYTHON) -m pytest -x
@@ -84,6 +84,14 @@ examples:
 	@set -e; for script in examples/*.py; do \
 		echo "== $$script"; $(PYTHON) $$script > /dev/null; \
 	done
+
+# Reach audit (~4 min): run tier-1, `make faults`, `make examples`, the
+# observability smoke and `make bench-sim` under a function-level tracer
+# and fail on any function in src/ that no run enters unless
+# benchmarks/reach_allow.txt lists it with a reason (and on a listed
+# function that is now reached or gone).  See benchmarks/reach.py.
+reach:
+	$(PYTHON) benchmarks/reach.py
 
 # Perf baselines: snapshot the previous BENCH_*.json files, remeasure, then
 # fail on a >15% regression on any workload (guest MIPS for the interpreter

@@ -1,9 +1,5 @@
 """Dynamic analysis tools (the paper's Intel-Pin equivalent)."""
 
-from repro.analysis.pin import (
-    PinFinding,
-    RegisterPreservationTool,
-    analyze_image,
-)
+from repro.analysis.pin import PinFinding, RegisterPreservationTool
 
-__all__ = ["PinFinding", "RegisterPreservationTool", "analyze_image"]
+__all__ = ["PinFinding", "RegisterPreservationTool"]

@@ -67,12 +67,6 @@ class PinFinding:
     def is_extended_state(self) -> bool:
         return self.regid[0] in ("x", "y", "st")
 
-    def __str__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"{self.register} live across {self.syscall} "
-            f"(syscall at {self.syscall_site:#x}, read at {self.read_site:#x})"
-        )
-
 
 class RegisterPreservationTool:
     """CPU hook implementing the Pin analysis.  Attach with
@@ -132,16 +126,3 @@ class RegisterPreservationTool:
         """The Table III verdict for one program run."""
         return bool(self.xstate_findings)
 
-
-def analyze_image(machine_factory, image, argv=(), *, max_instructions=5_000_000):
-    """Run ``image`` under a fresh machine with the Pin tool attached.
-
-    Returns ``(tool, process)`` after the program exits.
-    """
-    machine = machine_factory() if callable(machine_factory) else machine_factory
-    tool = RegisterPreservationTool()
-    machine.kernel.cpu.add_hook(tool)
-    process = machine.load(image, argv)
-    machine.run(until=lambda: not process.alive, max_instructions=max_instructions)
-    machine.kernel.cpu.remove_hook(tool)
-    return tool, process

@@ -157,10 +157,6 @@ class Instruction:
     operands: tuple
     length: int
 
-    def __str__(self) -> str:  # pragma: no cover - debugging aid
-        ops = ", ".join(str(o) for o in self.operands)
-        return f"{self.mnemonic.value} {ops}".strip()
-
 
 #: The ``struct`` code of each operand field kind.
 _FIELD_CODES = {"g": "B", "x": "B", "c": "B", "i": "i", "d": "i", "u": "I",

@@ -6,9 +6,6 @@ from one integer seed:
 
 * each time slice gets a perturbed quantum in ``[min_quantum, quantum]``,
 * the round-robin order is reshuffled every round,
-* inside *marked windows* (e.g. the lazypoline fast-path stub) every
-  instruction boundary forces a preemption, so other tasks interleave
-  between every two instructions of the critical section,
 * :class:`SignalTrigger` entries post a signal the moment a task's ``rip``
   reaches a chosen boundary — the signal is deliverable at that exact
   boundary, which is how the harness probes "a signal arrives *here*".
@@ -34,9 +31,6 @@ class Window:
     name: str
     start: int
     end: int
-
-    def contains(self, addr: int) -> bool:
-        return self.start <= addr < self.end
 
 
 def instruction_boundaries(code: bytes, base: int, start: int, end: int) -> list[int]:
@@ -75,8 +69,9 @@ def lazypoline_windows(tool) -> dict[str, Window]:
     }
 
 
-def lazypoline_boundaries(tool, names=("stub", "slowpath", "trampoline")) -> list[int]:
-    """All instruction boundaries of the selected lazypoline windows."""
+def lazypoline_boundaries(tool, names) -> list[int]:
+    """All instruction boundaries of the lazypoline windows ``names``, in
+    order."""
     windows = lazypoline_windows(tool)
     out: list[int] = []
     for name in names:
@@ -132,7 +127,7 @@ class ScheduleTrace:
 
 
 class ExplorerPolicy(SchedulePolicy):
-    """Seed-driven schedule perturbation + windowed single-stepping."""
+    """Seed-driven schedule perturbation + boundary signal triggers."""
 
     def __init__(
         self,
@@ -140,7 +135,6 @@ class ExplorerPolicy(SchedulePolicy):
         *,
         quantum: int = 64,
         min_quantum: int = 1,
-        windows: tuple[Window, ...] = (),
         triggers: tuple[SignalTrigger, ...] = (),
         perturb_order: bool = True,
         perturb_quantum: bool = True,
@@ -149,13 +143,10 @@ class ExplorerPolicy(SchedulePolicy):
         self.rng = SplitMix64(seed)
         self.quantum = quantum
         self.min_quantum = min_quantum
-        self.windows = tuple(windows)
         self.triggers = list(triggers)
         self.perturb_order = perturb_order
         self.perturb_quantum = perturb_quantum
         self.trace = ScheduleTrace(seed)
-        #: window boundaries at which a forced preemption was observed
-        self.preempted_at: set[int] = set()
 
     # ------------------------------------------------------------ hook points
     def quantum_for(self, task, default: int) -> int:
@@ -185,10 +176,6 @@ class ExplorerPolicy(SchedulePolicy):
                 trig.fired_at = (task.tid, rip)
                 kernel.post_signal(task, trig.sig, {})
                 self.trace.record_event("sig%d" % trig.sig, task.tid, rip)
-        for window in self.windows:
-            if window.contains(rip):
-                self.preempted_at.add(rip)
-                return True
         return False
 
     def record_slice(self, task, executed: int) -> None:

@@ -27,8 +27,7 @@ from repro.faults.corpus import CORPUS
 from repro.faults.explorer import (
     ExplorerPolicy,
     SignalTrigger,
-    instruction_boundaries,
-    lazypoline_windows,
+    lazypoline_boundaries,
 )
 from repro.faults.injector import FaultInjector, FaultRule
 from repro.interpose import TraceInterposer, attach
@@ -551,13 +550,7 @@ def rewrite_window(seed, policy):
     process = machine.load(image)
     tool = attach(machine, process, "lazypoline", interposer=TraceInterposer())
 
-    windows = lazypoline_windows(tool)
-    boundaries: list[int] = []
-    for name in PROBE_WINDOWS:
-        w = windows[name]
-        boundaries.extend(
-            instruction_boundaries(tool.blobs.code, 0, w.start, w.end)
-        )
+    boundaries = lazypoline_boundaries(tool, PROBE_WINDOWS)
     target = boundaries[seed % len(boundaries)]
     explorer = policy(triggers=(
         SignalTrigger(target, SIGUSR2, arm_addr=image.symbols["armed"]),

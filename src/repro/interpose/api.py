@@ -25,7 +25,6 @@ from typing import Callable, Optional, Protocol
 
 from repro.kernel.syscalls.table import syscall_name
 from repro.obs import events as _K
-from repro.obs.format import format_call
 from repro.obs.tracer import Tracer
 
 
@@ -55,9 +54,6 @@ class SyscallContext:
     @property
     def name(self) -> str:
         return syscall_name(self.sysno)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<syscall {format_call(self.name, self.args)} via {self.mechanism}>"
 
     # ------------------------------------------------------------------ memory
     def read_mem(self, addr: int, length: int) -> bytes:
@@ -116,10 +112,6 @@ class TraceInterposer:
     a private list: each interception becomes an ``interposition`` event and
     ``names``/``count`` delegate to the tracer's counters.  Pass a shared
     ``tracer`` to merge the tool-level view into a machine-wide stream.
-
-    ``events`` still yields the legacy ``(name, sysno, args)`` tuples — the
-    strace-style output the exhaustiveness experiment (§V-A) compares across
-    tools.
     """
 
     def __init__(self, *, capture_results: bool = False, tracer: Tracer | None = None):
@@ -135,14 +127,6 @@ class TraceInterposer:
         if self.capture_results:
             self.results.append(ret)
         return ret
-
-    @property
-    def events(self) -> list[tuple[str, int, tuple[int, ...]]]:
-        return [
-            (e.data["name"], e.data["sysno"], tuple(e.data["args"]))
-            for e in self.tracer.events
-            if e.kind == _K.INTERPOSITION
-        ]
 
     @property
     def names(self) -> list[str]:

@@ -156,10 +156,6 @@ class DegradeController:
     def allows_rewrite(self) -> bool:
         return self.mode is Mode.FULL_HYBRID
 
-    @property
-    def armed(self) -> bool:
-        return self.mode is not Mode.PASSTHROUGH
-
     # -------------------------------------------------------- transitions
     def degrade_to(self, mode: Mode, reason: str, *, tid: int = -1) -> bool:
         """Move down the ladder.  Returns False if the policy floor forbids

@@ -21,7 +21,7 @@ from repro.interpose.api import (
     SyscallContext,
     passthrough_interposer,
 )
-from repro.kernel.ptrace import PtraceTracer, TraceeControl, attach, detach
+from repro.kernel.ptrace import PtraceTracer, TraceeControl, attach
 
 
 class PtraceSyscallContext(SyscallContext):
@@ -67,9 +67,6 @@ class PtraceTool(PtraceTracer):
         tool = cls(machine, interposer or passthrough_interposer, on_enter)
         attach(machine.kernel, process.task, tool)
         return tool
-
-    def detach(self, process) -> None:
-        detach(process.task)
 
     # ------------------------------------------------------------- callbacks
     def on_syscall_enter(self, ctl: TraceeControl) -> None:

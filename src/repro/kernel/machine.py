@@ -211,10 +211,6 @@ class Machine:
     def fs(self):
         return self.kernel.fs
 
-    @property
-    def net(self):
-        return self.kernel.net
-
     def zombies(self) -> list[Task]:
         return [
             t for t in self.kernel.tasks.values() if t.state is TaskState.ZOMBIE

@@ -84,7 +84,3 @@ def attach(kernel, task, tracer: PtraceTracer) -> None:
     """PTRACE_ATTACH + PTRACE_SYSCALL equivalent."""
     task.tracer = tracer
     tracer.on_attach(TraceeControl(kernel, task))
-
-
-def detach(task) -> None:
-    task.tracer = None

@@ -119,9 +119,6 @@ class BpfProgram:
         if last.code & 0x07 not in (BPF_RET, BPF_JMP):
             raise BpfError("program can fall off the end")
 
-    def __len__(self) -> int:
-        return len(self.insns)
-
 
 def run_bpf(program: BpfProgram, data: bytes) -> tuple[int, int]:
     """Run ``program`` against the packed data area.

@@ -102,9 +102,3 @@ class Core:
             "block_shootdowns": self.block_shootdowns,
             "tasks": len(self.runqueue),
         }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<Core {self.id} clock={self.clock} "
-            f"tasks={len(self.runqueue)} busy={self.busy_cycles}>"
-        )

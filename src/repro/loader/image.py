@@ -36,9 +36,6 @@ class ProgramImage:
     def text_segments(self) -> list[Segment]:
         return [seg for seg in self.segments if seg.perm & Perm.X]
 
-    def symbol(self, name: str) -> int:
-        return self.symbols[name]
-
 
 def image_from_assembler(
     name: str,

@@ -68,9 +68,6 @@ class Region:
     def size(self) -> int:
         return self.end - self.start
 
-    def __str__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{self.start:#x}-{self.end:#x} {self.perm.describe()}"
-
 
 _ACCESS_BIT = {"read": PERM_R, "write": PERM_W, "exec": PERM_X}
 

@@ -20,12 +20,6 @@ class Perm(enum.IntFlag):
     RX = R | X
     RWX = R | W | X
 
-    def describe(self) -> str:
-        return "".join(
-            ch if self & bit else "-"
-            for ch, bit in (("r", Perm.R), ("w", Perm.W), ("x", Perm.X))
-        )
-
 
 #: Raw permission bits as plain ints.  ``Page.perm`` holds a plain int mask
 #: too: with a ``Perm`` on the left, ``page.perm & PERM_X`` would still

@@ -1,8 +1,8 @@
 """Shared syscall-rendering helpers.
 
-One formatting vocabulary serves every consumer: ``SyscallContext.__repr__``,
-the strace-style exporter, and the live tracers in ``examples/`` — the
-duplication that used to live in each of them collapses to these functions.
+One formatting vocabulary serves every consumer: the strace-style exporter
+and the live tracers in ``examples/`` — the duplication that used to live in
+each of them collapses to these functions.
 """
 
 from __future__ import annotations
@@ -20,10 +20,6 @@ PATH_ARGS = {
 def format_args(args, limit: int = 6) -> str:
     """Hex-render the first ``limit`` syscall arguments."""
     return ", ".join(f"{a:#x}" for a in args[:limit])
-
-
-def format_call(name: str, args, limit: int = 6) -> str:
-    return f"{name}({format_args(args, limit)})"
 
 
 def format_ret(ret) -> str:

@@ -35,28 +35,6 @@ class CycleHistogram:
         if self.max is None or cycles > self.max:
             self.max = cycles
 
-    @property
-    def mean(self) -> float:
-        return self.total / self.n if self.n else 0.0
-
-    def buckets(self) -> list[tuple[int, int, int]]:
-        """Sorted ``(lo, hi, count)`` rows for the populated buckets."""
-        rows = []
-        for bucket in sorted(self.counts):
-            lo = 0 if bucket == 0 else 1 << (bucket - 1)
-            hi = 1 << bucket
-            rows.append((lo, hi, self.counts[bucket]))
-        return rows
-
-    def format(self, width: int = 40) -> str:
-        rows = self.buckets()
-        peak = max((c for _, _, c in rows), default=1)
-        lines = []
-        for lo, hi, count in rows:
-            bar = "#" * max(1, round(width * count / peak))
-            lines.append(f"{lo:>8d}..{hi:<8d} {count:>7d} {bar}")
-        return "\n".join(lines)
-
 
 @dataclass
 class SyscallAggregate:

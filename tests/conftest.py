@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.arch.encode import Assembler
+from repro.arch.registers import GPR_INDEX
 from repro.kernel.machine import Machine
 from repro.kernel.syscalls.table import NR
 from repro.loader.image import image_from_assembler
@@ -51,16 +52,35 @@ def asm(base: int = layout.CODE_BASE) -> Assembler:
 
 
 def emit_syscall(a: Assembler, name: str, *args: int | str) -> None:
-    """Emit a syscall with up to six arguments (ints or label names)."""
+    """Emit a syscall with up to six arguments: ints, label names, or the
+    names of registers that are not argument registers."""
     regs = ("rdi", "rsi", "rdx", "r10", "r8", "r9")
     for reg, value in zip(regs, args):
-        a.mov_imm(reg, value)
+        if value in GPR_INDEX:
+            a.mov(reg, value)
+        else:
+            a.mov_imm(reg, value)
     a.mov_imm("rax", NR[name])
     a.syscall()
 
 
 def emit_exit(a: Assembler, code: int = 0) -> None:
     emit_syscall(a, "exit_group", code)
+
+
+def expect_rax(a: Assembler, value: int, *, step: int) -> None:
+    """Exit with code ``step`` unless ``rax == value`` (the exit is the
+    ``bad`` label that :func:`exit_steps` emits)."""
+    a.mov_imm("r15", step)
+    a.cmpi("rax", value)
+    a.jnz("bad")
+
+
+def exit_steps(a: Assembler) -> None:
+    """Exit 0, then the ``bad`` label: exit with the failed step in r15."""
+    emit_exit(a, 0)
+    a.label("bad")
+    emit_syscall(a, "exit_group", "r15")
 
 
 def finish(a: Assembler, name: str = "prog", entry: str = "_start"):

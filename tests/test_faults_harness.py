@@ -32,6 +32,7 @@ from repro.faults import (
     SignalTrigger,
     differences,
     instruction_boundaries,
+    lazypoline_boundaries,
     lazypoline_windows,
     run_guest,
 )
@@ -100,13 +101,7 @@ def test_scenario_smoke_sweep(fault_seed_count):
         machine = Machine()
         process = machine.load(build_two_signal_guest())
         tool = Lazypoline._install(machine, process, TraceInterposer())
-        windows = lazypoline_windows(tool)
-        all_boundaries = set()
-        for name in PROBE_WINDOWS:
-            w = windows[name]
-            all_boundaries.update(
-                instruction_boundaries(tool.blobs.code, 0, w.start, w.end)
-            )
+        all_boundaries = set(lazypoline_boundaries(tool, PROBE_WINDOWS))
         assert covered == all_boundaries, (
             "sweep missed boundaries: "
             f"{[hex(b) for b in sorted(all_boundaries - covered)]}"

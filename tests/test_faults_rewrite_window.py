@@ -28,8 +28,10 @@ from repro.faults.explorer import (
     ExplorerPolicy,
     SignalTrigger,
     instruction_boundaries,
+    lazypoline_boundaries,
     lazypoline_windows,
 )
+from repro.faults.scenarios import PROBE_WINDOWS
 from repro.interpose.api import TraceInterposer
 from repro.interpose.lazypoline import Lazypoline, gsrel
 from repro.kernel.machine import Machine
@@ -41,8 +43,6 @@ from repro.mem import layout
 from tests.conftest import asm, finish
 
 pytestmark = pytest.mark.faults
-
-PROBE_WINDOWS = ("stub", "slowpath", "trampoline")
 
 
 def build_two_thread_guest():
@@ -210,15 +210,6 @@ class GsInvariantWatch:
             )
 
 
-def _probe_boundaries(tool) -> list[int]:
-    windows = lazypoline_windows(tool)
-    out: list[int] = []
-    for name in PROBE_WINDOWS:
-        w = windows[name]
-        out.extend(instruction_boundaries(tool.blobs.code, 0, w.start, w.end))
-    return out
-
-
 def _run_with_trigger(target: int, seed: int):
     machine = Machine()
     image = build_two_thread_guest()
@@ -257,7 +248,7 @@ def test_signal_at_every_boundary_two_threads():
         probe_machine.load(build_two_thread_guest()),
         TraceInterposer(),
     )
-    boundaries = _probe_boundaries(probe)
+    boundaries = lazypoline_boundaries(probe, PROBE_WINDOWS)
     assert len(boundaries) >= 30  # stub + slowpath + trampoline
 
     covered: set[int] = set()

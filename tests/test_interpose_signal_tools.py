@@ -203,6 +203,34 @@ def test_ptrace_memory_access_charged(machine):
     assert machine.clock > before_costs
 
 
+def test_ptrace_memory_write_lands_and_pays_one_request_per_word():
+    """``ctx.write_mem`` under ptrace pokes tracee memory a word at a
+    time: the bytes land and each started word costs one request."""
+
+    def run(data: bytes):
+        m = Machine()
+        p = m.load(hello_image(b"pk\n"))
+        written = []
+
+        def poke(ctx):
+            if ctx.name == "write" and data:
+                ctx.write_mem(ctx.args[1], data)
+                written.append(ctx.args[1])
+            return ctx.do_syscall()
+
+        PtraceTool._install(m, p, poke)
+        m.run_process(p)
+        return m, p, written
+
+    base, _, _ = run(b"")
+    one, proc, written = run(b"PK")
+    two, _, _ = run(b"PK\n12345678")
+    request = base.kernel.costs.ptrace_request
+    assert proc.task.mem.read(written[0], 3, check=None) == b"PK\n"
+    assert one.clock - base.clock == request
+    assert two.clock - base.clock == 2 * request
+
+
 def test_ptrace_is_dramatically_slower(machine):
     """ptrace costs context switches per stop: visible even in tiny runs."""
 

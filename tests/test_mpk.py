@@ -7,13 +7,22 @@ import pytest
 from repro.errors import PageFault
 from repro.interpose.api import TraceInterposer
 from repro.interpose.lazypoline import Lazypoline, LazypolineConfig, gsrel
+from repro.kernel import errno
 from repro.kernel.signals import SIGSEGV, SIGUSR1
 from repro.kernel.sud import SELECTOR_ALLOW
 from repro.kernel.syscalls.table import NR
 from repro.mem.address_space import AddressSpace
 from repro.mem.pages import PAGE_SIZE, Perm
 
-from tests.conftest import asm, emit_exit, emit_syscall, finish, hello_image
+from tests.conftest import (
+    asm,
+    emit_exit,
+    emit_syscall,
+    exit_steps,
+    expect_rax,
+    finish,
+    hello_image,
+)
 
 
 # ------------------------------------------------------------- memory layer
@@ -68,6 +77,22 @@ def test_pkey_alloc_free_cycle():
 
 
 # ----------------------------------------------------------- guest-visible
+def test_guest_pkey_free_releases_an_allocated_key(machine):
+    a = asm()
+    a.label("_start")
+    emit_syscall(a, "pkey_alloc", 0, 0)
+    a.mov("rbx", "rax")
+    emit_syscall(a, "pkey_free", "rbx")
+    expect_rax(a, 0, step=1)
+    emit_syscall(a, "pkey_free", "rbx")
+    expect_rax(a, -errno.EINVAL, step=2)  # already free
+    exit_steps(a)
+    proc = machine.load(finish(a))
+    code = machine.run_process(proc)
+    assert code == 0, f"check {code} failed"
+    assert not proc.task.mem.allocated_pkeys
+
+
 def test_wrpkru_rdpkru_roundtrip(machine):
     a = asm()
     a.label("_start")

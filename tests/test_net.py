@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.kernel import errno
 from repro.kernel.machine import Machine
 from repro.kernel.net import Connection, EpollDesc, ListenSocket, SocketDesc
 from repro.kernel.fs import EPOLLIN, EPOLLOUT
@@ -11,7 +12,15 @@ from repro.kernel.syscalls.table import NR
 from repro.workloads.webserver import NGINX, LIGHTTPD, ServerWorkload
 from repro.workloads.wrk import HEADER_SIZE, WrkClient
 
-from tests.conftest import asm, emit_exit, emit_syscall, finish, run_program
+from tests.conftest import (
+    asm,
+    emit_exit,
+    emit_syscall,
+    exit_steps,
+    expect_rax,
+    finish,
+    run_program,
+)
 
 
 # -------------------------------------------------------------- unit level
@@ -127,6 +136,58 @@ def test_guest_echo_server(machine):
     code = machine.run_process(proc)
     assert code == 0
     assert received == [b"ping!"]
+
+
+def test_guest_setsockopt_shutdown_and_close(machine):
+    """setsockopt is accepted on a socket; shutdown and close of an
+    accepted connection each close the host peer's stream; closing the
+    listener unbinds its port."""
+    a = asm()
+    a.label("_start")
+    emit_syscall(a, "mmap", 0, 4096, 3, 0x22, (1 << 64) - 1, 0)
+    a.mov("r12", "rax")
+    emit_syscall(a, "socket", 2, 1, 0)
+    a.mov("rbx", "rax")
+    emit_syscall(a, "setsockopt", "rbx", 1, 2, "one", 4)  # SO_REUSEADDR
+    expect_rax(a, 0, step=1)
+    a.mov_imm("rcx", 0x1F)  # port 8081 = 0x1F91
+    a.store8("r12", 2, "rcx")
+    a.mov_imm("rcx", 0x91)
+    a.store8("r12", 3, "rcx")
+    emit_syscall(a, "bind", "rbx", "r12", 16)
+    emit_syscall(a, "listen", "rbx", 16)
+    emit_syscall(a, "shutdown", "rbx", 2)  # SHUT_RDWR on a listener
+    expect_rax(a, -errno.ENOTSOCK, step=2)
+    for step, call in ((3, "shutdown"), (4, "close")):
+        emit_syscall(a, "accept", "rbx", 0, 0)
+        a.mov("r13", "rax")
+        emit_syscall(a, call, "r13", 2)
+        expect_rax(a, 0, step=step)
+    # closing the listener frees its port for the next bind
+    emit_syscall(a, "socket", 2, 1, 0)
+    a.mov("r13", "rax")
+    emit_syscall(a, "bind", "r13", "r12", 16)
+    expect_rax(a, -errno.EADDRINUSE, step=5)
+    emit_syscall(a, "close", "rbx")
+    expect_rax(a, 0, step=6)
+    emit_syscall(a, "bind", "r13", "r12", 16)
+    expect_rax(a, 0, step=7)
+    exit_steps(a)
+    a.label("one")
+    a.db(b"\x01\x00\x00\x00")
+    proc = machine.load(finish(a))
+    machine.run(
+        until=lambda: 8081 in machine.kernel.net.listeners
+        and machine.kernel.net.listeners[8081].listening,
+        max_instructions=100_000,
+    )
+    closed = []
+    for name in ("shutdown", "close"):
+        machine.kernel.net.connect(
+            8081, on_close=lambda name=name: closed.append(name))
+    code = machine.run_process(proc)
+    assert code == 0, f"check {code} failed"
+    assert closed == ["shutdown", "close"]
 
 
 def test_guest_connect_to_guest_listener(machine):

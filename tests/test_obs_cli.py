@@ -13,6 +13,7 @@ import hashlib
 
 import pytest
 
+from repro.interpose import available_tools
 from repro.obs.cli import main
 
 pytestmark = pytest.mark.obs
@@ -63,3 +64,8 @@ def test_run_summary_is_pinned(capsys, workload, tool):
 def test_run_rejects_unknown_tool(capsys):
     assert main(["run", "--tool", "strace"]) == 2
     assert "unknown tool 'strace'" in capsys.readouterr().err
+
+
+def test_tools_lists_every_attachable_tool(capsys):
+    assert main(["tools"]) == 0
+    assert capsys.readouterr().out.split() == available_tools()

@@ -41,6 +41,18 @@ def test_default_sigterm_kills(machine):
     assert proc.term_signal == SIGTERM
 
 
+def test_hlt_in_user_mode_kills_with_sigsegv(machine):
+    """hlt is privileged: in user mode it raises #GP, which Linux
+    delivers as SIGSEGV."""
+    a = asm()
+    a.label("_start")
+    a.hlt()
+    emit_exit(a, 0)
+    proc = machine.load(finish(a))
+    machine.run(until=lambda: not proc.alive)
+    assert proc.term_signal == SIGSEGV
+
+
 def test_handler_runs_and_main_continues(machine):
     a = asm()
     a.label("_start")

@@ -2,14 +2,25 @@
 
 from __future__ import annotations
 
+import struct
+
 import pytest
 
 from repro.kernel import errno
 from repro.kernel.machine import Machine
+from repro.kernel.syscalls.misc import ARCH_SET_FS, ARCH_SET_GS
 from repro.kernel.syscalls.proc import CLONE_VM, THREAD_FLAGS
 from repro.kernel.syscalls.table import NR
 
-from tests.conftest import asm, emit_exit, emit_syscall, finish, run_program
+from tests.conftest import (
+    asm,
+    emit_exit,
+    emit_syscall,
+    exit_steps,
+    expect_rax,
+    finish,
+    run_program,
+)
 
 
 def test_writev_gathers(machine):
@@ -212,6 +223,13 @@ def test_clock_gettime_tracks_simulated_time(machine):
         ("lseek", (99, 0, 0), errno.EBADF),
         ("epoll_ctl", (99, 1, 0, 0), errno.EINVAL),
         ("chdir", (0x10,), errno.EFAULT),
+        ("ioctl", (99, 0x5401, 0), errno.EBADF),
+        ("ioctl", (1, 0x5401, 0), errno.ENOTTY),  # TCGETS: not a tty
+        ("arch_prctl", (0x9999, 0), errno.EINVAL),
+        ("time", (0x10,), errno.EFAULT),
+        ("pkey_free", (7,), errno.EINVAL),  # never allocated
+        ("setsockopt", (99, 1, 2, 0, 0), errno.EBADF),
+        ("shutdown", (1, 2), errno.ENOTSOCK),
     ],
 )
 def test_error_paths(machine, name, args, expected):
@@ -225,3 +243,49 @@ def test_error_paths(machine, name, args, expected):
     a.syscall()
     _proc, code = run_program(machine, finish(a))
     assert code == expected
+
+
+def test_arch_prctl_sets_gs_base_and_accepts_fs(machine):
+    a = asm()
+    a.label("_start")
+    emit_syscall(a, "arch_prctl", ARCH_SET_GS, 0x5000)
+    expect_rax(a, 0, step=1)
+    emit_syscall(a, "arch_prctl", ARCH_SET_FS, 0x6000)
+    expect_rax(a, 0, step=2)
+    exit_steps(a)
+    proc, code = run_program(machine, finish(a))
+    assert code == 0, f"check {code} failed"
+    assert proc.task.regs.gs_base == 0x5000
+
+
+def test_time_and_clock_nanosleep_follow_simulated_time(machine):
+    a = asm()
+    a.label("_start")
+    emit_syscall(a, "mmap", 0, 4096, 3, 0x22, (1 << 64) - 1, 0)
+    a.mov("r12", "rax")
+    emit_syscall(a, "time", 0)
+    expect_rax(a, 0, step=1)
+    # clock_nanosleep(CLOCK_MONOTONIC, 0, {2 s, 0 ns}, NULL)
+    emit_syscall(a, "clock_nanosleep", 1, 0, "two_seconds", 0)
+    expect_rax(a, 0, step=2)
+    emit_syscall(a, "time", "r12")
+    expect_rax(a, 2, step=3)
+    a.load("rax", "r12", 0)  # time(buf) also stores the seconds
+    expect_rax(a, 2, step=4)
+    exit_steps(a)
+    a.label("two_seconds")
+    a.db(struct.pack("<QQ", 2, 0))
+    _proc, code = run_program(machine, finish(a))
+    assert code == 0, f"check {code} failed"
+    assert machine.kernel.now >= 2 * machine.kernel.costs.frequency_hz
+
+
+def test_sigaltstack_is_accepted(machine):
+    """Signal frames always go on the current stack; sigaltstack is
+    accepted so that programs which install one still run."""
+    a = asm()
+    a.label("_start")
+    emit_syscall(a, "sigaltstack", 0, 0)
+    emit_syscall(a, "exit_group", "rax")
+    _proc, code = run_program(machine, finish(a))
+    assert code == 0

@@ -37,6 +37,31 @@ def test_fork_returns_zero_in_child(machine):
     assert children[0].exit_code == 20
 
 
+def test_vfork_returns_zero_in_child(machine):
+    """vfork is fork here (the parent is not suspended): the child gets 0
+    and its own copy of memory, the parent reaps it."""
+    a = asm()
+    a.label("_start")
+    emit_syscall(a, "vfork")
+    a.cmpi("rax", 0)
+    a.jz("child")
+    a.mov_imm("rdi", (1 << 64) - 1)
+    a.mov_imm("rsi", 0)
+    a.mov_imm("rdx", 0)
+    a.mov_imm("rax", NR["wait4"])
+    a.syscall()
+    emit_exit(a, 10)
+    a.label("child")
+    emit_exit(a, 20)
+    proc, code = run_program(machine, finish(a))
+    assert code == 10
+    children = [t for t in machine.kernel.tasks.values()
+                if t.parent is proc.task]
+    assert len(children) == 1
+    assert children[0].exit_code == 20
+    assert children[0].mem is not proc.task.mem
+
+
 def test_wait4_writes_status(machine):
     a = asm()
     a.label("_start")
